@@ -155,6 +155,37 @@ class WallClockRule(Rule):
             )
 
 
+@register
+class SaltedHashRule(Rule):
+    """The builtin ``hash()`` inside simulation packages.
+
+    ``hash()`` of a ``str`` or ``bytes`` is salted per process
+    (``PYTHONHASHSEED``), so a value derived from it — an RNG seed, a set
+    index — differs between two runs of the same command.  Scoped like
+    ``wallclock-in-sim``; seed from a stable hash such as ``zlib.crc32``.
+    """
+
+    id = "salted-hash"
+    node_types = (ast.Call,)
+
+    def check(self, node: ast.AST, ctx: "LintContext") -> Iterator[RuleHit]:
+        assert isinstance(node, ast.Call)
+        if not ctx.in_sim_path:
+            return
+        func = node.func
+        if (
+            isinstance(func, ast.Name)
+            and func.id == "hash"
+            and ctx.resolve(func) is None  # not an imported ``hash``
+        ):
+            yield (
+                node.lineno,
+                node.col_offset,
+                "builtin hash() is salted per process for str/bytes; "
+                "use a stable hash such as zlib.crc32",
+            )
+
+
 def _is_unordered(expr: ast.expr, ctx: "LintContext") -> Optional[str]:
     """Describe why iterating ``expr`` has no stable order, if it hasn't."""
     if isinstance(expr, ast.Set):

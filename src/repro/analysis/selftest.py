@@ -50,6 +50,10 @@ LINT_FIXTURES: Dict[str, Tuple[str, str]] = {
         "memsim/fixture.py",
         "import time\nstart = time.time()\n",
     ),
+    "salted-hash": (
+        "memsim/fixture.py",
+        "def seed(name):\n    return hash(name) | 1\n",
+    ),
     "unordered-iteration": (
         "core/fixture.py",
         "items = [3, 1]\nfor value in set(items):\n    print(value)\n",
@@ -105,6 +109,17 @@ CLEAN_RNG_FIXTURE: Tuple[str, str] = (
     "a = default_rng(1234)\n"
     "b = np.random.default_rng(seed=7)\n"
     "c = Generator(PCG64(99))\n",
+)
+
+#: Stable hashes and a ``hash`` method, which must not be mistaken for
+#: the salted builtin.
+CLEAN_HASH_FIXTURE: Tuple[str, str] = (
+    "memsim/fixture.py",
+    "import hashlib\n"
+    "import zlib\n"
+    "def seed(name, table):\n"
+    "    digest = hashlib.sha256(name.encode()).hexdigest()\n"
+    "    return zlib.crc32(name.encode()) | 1, table.hash(digest)\n",
 )
 
 #: The sanctioned service-layer wait spellings, plus a bounded ``while
@@ -728,6 +743,7 @@ def run_self_test() -> Tuple[bool, List[str]]:
 
         for label, rule, (rel_path, source) in (
             ("seeded-rng-passes", "unseeded-random", CLEAN_RNG_FIXTURE),
+            ("stable-hash-passes", "salted-hash", CLEAN_HASH_FIXTURE),
             ("backoff-helpers-pass", "service-backoff",
              CLEAN_BACKOFF_FIXTURE),
         ):

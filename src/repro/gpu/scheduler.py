@@ -19,9 +19,11 @@ Policies:
 
 from __future__ import annotations
 
+import heapq
 import random
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence
+from bisect import bisect_left
+from typing import List, Optional, Sequence, Tuple
 
 
 class WarpScheduler(ABC):
@@ -168,30 +170,85 @@ class WarpQueue:
     ready at a given time; :meth:`delay` marks a warp busy until
     ``time + latency`` (the paper's "delayed in proportion to the request's
     latency").  Retired warps are removed with :meth:`retire`.
+
+    ``_ready_time`` is the authoritative ``{warp: ready time}`` map.  Two
+    structures make the per-issue query incremental: a lazy-deletion
+    min-heap of ``(time, warp)`` entries (an entry is live while it matches
+    ``_ready_time``) and an ascending list of the warps already found ready
+    at ``_horizon``, the latest queried time.  :meth:`ready_at` only moves
+    heap entries that have come due into the list; querying an earlier time
+    than the horizon rebuilds both from the map.
     """
+
+    __slots__ = ("_ready_time", "_heap", "_ready", "_horizon")
 
     def __init__(self) -> None:
         self._ready_time: dict[int, float] = {}
+        self._heap: List[Tuple[float, int]] = []
+        self._ready: List[int] = []
+        self._horizon = float("-inf")
 
     def add(self, warp: int, time: float = 0.0) -> None:
         if warp in self._ready_time:
             raise ValueError(f"warp {warp} already queued")
         self._ready_time[warp] = time
+        heapq.heappush(self._heap, (time, warp))
 
     def delay(self, warp: int, until: float) -> None:
         if warp not in self._ready_time:
             raise KeyError(f"warp {warp} not in queue")
         self._ready_time[warp] = until
+        self._unready(warp)
+        heapq.heappush(self._heap, (until, warp))
 
     def retire(self, warp: int) -> None:
-        self._ready_time.pop(warp, None)
+        if self._ready_time.pop(warp, None) is not None:
+            self._unready(warp)
+
+    def _unready(self, warp: int) -> None:
+        ready = self._ready
+        index = bisect_left(ready, warp)
+        if index < len(ready) and ready[index] == warp:
+            del ready[index]
 
     def ready_at(self, time: float) -> List[int]:
-        return sorted(w for w, t in self._ready_time.items() if t <= time)
+        """Ascending ids of the warps ready at ``time`` (a fresh list)."""
+        if time < self._horizon:
+            self._rebuild(time)
+        self._horizon = time
+        heap = self._heap
+        if heap and heap[0][0] <= time:
+            ready = self._ready
+            ready_time = self._ready_time
+            pop = heapq.heappop
+            while heap and heap[0][0] <= time:
+                due, warp = pop(heap)
+                if ready_time.get(warp) == due:
+                    index = bisect_left(ready, warp)
+                    # A warp re-delayed to the same time has two live
+                    # entries; the second finds it already listed.
+                    if index == len(ready) or ready[index] != warp:
+                        ready.insert(index, warp)
+        return self._ready[:]
+
+    def _rebuild(self, time: float) -> None:
+        items = self._ready_time.items()
+        self._ready = sorted(w for w, t in items if t <= time)
+        self._heap = [(t, w) for w, t in items if t > time]
+        heapq.heapify(self._heap)
 
     def next_event(self) -> Optional[float]:
         """Earliest time any warp becomes ready, or None if empty."""
-        return min(self._ready_time.values(), default=None)
+        heap = self._heap
+        ready_time = self._ready_time
+        while heap and ready_time.get(heap[0][1]) != heap[0][0]:
+            heapq.heappop(heap)  # superseded by a later delay or a retire
+        earliest = heap[0][0] if heap else None
+        for warp in self._ready:
+            due = ready_time[warp]
+            if earliest is None or due < earliest:
+                earliest = due
+        return earliest
 
     def __len__(self) -> int:
         return len(self._ready_time)

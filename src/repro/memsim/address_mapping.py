@@ -18,7 +18,12 @@ mapping information.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
+
 from repro.memsim.config import DramConfig
+
+#: Row-field width of ChRaBaRoCo, capped like a real device's row address.
+_ROW_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,37 @@ class AddressMapping:
         self._ba_bits = _log2(config.banks, "banks")
         columns = max(1, config.row_bytes // txn_size)
         self._co_bits = _log2(columns, "columns per row")
+        # (shift, mask) of each field for :meth:`coordinates`; a mask of -1
+        # keeps every remaining high bit (the unbounded RoBaRaCoCh row).
+        off, ch, ra, ba, co = (self._offset_bits, self._ch_bits,
+                               self._ra_bits, self._ba_bits, self._co_bits)
+        if config.mapping == "RoBaRaCoCh":
+            shifts = (off, off + ch + co, off + ch + co + ra,
+                      off + ch + co + ra + ba)
+            row_mask = -1
+        else:
+            shifts = (off + co + _ROW_BITS + ba + ra, off + co + _ROW_BITS + ba,
+                      off + co + _ROW_BITS, off + co)
+            row_mask = (1 << _ROW_BITS) - 1
+        (self._ch_shift, self._ra_shift, self._ba_shift,
+         self._ro_shift) = shifts
+        self._ch_mask = (1 << ch) - 1
+        self._ra_mask = (1 << ra) - 1
+        self._ba_mask = (1 << ba) - 1
+        self._ro_mask = row_mask
+
+    def coordinates(self, address: int) -> Tuple[int, int, int, int]:
+        """``(channel, rank, bank, row)`` of a byte address.
+
+        The same fields as :meth:`decompose`, sliced with precomputed shifts
+        into a plain tuple — the DRAM model's per-request form.
+        """
+        return (
+            (address >> self._ch_shift) & self._ch_mask,
+            (address >> self._ra_shift) & self._ra_mask,
+            (address >> self._ba_shift) & self._ba_mask,
+            (address >> self._ro_shift) & self._ro_mask,
+        )
 
     def decompose(self, address: int) -> DramCoordinates:
         """Map a byte address to (channel, rank, bank, row, column)."""
@@ -69,11 +105,10 @@ class AddressMapping:
             values["row"] = bits
         else:
             # Remaining bits: Row, then Bank, Rank, Channel at the top.  The
-            # row field takes whatever is left below the fixed-top fields;
-            # cap it at 16 bits like a real device's row address.
-            row_bits = 16
-            values["row"] = bits & ((1 << row_bits) - 1)
-            bits >>= row_bits
+            # row field takes whatever is left below the fixed-top fields,
+            # capped at _ROW_BITS.
+            values["row"] = bits & ((1 << _ROW_BITS) - 1)
+            bits >>= _ROW_BITS
             for field, width in (
                 ("bank", self._ba_bits),
                 ("rank", self._ra_bits),

@@ -9,15 +9,14 @@ credited to the prefetcher (Figures 6c/6d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+import zlib
+from typing import NamedTuple, Optional, Tuple
 
 from repro.memsim.config import CacheConfig
 from repro.memsim.stats import CacheStats
 
 
-@dataclass(frozen=True)
-class Victim:
+class Victim(NamedTuple):
     """An evicted line: its base address and whether it needs writeback."""
 
     address: int
@@ -27,10 +26,12 @@ class Victim:
 class SetAssociativeCache:
     """One cache array.
 
-    Lines are stored per set as
-    ``{tag: [use_stamp, dirty, prefetched, insert_stamp]}``.  A
-    monotonically increasing stamp implements true LRU; FIFO evicts by
-    insertion stamp; "random" uses a deterministic xorshift over the clock.
+    Lines are stored per set as ``{line: [dirty, prefetched, insert_stamp]}``
+    with ``line`` the address's line number (index bits included, so it is
+    also the tag).  Under "lru" each set's dict is kept in recency order —
+    a demand hit moves its entry to the end — so the least recently used
+    line is the first key.  FIFO evicts by insertion stamp; "random" uses a
+    deterministic xorshift seeded from a stable hash of the cache's name.
     Write policy: under "write-through" lines are never dirtied (the
     hierarchy forwards store traffic downstream); with
     ``write_allocate=False`` a store miss does not fill the line.
@@ -38,7 +39,8 @@ class SetAssociativeCache:
 
     __slots__ = (
         "config", "name", "stats", "_sets", "_line_shift", "_set_mask",
-        "_clock", "_writeback", "_rng_state",
+        "_clock", "_writeback", "_rng_state", "_lru", "_assoc",
+        "_write_allocate",
     )
 
     def __init__(self, config: CacheConfig, name: str = "cache") -> None:
@@ -50,7 +52,11 @@ class SetAssociativeCache:
         self._set_mask = config.num_sets - 1
         self._clock = 0
         self._writeback = config.write_policy == "write-back"
-        self._rng_state = (hash(name) & 0xFFFF_FFFF) | 1
+        self._lru = config.replacement == "lru"
+        self._assoc = config.assoc
+        self._write_allocate = config.write_allocate
+        # ``hash(str)`` is salted per process; CRC-32 is not.
+        self._rng_state = (zlib.crc32(name.encode()) & 0xFFFF_FFFF) | 1
 
     # -- address helpers -----------------------------------------------------
 
@@ -70,27 +76,39 @@ class SetAssociativeCache:
         On a miss the line is filled (write-allocate); ``victim`` is the
         evicted line if the set was full, else None.
         """
-        index, tag = self._index_tag(address)
-        lines = self._sets[index]
-        self._clock += 1
+        tag = address >> self._line_shift
+        lines = self._sets[tag & self._set_mask]
         stats = self.stats
         stats.accesses += 1
-        entry = lines.get(tag)
+        if self._lru:
+            entry = lines.pop(tag, None)
+            if entry is not None:
+                lines[tag] = entry  # now the most recently used
+        else:
+            entry = lines.get(tag)
         if entry is not None:
             stats.hits += 1
-            entry[0] = self._clock
             if is_store and self._writeback:
-                entry[1] = True
-            if entry[2]:
+                entry[0] = True
+            if entry[1]:
                 stats.prefetch_hits += 1
-                entry[2] = False
+                entry[1] = False
             return True, None
         stats.misses += 1
-        if is_store and not self.config.write_allocate:
+        if is_store and not self._write_allocate:
             return False, None  # store miss bypasses the cache
-        victim = self._fill(
-            index, tag, dirty=is_store and self._writeback, prefetched=False
-        )
+        dirty = is_store and self._writeback
+        if not self._lru:
+            return False, self._fill(lines, tag, dirty, prefetched=False)
+        victim = None
+        if len(lines) >= self._assoc:
+            victim_tag = next(iter(lines))
+            was_dirty = lines.pop(victim_tag)[0]
+            stats.evictions += 1
+            if was_dirty:
+                stats.writebacks += 1
+            victim = Victim(victim_tag << self._line_shift, was_dirty)
+        lines[tag] = [dirty, False, 0]  # insert stamps order FIFO sets only
         return False, victim
 
     def prefetch_fill(self, address: int) -> Optional[Victim]:
@@ -99,38 +117,27 @@ class SetAssociativeCache:
         lines = self._sets[index]
         if tag in lines:
             return None
-        self._clock += 1
         self.stats.prefetch_fills += 1
-        return self._fill(index, tag, dirty=False, prefetched=True)
+        return self._fill(lines, tag, dirty=False, prefetched=True)
 
-    def _fill(self, index: int, tag: int, dirty: bool, prefetched: bool) -> Optional[Victim]:
-        lines = self._sets[index]
+    def _fill(self, lines: dict, tag: int, dirty: bool, prefetched: bool) -> Optional[Victim]:
         victim = None
-        if len(lines) >= self.config.assoc:
+        if len(lines) >= self._assoc:
             victim_tag = self._choose_victim(lines)
-            _, was_dirty, _, _ = lines.pop(victim_tag)
+            was_dirty = lines.pop(victim_tag)[0]
             self.stats.evictions += 1
             if was_dirty:
                 self.stats.writebacks += 1
-            victim = Victim(
-                address=victim_tag << self._line_shift, dirty=was_dirty
-            )
-        lines[tag] = [self._clock, dirty, prefetched, self._clock]
+            victim = Victim(victim_tag << self._line_shift, was_dirty)
+        self._clock += 1
+        lines[tag] = [dirty, prefetched, self._clock]
         return victim
 
     def _choose_victim(self, lines: dict) -> int:
-        policy = self.config.replacement
-        if policy == "lru":
-            best_tag = -1
-            best = float("inf")
-            for tag, entry in lines.items():
-                stamp = entry[0]
-                if stamp < best:
-                    best = stamp
-                    best_tag = tag
-            return best_tag
-        if policy == "fifo":
-            return min(lines, key=lambda t: lines[t][3])
+        if self._lru:
+            return next(iter(lines))
+        if self.config.replacement == "fifo":
+            return min(lines, key=lambda t: lines[t][2])
         # Deterministic xorshift random.
         x = self._rng_state
         x ^= (x << 13) & 0xFFFF_FFFF
@@ -151,7 +158,7 @@ class SetAssociativeCache:
         entry = self._sets[index].pop(tag, None)
         if entry is None:
             return None
-        return Victim(address=tag << self._line_shift, dirty=entry[1])
+        return Victim(tag << self._line_shift, entry[0])
 
     @property
     def occupied_lines(self) -> int:
@@ -161,6 +168,6 @@ class SetAssociativeCache:
         """Drop all lines; returns how many were dirty (end-of-run drain)."""
         dirty = 0
         for lines in self._sets:
-            dirty += sum(1 for entry in lines.values() if entry[1])
+            dirty += sum(1 for entry in lines.values() if entry[0])
             lines.clear()
         return dirty

@@ -22,6 +22,7 @@ streams keep rows open — without a full event-driven command scheduler.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List
@@ -39,11 +40,19 @@ class _Bank:
 
 
 class _Channel:
-    __slots__ = ("bus_busy_until", "pending")
+    """A channel's bus and its queued requests' completion times.
+
+    ``pending`` holds them in arrival order (the queue drains from the
+    front); ``backlog`` is the same multiset kept sorted, so FR-FCFS reads
+    its reorder bound by index instead of sorting the queue.
+    """
+
+    __slots__ = ("bus_busy_until", "pending", "backlog")
 
     def __init__(self) -> None:
         self.bus_busy_until = 0.0
-        self.pending: Deque[float] = deque()  # completion times of queued reqs
+        self.pending: Deque[float] = deque()
+        self.backlog: List[float] = []
 
 
 class _Rank:
@@ -95,18 +104,19 @@ class DramModel:
 
     def access(self, now: float, address: int, is_write: bool = False) -> float:
         """Service one transaction arriving at ``now``; returns its latency."""
-        coord = self.mapping.decompose(address)
-        bank = self._banks[coord.channel][coord.rank][coord.bank]
-        channel = self._channels[coord.channel]
+        channel_id, rank_id, bank_id, row = self.mapping.coordinates(address)
+        bank = self._banks[channel_id][rank_id][bank_id]
+        channel = self._channels[channel_id]
         stats = self.stats
 
         pending = channel.pending
+        backlog = channel.backlog
         while pending and pending[0] <= now:
-            pending.popleft()
+            del backlog[bisect_left(backlog, pending.popleft())]
         stats.queue_len_sum += len(pending)
         stats.queue_samples += 1
 
-        if bank.open_row == coord.row:
+        if bank.open_row == row:
             kind_latency = self.t_cas
             stats.row_hits += 1
             row_hit = True
@@ -128,12 +138,12 @@ class DramModel:
             # reorder window (older requests beyond it still block the bus).
             window = self.config.frfcfs_window
             if len(pending) > window:
-                backlog_release = sorted(pending)[len(pending) - window - 1]
+                backlog_release = backlog[len(pending) - window - 1]
                 start = max(start, backlog_release)
         else:
             start = max(start, channel.bus_busy_until)
 
-        rank = self._ranks[coord.channel][coord.rank]
+        rank = self._ranks[channel_id][rank_id]
         if not row_hit and self.t_faw > 0 and len(rank.recent_acts) == 4:
             # Four-activate window: a fifth ACT waits for the oldest + tFAW.
             start = max(start, rank.recent_acts[0] + self.t_faw)
@@ -147,16 +157,17 @@ class DramModel:
             if phase < self.t_rfc:
                 start += self.t_rfc - phase
 
-        if bank.open_row != coord.row:
+        if bank.open_row != row:
             bank.activated_at = start + (self.t_rp if bank.open_row >= 0 else 0.0)
             rank.recent_acts.append(bank.activated_at)
         finish = start + kind_latency + self.t_burst
         if is_write:
             rank.last_write_end = max(rank.last_write_end, finish)
-        bank.open_row = coord.row
+        bank.open_row = row
         bank.busy_until = finish
         channel.bus_busy_until = max(channel.bus_busy_until, finish)
         pending.append(finish)
+        insort(backlog, finish)
 
         latency = finish - now
         if is_write:

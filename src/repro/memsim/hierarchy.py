@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.gpu.memspace import MemorySpace, space_of
+from repro.gpu.memspace import SHARED_BASE, MemorySpace, space_of
 from repro.memsim.cache import SetAssociativeCache
 from repro.memsim.config import SimConfig
 from repro.memsim.dram import DramModel
@@ -67,6 +67,17 @@ class MemoryHierarchy:
             for core in range(config.num_cores)
         ]
         self.shared_accesses = 0
+        # Per-access constants, read once here instead of through the config.
+        l1_config, l2_config = config.l1, config.l2
+        self._l1_line = l1_config.line_size
+        self._l1_hit = float(l1_config.hit_latency)
+        self._l1_write_through = l1_config.write_policy == "write-through"
+        self._l1_write_allocate = l1_config.write_allocate
+        self._l2_line = l2_config.line_size
+        self._l2_hit = float(l2_config.hit_latency)
+        self._l2_write_through = l2_config.write_policy == "write-through"
+        self._l1_fits_l2 = l2_config.line_size >= l1_config.line_size
+        self._noc = config.noc_latency
 
     # -- public entry ---------------------------------------------------------
 
@@ -89,19 +100,20 @@ class MemoryHierarchy:
         split into line-sized sectors issued in parallel; the warp waits
         for the slowest.
         """
-        space = space_of(address)
-        if space is MemorySpace.SHARED:
-            self.shared_accesses += 1
-            return self.config.shared_latency
-        if space is MemorySpace.TEXTURE:
-            cache = self.texture_caches[core]
-            if cache is not None:
-                return self._read_only_access(cache, now, address)
-        elif space is MemorySpace.CONSTANT:
-            cache = self.constant_caches[core]
-            if cache is not None:
-                return self._read_only_access(cache, now, address)
-        line_size = self.config.l1.line_size
+        if address >= SHARED_BASE:  # below it everything is GLOBAL
+            space = space_of(address)
+            if space is MemorySpace.SHARED:
+                self.shared_accesses += 1
+                return self.config.shared_latency
+            if space is MemorySpace.TEXTURE:
+                cache = self.texture_caches[core]
+                if cache is not None:
+                    return self._read_only_access(cache, now, address)
+            elif space is MemorySpace.CONSTANT:
+                cache = self.constant_caches[core]
+                if cache is not None:
+                    return self._read_only_access(cache, now, address)
+        line_size = self._l1_line
         if size <= line_size:
             return self._access_l1(core, now, pc, address, is_store)
         latency = 0.0
@@ -120,20 +132,19 @@ class MemoryHierarchy:
         self, core: int, now: float, pc: int, address: int, is_store: bool
     ) -> float:
         l1 = self.l1s[core]
-        l1_config = self.config.l1
-        hit_latency = float(l1_config.hit_latency)
+        hit_latency = self._l1_hit
         hit, victim = l1.access(address, is_store)
-        write_through = is_store and l1_config.write_policy == "write-through"
+        write_through = is_store and self._l1_write_through
         if write_through:
             # Stores forward downstream immediately (posted); a no-allocate
             # miss does not fetch the line at all.
             self._writeback_to_l2(now, l1.line_address(address))
         if hit:
             latency = hit_latency
-        elif write_through and not l1_config.write_allocate:
+        elif write_through and not self._l1_write_allocate:
             latency = hit_latency  # buffered store, nothing to wait for
         else:
-            line = l1.line_address(address)
+            line = address - address % self._l1_line
             mshr = self.l1_mshrs[core]
             inflight = mshr.lookup(line, now)
             if inflight is not None:
@@ -143,15 +154,22 @@ class MemoryHierarchy:
                 # An L1 line narrower than the L2 line fits in one L2 access;
                 # a wider one (the paper's 64B-L2 / 128B-L1 points) is fetched
                 # as parallel L2-line-sized chunks and waits for the slowest.
-                l2_line = self.config.l2.line_size
-                l2_latency = 0.0
-                chunk = line
-                while chunk < line + self.config.l1.line_size:
-                    l2_latency = max(
-                        l2_latency,
-                        self._access_l2(now + hit_latency, chunk, is_store=False),
+                if self._l1_fits_l2:
+                    l2_latency = self._access_l2(
+                        now + hit_latency, line, is_store=False
                     )
-                    chunk += l2_line
+                else:
+                    l2_line = self._l2_line
+                    l2_latency = 0.0
+                    chunk = line
+                    while chunk < line + self._l1_line:
+                        l2_latency = max(
+                            l2_latency,
+                            self._access_l2(
+                                now + hit_latency, chunk, is_store=False
+                            ),
+                        )
+                        chunk += l2_line
                 stall, completion = mshr.allocate(
                     line, now, hit_latency + l2_latency
                 )
@@ -195,9 +213,6 @@ class MemoryHierarchy:
 
     # -- L2 level ---------------------------------------------------------------
 
-    def _l2_bank(self, address: int) -> int:
-        return (address >> self._l2_bank_shift) & self._l2_bank_mask
-
     def _handle_l2_victim(self, now: float, victim) -> None:
         """Writeback a dirty L2 victim; back-invalidate L1s if inclusive."""
         if victim is None:
@@ -219,17 +234,18 @@ class MemoryHierarchy:
 
     def _access_l2(self, now: float, address: int, is_store: bool) -> float:
         l2 = self.l2
-        noc = self.config.noc_latency  # SM -> L2 partition traversal
+        noc = self._noc  # SM -> L2 partition traversal
         now = now + noc
-        hit_latency = float(self.config.l2.hit_latency)
-        bank = self._l2_bank(address)
-        start = max(now, self._l2_bank_busy[bank])
-        self._l2_bank_busy[bank] = start + hit_latency
+        hit_latency = self._l2_hit
+        bank = (address >> self._l2_bank_shift) & self._l2_bank_mask
+        bank_busy = self._l2_bank_busy
+        start = max(now, bank_busy[bank])
+        bank_busy[bank] = start + hit_latency
         hit, victim = l2.access(address, is_store)
         if hit:
             service = hit_latency
         else:
-            line = l2.line_address(address)
+            line = address - address % self._l2_line
             inflight = self.l2_mshr.lookup(line, start)
             if inflight is not None:
                 l2.stats.mshr_merges += 1
@@ -258,10 +274,10 @@ class MemoryHierarchy:
     def _writeback_to_l2(self, now: float, address: int) -> None:
         """Posted write of a dirty L1 victim into the L2 (chunked if the
         L2 line is narrower than the L1 line)."""
-        l2_line = self.config.l2.line_size
-        l2_write_through = self.config.l2.write_policy == "write-through"
+        l2_line = self._l2_line
+        l2_write_through = self._l2_write_through
         chunk = address
-        end = address + max(self.config.l1.line_size, l2_line)
+        end = address + max(self._l1_line, l2_line)
         while chunk < end:
             hit, victim = self.l2.access(chunk, is_store=True)
             if not hit:

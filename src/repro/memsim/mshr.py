@@ -21,8 +21,9 @@ class MshrFile:
     """In-flight miss tracking for one cache.
 
     Completions live in a lazy-deletion min-heap alongside the authoritative
-    ``{line: completion}`` map, so the per-access prune is a single peek
-    until something can actually retire.
+    ``{line: completion}`` map; :meth:`lookup` and :meth:`allocate` peek
+    at the heap top and call :meth:`_prune` only when something can
+    actually retire.
     """
 
     __slots__ = ("entries", "_in_flight", "_heap")
@@ -36,8 +37,6 @@ class MshrFile:
 
     def _prune(self, now: float) -> None:
         heap = self._heap
-        if not heap or heap[0][0] > now:
-            return
         in_flight = self._in_flight
         pop = heapq.heappop
         while heap and heap[0][0] <= now:
@@ -47,7 +46,9 @@ class MshrFile:
 
     def lookup(self, line: int, now: float) -> Optional[float]:
         """Completion time of an in-flight fill of ``line``, if any."""
-        self._prune(now)
+        heap = self._heap
+        if heap and heap[0][0] <= now:
+            self._prune(now)
         return self._in_flight.get(line)
 
     def allocate(self, line: int, now: float, service_latency: float) -> Tuple[float, float]:
@@ -57,7 +58,9 @@ class MshrFile:
         spent waiting for a free entry (0 if one was available), and the fill
         completes at ``now + stall + service_latency``.
         """
-        self._prune(now)
+        heap = self._heap
+        if heap and heap[0][0] <= now:
+            self._prune(now)
         stall = 0.0
         if len(self._in_flight) >= self.entries:
             earliest = min(self._in_flight.values())

@@ -117,9 +117,11 @@ class _CoreState:
 
     def step(self, hierarchy: MemoryHierarchy) -> bool:
         """Issue at most one transaction; returns False when the core idles."""
-        ready = self.queue.ready_at(self.now)
+        queue = self.queue
+        now = self.now
+        ready = queue.ready_at(now)
         if not ready:
-            next_ready = self.queue.next_event()
+            next_ready = queue.next_event()
             if next_ready is None:
                 return self._load_next_wave()
             if next_ready == _BARRIER_PARK:
@@ -127,40 +129,46 @@ class _CoreState:
                     f"core {self.core_id}: all warps parked at barriers — "
                     "barrier bookkeeping is inconsistent"
                 )
-            self.now = max(self.now, next_ready)
-            ready = self.queue.ready_at(self.now)
+            now = self.now = max(now, next_ready)
+            ready = queue.ready_at(now)
         warp = self.scheduler.select(ready, self.last_warp)
         trace = self.traces[warp]
+        transactions = trace.transactions
         cursor = self.cursors[warp]
-        pc, address, size, is_store = trace.transactions[cursor]
+        pc, address, size, is_store = transactions[cursor]
         if pc < 0:  # SYNC_PC: park at the TB barrier (no memory request)
             block = trace.block
             self.barrier_wait.setdefault(block, []).append(warp)
-            self.queue.delay(warp, _BARRIER_PARK)
+            queue.delay(warp, _BARRIER_PARK)
             self.last_warp = warp
             self._maybe_release_barrier(block)
             self.now += 1.0
             return True
         latency = hierarchy.access(
-            self.core_id, self.now, pc, address, size, bool(is_store)
+            self.core_id, now, pc, address, size, bool(is_store)
         )
         if self.last_warp == warp:
             self.same_issues += 1
         self.last_warp = warp
         self.issued += 1
         cursor += 1
-        if cursor >= len(trace.transactions):
-            self.cursors[warp] = cursor
+        self.cursors[warp] = cursor
+        if cursor >= len(transactions):
             self._retire(warp)
         else:
-            self.cursors[warp] = cursor
-            self.queue.delay(warp, self.now + latency)
-        self.now += 1.0
+            queue.delay(warp, now + latency)
+        self.now = now + 1.0
         return True
 
 
 class SimtSimulator:
-    """Runs core assignments through a fresh memory hierarchy.
+    """Runs core assignments through this simulator's memory hierarchy.
+
+    The hierarchy is built once and persists across :meth:`run` calls —
+    caches, DRAM state and counters carry over, which is how
+    :func:`repro.core.app_pipeline.simulate_application` models
+    inter-kernel reuse.  Each returned :class:`SimResult` holds snapshots
+    of the cumulative counters, so a later run does not change it.
 
     ``backend`` selects the memsim implementation for the *fixed-order*
     replay path (:meth:`replay_flat`): ``"numpy"`` uses the array-resident
@@ -220,32 +228,37 @@ class SimtSimulator:
         heap = [(core.now, index) for index, core in enumerate(cores)
                 if core.active]
         heapq.heapify(heap)
+        heappop, heappush = heapq.heappop, heapq.heappush
         while heap and issued_total < budget:
-            _, index = heapq.heappop(heap)
+            _, index = heappop(heap)
             core = cores[index]
+            step = core.step
+            # ``traces`` holds exactly the queued warps: empty once drained.
+            traces = core.traces
             while True:
                 before = core.issued
-                alive = core.step(hierarchy)
+                alive = step(hierarchy)
                 issued_total += core.issued - before
-                if not alive or not core.active:
+                if not alive or not traces:
                     break  # drained: the core leaves the event heap
                 if issued_total >= budget:
                     break
                 if heap and heap[0] < (core.now, index):
-                    heapq.heappush(heap, (core.now, index))
+                    heappush(heap, (core.now, index))
                     break
 
+        # Snapshots: the hierarchy keeps counting on a later run().
         result = SimResult(
             l1=hierarchy.l1_stats(),
-            l2=hierarchy.l2_stats(),
-            dram=hierarchy.dram_stats(),
+            l2=hierarchy.l2_stats().copy(),
+            dram=hierarchy.dram_stats().copy(),
             texture=hierarchy.texture_stats(),
             constant=hierarchy.constant_stats(),
             shared_accesses=hierarchy.shared_accesses,
             requests_issued=issued_total,
             cycles=max((c.now for c in cores), default=0.0),
             barriers_crossed=sum(c.syncs_crossed for c in cores),
-            per_core_l1=[l1.stats for l1 in hierarchy.l1s],
+            per_core_l1=[l1.stats.copy() for l1 in hierarchy.l1s],
         )
         total_issues = sum(c.issued for c in cores)
         same = sum(c.same_issues for c in cores)
@@ -321,8 +334,8 @@ def simulate_flat_trace(
         clocks[core] = clock
     return SimResult(
         l1=hierarchy.l1_stats(),
-        l2=hierarchy.l2_stats(),
-        dram=hierarchy.dram_stats(),
+        l2=hierarchy.l2_stats().copy(),
+        dram=hierarchy.dram_stats().copy(),
         requests_issued=issued,
         cycles=max(clocks, default=0.0),
     )

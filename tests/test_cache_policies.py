@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.memsim.cache import SetAssociativeCache
@@ -75,6 +80,30 @@ class TestReplacementPolicies:
         va = self._fill_then_touch_first(a)
         vb = self._fill_then_touch_first(b)
         assert va.address == vb.address  # same name -> same seed
+
+    def test_random_is_deterministic_across_processes(self):
+        """The seed must not depend on the per-process ``str`` hash salt."""
+        script = (
+            "import random\n"
+            "from repro.memsim.cache import SetAssociativeCache\n"
+            "from repro.memsim.config import CacheConfig\n"
+            "cache = SetAssociativeCache(CacheConfig(\n"
+            "    size=1024, assoc=4, line_size=64, replacement='random'),\n"
+            "    name='L1[0]')\n"
+            "rng = random.Random(7)\n"
+            "for _ in range(5000):\n"
+            "    cache.access(rng.randrange(1 << 16))\n"
+            "print(cache.stats.to_dict())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = set()
+        for hash_seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout)
+        assert len(outputs) == 1
 
     def test_random_eventually_varies(self):
         cache = make_cache(replacement="random", size=512, assoc=8, line=64)

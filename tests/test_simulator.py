@@ -71,6 +71,36 @@ class TestBasicRuns:
         assert result.per_core_l1[1].accesses == 1
 
 
+class TestResultSnapshots:
+    def test_second_run_leaves_first_result_alone(self, small_config):
+        """Results snapshot the counters of the persistent hierarchy."""
+        def streams(base):
+            return [
+                CoreAssignment(core_id=core, waves=[[warp(
+                    core, core,
+                    [base + (core << 16) + 128 * i for i in range(8)],
+                )]])
+                for core in range(2)
+            ]
+
+        simulator = SimtSimulator(small_config)
+        first = simulator.run(streams(0))
+        frozen = first.to_dict()
+        per_core = [stats.to_dict() for stats in first.per_core_l1]
+        second = simulator.run(streams(1 << 24))  # all-new lines
+        assert first.to_dict() == frozen
+        assert [stats.to_dict() for stats in first.per_core_l1] == per_core
+        # The hierarchy itself still accumulates across runs.
+        assert second.l2.accesses == 2 * first.l2.accesses
+        assert second.dram.reads == 2 * first.dram.reads
+        assert second.per_core_l1[0].accesses == 2 * per_core[0]["accesses"]
+
+    def test_flat_replay_result_is_a_snapshot(self, small_config):
+        result = simulate_flat_trace([[(0x10, 0, 128, 0)]], small_config)
+        assert result.l2 is not result.l1
+        assert result.l2.accesses == 1
+
+
 class TestLatencyFeedback:
     def test_missing_warp_is_delayed(self, small_config):
         """A warp's memory latency lets other warps run ahead (section 4.5)."""

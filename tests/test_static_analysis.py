@@ -68,6 +68,25 @@ class TestWallClock:
         assert "wallclock-in-sim" in rules_fired(source, "core/x.py")
 
 
+class TestSaltedHash:
+    def test_flagged_inside_sim_paths(self):
+        source = "def seed(name):\n    return hash(name) | 1\n"
+        for rel in ("core/x.py", "memsim/x.py", "gpu/deep/x.py"):
+            assert "salted-hash" in rules_fired(source, rel)
+
+    def test_allowed_outside_sim_paths(self):
+        source = "key = hash('a')\n"
+        assert "salted-hash" not in rules_fired(source, "service/x.py")
+
+    def test_stable_hashes_and_methods_are_clean(self):
+        source = (
+            "import zlib\n"
+            "seed = zlib.crc32(b'L2')\n"
+            "def f(table):\n    return table.hash(seed)\n"
+        )
+        assert "salted-hash" not in rules_fired(source, "memsim/x.py")
+
+
 class TestUnorderedIteration:
     def test_set_call(self):
         assert "unordered-iteration" in rules_fired(
