@@ -36,18 +36,26 @@ span, which for flat replay is exactly the longest core trace.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analytical.profile_model import (
     DEFAULT_LINE_SIZES,
     StackDistanceProfile,
     _conflict_probability,
 )
+from repro.core.backend import resolve_backend
 from repro.core.profile import GmapProfile
+from repro.core.reuse import set_index, set_stack_distances
 from repro.gpu.instructions import AccessTuple
-from repro.gpu.memspace import MemorySpace, space_of
+from repro.gpu.memspace import MemorySpace, region_bounds, space_of
 from repro.memsim.config import CacheConfig, SimConfig
 from repro.memsim.stats import CacheStats, DramStats, SimResult
+from repro.memsim.vectorized import decode_records
+
+try:  # numpy is optional; the scalar scan never needs it.
+    import numpy as np
+except ImportError:  # pragma: no cover - depends on the environment
+    np = None  # type: ignore[assignment]
 
 #: Artifact format tag and schema version of analytic sweep reports.
 ANALYTIC_FORMAT = "gmap-analytic-sweep"
@@ -143,28 +151,85 @@ def _expand_lines(
     return out, stored
 
 
-class _SetDistanceScan:
-    """Exact per-set LRU stack distances of one line stream.
+def _expand_lines_array(columns, line_size: int):
+    """:func:`_expand_lines` over ``(address, size, store)`` columns.
 
-    One pass of per-set true-LRU stacks (the simulator's own structure,
-    minus the fill side effects): a reuse at stack position ``p`` had
-    exactly ``p`` distinct same-set lines touched since its last access,
-    so it hits any cache of this geometry iff ``p < assoc``.  Stacks are
-    truncated at :data:`TRACKED_SET_DEPTH`; deeper reuses land in the
+    ``columns`` is an ``(n, 3)`` int64 array; the sector split becomes one
+    ``np.repeat``, and the ever-stored lines one ``np.unique``.
+    """
+    shift = line_size.bit_length() - 1
+    address, size, store = columns[:, 0], columns[:, 1], columns[:, 2] != 0
+    first = address >> shift
+    sectors = ((address + np.maximum(size - 1, 0)) >> shift) - first + 1
+    starts = np.repeat(np.cumsum(sectors) - sectors, sectors)
+    lines = np.repeat(first, sectors) + (
+        np.arange(len(starts), dtype=np.int64) - starts)
+    return lines, np.unique(lines[np.repeat(store, sectors)])
+
+
+class _ScanSummary:
+    """Exact per-set LRU stack distances of one line stream, summarised.
+
+    A reuse at per-set stack position ``p`` had exactly ``p`` distinct
+    same-set lines touched since its last access, so it hits any cache of
+    this geometry iff ``p < assoc``.  Stacks are truncated at
+    :data:`TRACKED_SET_DEPTH`; deeper reuses land in the
     :data:`_BEYOND_DEPTH` bucket (a miss at any tracked associativity).
 
-    Besides the distance histogram the scan keeps the sufficient
-    statistics for associativity-parameterised *state* questions: the
-    histogram restricted to ever-stored lines (a reuse miss of a stored
-    line implies one earlier dirty eviction — a writeback), the final
-    per-set stacks as prefix counts (how many lines, and how many stored
-    lines, survive in the top ``assoc`` of each set at end of stream).
+    Besides the distance histogram a scan keeps the sufficient statistics
+    for associativity-parameterised *state* questions: the histogram
+    restricted to ever-stored lines (a reuse miss of a stored line implies
+    one earlier dirty eviction — a writeback), and the final per-set
+    stacks (how many lines, and how many stored lines, survive in the top
+    ``assoc`` of each set at end of stream — :meth:`resident`).  Two
+    scans produce these fields bit-identically: :class:`_SetDistanceScan`
+    (the scalar oracle) and :class:`_ArraySetDistanceScan` (``numpy``).
     """
 
     __slots__ = (
-        "histogram", "stored_histogram", "colds", "accesses",
-        "stored_lines", "set_prefixes",
+        "histogram", "stored_histogram", "colds", "accesses", "stored_lines",
     )
+
+    histogram: Dict[int, int]
+    stored_histogram: Dict[int, int]
+    colds: int
+    accesses: int
+    stored_lines: int
+
+    def resident(self, assoc: int) -> Tuple[int, int]:
+        """``(lines, stored lines)`` resident at end of stream."""
+        raise NotImplementedError
+
+    def misses(self, assoc: int) -> int:
+        """Total misses (cold + conflict/capacity) at ``assoc`` ways."""
+        return self.colds + _misses_at(self.histogram, assoc)
+
+    def writebacks(self, assoc: int) -> int:
+        """Dirty L1 victims at ``assoc`` ways (ever-stored approximation).
+
+        Every reuse miss of a stored line re-fetches a line whose
+        previous residence ended in a dirty eviction; stored lines no
+        longer resident at end of stream were dirty-evicted once more and
+        never came back.
+        """
+        _, resident_stored = self.resident(assoc)
+        refetched = _misses_at(self.stored_histogram, assoc)
+        return max(0, refetched + self.stored_lines - resident_stored)
+
+    def evictions(self, assoc: int) -> int:
+        """Total evictions at ``assoc`` ways: fills minus final residents."""
+        resident, _ = self.resident(assoc)
+        return max(0, self.misses(assoc) - resident)
+
+
+class _SetDistanceScan(_ScanSummary):
+    """The scalar scan: one pass of per-set true-LRU stacks.
+
+    The simulator's own structure, minus the fill side effects — the
+    stdlib oracle the array scan is checked against.
+    """
+
+    __slots__ = ("set_prefixes",)
 
     def __init__(self, lines: Sequence[int], num_sets: int, stored: set) -> None:
         mask = num_sets - 1
@@ -226,10 +291,6 @@ class _SetDistanceScan:
                 )
             self.set_prefixes.append((totals, stored_counts))
 
-    def misses(self, assoc: int) -> int:
-        """Total misses (cold + conflict/capacity) at ``assoc`` ways."""
-        return self.colds + _misses_at(self.histogram, assoc)
-
     def resident(self, assoc: int) -> Tuple[int, int]:
         """``(lines, stored lines)`` resident at end of stream."""
         total = 0
@@ -240,22 +301,64 @@ class _SetDistanceScan:
             stored += stored_counts[index]
         return total, stored
 
-    def writebacks(self, assoc: int) -> int:
-        """Dirty L1 victims at ``assoc`` ways (ever-stored approximation).
 
-        Every reuse miss of a stored line re-fetches a line whose
-        previous residence ended in a dirty eviction; stored lines no
-        longer resident at end of stream were dirty-evicted once more and
-        never came back.
-        """
-        _, resident_stored = self.resident(assoc)
-        refetched = _misses_at(self.stored_histogram, assoc)
-        return max(0, refetched + self.stored_lines - resident_stored)
+class _ArraySetDistanceScan(_ScanSummary):
+    """The array scan (``numpy`` backend): the same fields from sorts.
 
-    def evictions(self, assoc: int) -> int:
-        """Total evictions at ``assoc`` ways: fills minus final residents."""
-        resident, _ = self.resident(assoc)
-        return max(0, self.misses(assoc) - resident)
+    Distances come from :func:`~repro.core.reuse.set_stack_distances`
+    clipped at :data:`TRACKED_SET_DEPTH` (the truncated stack's top
+    entries *are* the true stack's), histograms from ``np.bincount``, the
+    stored histogram from ``np.isin``.  The final per-set stacks become
+    one sorted array of MRU ranks per flavour (all lines, stored lines):
+    a line's rank is the number of same-set lines finally touched after
+    it, and ``resident(assoc)`` counts ranks below ``assoc``.
+    """
+
+    __slots__ = ("_ranks", "_stored_ranks")
+
+    def __init__(self, lines, num_sets: int, stored) -> None:
+        order, distances, last = set_stack_distances(
+            lines, num_sets, TRACKED_SET_DEPTH)
+        stream = lines[order]
+        warm = distances >= 0
+        is_stored = (  # the L2 stream stores nothing: skip the isin
+            np.isin(stream, stored) if len(stored)
+            else np.zeros(len(stream), dtype=bool)
+        )
+        self.histogram = _depth_histogram(distances[warm])
+        self.stored_histogram = _depth_histogram(distances[warm & is_stored])
+        self.accesses = len(lines)
+        self.colds = self.accesses - int(np.count_nonzero(warm))
+        # Set-major order keeps each set's final accesses contiguous and
+        # in access order: rank = same-set final accesses after this one.
+        final_sets = set_index(stream[last], num_sets)
+        ranks = (
+            np.searchsorted(final_sets, final_sets, side="right")
+            - np.arange(1, len(final_sets) + 1)
+        )
+        final_stored = is_stored[last]
+        self.stored_lines = int(np.count_nonzero(final_stored))
+        tracked = ranks < TRACKED_SET_DEPTH
+        self._ranks = np.sort(ranks[tracked])
+        self._stored_ranks = np.sort(ranks[tracked & final_stored])
+
+    def resident(self, assoc: int) -> Tuple[int, int]:
+        """``(lines, stored lines)`` resident at end of stream."""
+        return (
+            int(np.searchsorted(self._ranks, assoc)),
+            int(np.searchsorted(self._stored_ranks, assoc)),
+        )
+
+
+def _depth_histogram(distances) -> Dict[int, int]:
+    """``{distance: count}`` of clipped distances, depth as the beyond bucket."""
+    counts = np.bincount(distances)
+    present = np.flatnonzero(counts)
+    histogram = dict(zip(present.tolist(), counts[present].tolist()))
+    beyond = histogram.pop(TRACKED_SET_DEPTH, 0)
+    if beyond:
+        histogram[_BEYOND_DEPTH] = beyond
+    return histogram
 
 
 def _misses_at(histogram: Dict[int, int], assoc: int) -> int:
@@ -285,9 +388,21 @@ class AnalyticCacheModel:
         requests: int = 0,
         core_cycles: Optional[Sequence[int]] = None,
         source: str = "flat",
+        backend: str = "python",
     ) -> None:
-        self._cores = [list(t) for t in core_records] if core_records is not None else None
-        self._merged = list(merged_records) if merged_records is not None else None
+        # ``python`` keeps record tuples for the scalar scan; ``numpy``
+        # keeps (address, size, store) int64 column arrays.
+        self.backend = backend
+        self._cores: Optional[List[Any]] = None
+        self._merged: Any = None
+        if core_records is not None:
+            self._cores = [
+                t if backend == "numpy" else list(t) for t in core_records
+            ]
+        if merged_records is not None:
+            self._merged = (
+                merged_records if backend == "numpy" else list(merged_records)
+            )
         self.l1_profiles = list(l1_profiles) if l1_profiles is not None else None
         self.l2_profile = l2_profile
         self.shared_accesses = shared_accesses
@@ -296,20 +411,22 @@ class AnalyticCacheModel:
         self.core_cycles = list(core_cycles) if core_cycles is not None else []
         self.source = source
         if self._cores is not None:
-            self.active_cores = max(1, sum(1 for t in self._cores if t))
+            self.active_cores = max(1, sum(1 for t in self._cores if len(t)))
         else:
             self.active_cores = max(1, len(self.l1_profiles or [()]))
         # Lazy memos: expansions per line size, scans per geometry.
-        self._core_lines: Dict[int, List[Tuple[List[int], set]]] = {}
-        self._merged_lines: Dict[int, List[int]] = {}
-        self._l1_memo: Dict[Tuple[int, int], List[_SetDistanceScan]] = {}
-        self._l2_memo: Dict[Tuple[int, int, int], _SetDistanceScan] = {}
+        self._core_lines: Dict[int, list] = {}
+        self._merged_lines: Dict[int, Any] = {}
+        self._l1_memo: Dict[Tuple[int, int], List[_ScanSummary]] = {}
+        self._l2_memo: Dict[Tuple[int, int, int], _ScanSummary] = {}
 
     # -- construction --------------------------------------------------------
 
     @classmethod
     def from_flat(
-        cls, per_core_traces: Sequence[Sequence[AccessTuple]]
+        cls,
+        per_core_traces: Sequence[Sequence[AccessTuple]],
+        backend: Optional[str] = None,
     ) -> "AnalyticCacheModel":
         """Filter per-core flat traces into the model's record streams.
 
@@ -319,7 +436,14 @@ class AnalyticCacheModel:
         so their presence becomes a per-config fallback reason.  The
         merged stream mirrors the flat replay's unit-latency event-heap
         order, which degenerates to round-robin across cores.
+
+        ``backend`` (resolved by :func:`~repro.core.backend.resolve_backend`)
+        picks the scans: ``python`` walks per-set stacks record by record
+        (the stdlib oracle), ``numpy`` holds column arrays and scans them
+        with sorts.  Every prediction is bit-identical across the two.
         """
+        if resolve_backend(backend) == "numpy":
+            return cls._from_flat_columns(per_core_traces)
         cacheable: List[List[AccessTuple]] = []
         shared = 0
         special = 0
@@ -351,6 +475,43 @@ class AnalyticCacheModel:
             # the L2 bank-throughput cap is computed against.
             core_cycles=[len(trace) for trace in per_core_traces],
             source="flat",
+        )
+
+    @classmethod
+    def _from_flat_columns(
+        cls, per_core_traces: Sequence[Sequence[AccessTuple]]
+    ) -> "AnalyticCacheModel":
+        """:meth:`from_flat` on the ``numpy`` backend.
+
+        The same filter as array masks over each decoded trace, keeping
+        ``(address, size, store)`` int64 columns.
+        """
+        cacheable = []
+        shared = 0
+        special = 0
+        requests = 0
+        for trace in per_core_traces:
+            records = decode_records(trace)
+            address = records[:, 1]
+            live = records[:, 0] >= 0  # barrier markers carry pc < 0
+            in_shared = live & _in_space(address, MemorySpace.SHARED)
+            in_special = live & (
+                _in_space(address, MemorySpace.TEXTURE)
+                | _in_space(address, MemorySpace.CONSTANT)
+            )
+            requests += int(np.count_nonzero(live))
+            shared += int(np.count_nonzero(in_shared))
+            special += int(np.count_nonzero(in_special))
+            cacheable.append(records[live & ~in_shared & ~in_special, 1:])
+        return cls(
+            core_records=cacheable,
+            merged_records=_round_robin_columns(cacheable),
+            shared_accesses=shared,
+            special_accesses=special,
+            requests=requests,
+            core_cycles=[len(trace) for trace in per_core_traces],
+            source="flat",
+            backend="numpy",
         )
 
     @classmethod
@@ -428,27 +589,36 @@ class AnalyticCacheModel:
 
     # -- lazy scans (flat source) --------------------------------------------
 
-    def _lines(self, line_size: int) -> Tuple[List[Tuple[List[int], set]], List[int]]:
+    def _lines(self, line_size: int) -> Tuple[list, Any]:
         assert self._cores is not None and self._merged is not None
         per_core = self._core_lines.get(line_size)
         if per_core is None:
-            per_core = [_expand_lines(t, line_size) for t in self._cores]
+            per_core = [self._expand(t, line_size) for t in self._cores]
             self._core_lines[line_size] = per_core
-            self._merged_lines[line_size] = _expand_lines(
-                self._merged, line_size
-            )[0]
+            self._merged_lines[line_size] = self._expand(
+                self._merged, line_size)[0]
         return per_core, self._merged_lines[line_size]
+
+    def _expand(self, records, line_size: int):
+        if self.backend == "numpy":
+            return _expand_lines_array(records, line_size)
+        return _expand_lines(records, line_size)
+
+    def _scan(self, lines, num_sets: int, stored) -> _ScanSummary:
+        if self.backend == "numpy":
+            return _ArraySetDistanceScan(lines, num_sets, stored)
+        return _SetDistanceScan(lines, num_sets, stored)
 
     def _l1_scans(
         self, line_size: int, num_sets: int
-    ) -> List[_SetDistanceScan]:
+    ) -> List[_ScanSummary]:
         """Per-core exact set-distance scans, memoized per geometry."""
         key = (line_size, num_sets)
         scans = self._l1_memo.get(key)
         if scans is None:
             per_core, _ = self._lines(line_size)
             scans = [
-                _SetDistanceScan(lines, num_sets, stored)
+                self._scan(lines, num_sets, stored)
                 for lines, stored in per_core
             ]
             self._l1_memo[key] = scans
@@ -456,7 +626,7 @@ class AnalyticCacheModel:
 
     def _l2_scan(
         self, l1_line: int, l2_line: int, num_sets: int
-    ) -> _SetDistanceScan:
+    ) -> _ScanSummary:
         """Merged L2-demand-stream scan, memoized per geometry.
 
         The L2 sees one access per *L1 sector* that misses, addressed at
@@ -471,10 +641,13 @@ class AnalyticCacheModel:
         if scan is None:
             _, merged = self._lines(stream_line)
             shift = l2_line.bit_length() - stream_line.bit_length()
-            if shift:
-                merged = [line >> shift for line in merged]
-            scan = _SetDistanceScan(merged, num_sets, set())
-            self._l2_memo[key] = scan
+            if self.backend == "numpy":
+                merged, stored = merged >> shift, merged[:0]
+            else:
+                if shift:
+                    merged = [line >> shift for line in merged]
+                stored = set()
+            scan = self._l2_memo[key] = self._scan(merged, num_sets, stored)
         return scan
 
     def prepare(self, configs: Iterable[SimConfig]) -> "AnalyticCacheModel":
@@ -755,6 +928,25 @@ def _round_robin_records(
     return out
 
 
+def _round_robin_columns(per_core):
+    """:func:`_round_robin_records` over per-core column arrays.
+
+    A stable sort of the concatenated streams by per-core turn index
+    keeps equal turns in core order — the same round-robin merge.
+    """
+    if not per_core:
+        return np.empty((0, 3), dtype=np.int64)
+    turns = np.concatenate(
+        [np.arange(len(t), dtype=np.int64) for t in per_core])
+    return np.concatenate(per_core)[np.argsort(turns, kind="stable")]
+
+
+def _in_space(address, space: MemorySpace):
+    """Mask of ``address`` entries inside ``space``'s window."""
+    lo, hi = region_bounds(space)
+    return (address >= lo) & (address < hi)
+
+
 def required_line_sizes(configs: Iterable[SimConfig]) -> Tuple[int, ...]:
     """Every L1/L2 granularity a sweep's configs will ask the model for."""
     sizes = set()
@@ -784,7 +976,7 @@ def analytic_sweep_report(
 
     resolved = resolve_backend(backend)
     if model is None:
-        model = AnalyticCacheModel.from_flat(per_core_traces)
+        model = AnalyticCacheModel.from_flat(per_core_traces, resolved)
     results = []
     fallbacks = []
     for index, config in enumerate(configs):

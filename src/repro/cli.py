@@ -100,7 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="predict miss rates from reuse-distance histograms "
                         "instead of replaying (O(histogram) per config); "
                         "out-of-model configs fall back to flat replay with "
-                        "their reasons reported")
+                        "their reasons reported; --backend numpy scans the "
+                        "histograms with array sorts")
     p.add_argument("--sweep", choices=("l1", "l2"), default=None,
                    help="one-pass multi-config flat replay over this sweep "
                         "grid (implies --flat; reduced grid unless --full)")
@@ -162,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "worker chunk becomes a one-pass multi-config run "
                         "on --backend), or analytic (O(histogram) "
                         "reuse-distance prediction with per-config replay "
-                        "fallback)")
+                        "fallback; --backend numpy runs the array scans)")
     _add_common(p)
 
     p = sub.add_parser(
@@ -479,7 +480,7 @@ def _cmd_simulate(args) -> int:
         from repro.gpu.executor import flat_drain
 
         traces = flat_drain(assignments)
-        model = AnalyticCacheModel.from_flat(traces)
+        model = AnalyticCacheModel.from_flat(traces, args.backend)
         reasons = model.applicability(config)
         if reasons:
             for reason in reasons:

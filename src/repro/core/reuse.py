@@ -6,7 +6,7 @@ current access and the previous access to the same element (Mattson et al.,
 tracks intra-thread temporal locality as an LRU stack-distance histogram per
 dominant memory-instruction profile (paper section 4.3, Figure 5).
 
-Two implementations are provided:
+Three implementations are provided:
 
 ``naive_stack_distances``
     The textbook O(n * u) LRU stack maintained as a list.  Used as the trusted
@@ -20,13 +20,18 @@ Two implementations are provided:
     ``t0`` and ``t`` — i.e. the number of distinct other elements touched in
     between.
 
+``set_stack_distances``
+    The offline array kernel (``numpy`` backend): the same distances, per
+    cache set, for a whole stream at once from a handful of sorts.
+    ``stack_distances_array`` is its one-set case.
+
 Cold (first-touch) accesses have infinite distance, reported as
 :data:`COLD_MISS` (-1) so histograms can keep an explicit cold bucket.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Optional
 
 try:  # Array-backed kernels are optional; the scalar path has no deps.
     import numpy as _np
@@ -110,77 +115,6 @@ class _FenwickTree:
         return self.prefix_sum(hi) - self.prefix_sum(lo - 1)
 
 
-class ArrayFenwickTree:
-    """Fenwick tree over a NumPy ``int64`` buffer (``numpy`` backend).
-
-    Drop-in for :class:`_FenwickTree`: same public API and the same
-    geometric growth, but the node array lives in one contiguous NumPy
-    buffer, so growth is a vectorized copy-and-rebuild instead of a Python
-    list rebuild, and the whole structure can be inspected as an array.
-    """
-
-    __slots__ = ("_tree", "_size")
-
-    def __init__(self, size: int = 1024) -> None:
-        if _np is None:  # pragma: no cover - guarded by backend resolution
-            raise RuntimeError("ArrayFenwickTree requires numpy")
-        self._size = max(1, size)
-        self._tree = _np.zeros(self._size + 1, dtype=_np.int64)
-
-    def _grow(self, needed: int) -> None:
-        new_size = self._size
-        while new_size < needed:
-            new_size *= 2
-        # Recover point values (peel sibling subtotals off each node), then
-        # rebuild with the classic O(n) push-up — mirrors _FenwickTree._grow
-        # with the storage staying in one int64 buffer.
-        old = self._tree
-        values = _np.zeros(new_size + 1, dtype=_np.int64)
-        for i in range(1, self._size + 1):
-            v = int(old[i])
-            j = i - 1
-            stop = i - (i & (-i))
-            while j > stop:
-                v -= int(old[j])
-                j -= j & (-j)
-            values[i] = v
-        for i in range(1, new_size + 1):
-            parent = i + (i & (-i))
-            if parent <= new_size:
-                values[parent] += values[i]
-        self._size = new_size
-        self._tree = values
-
-    def add(self, pos: int, delta: int) -> None:
-        """Add ``delta`` at 0-based position ``pos``."""
-        if pos >= self._size:
-            self._grow(pos + 1)
-        i = pos + 1
-        tree = self._tree
-        size = self._size
-        while i <= size:
-            tree[i] += delta
-            i += i & (-i)
-
-    def prefix_sum(self, pos: int) -> int:
-        """Sum of values at 0-based positions ``[0, pos]``."""
-        if pos < 0:
-            return 0
-        i = min(pos + 1, self._size)
-        tree = self._tree
-        total = 0
-        while i > 0:
-            total += int(tree[i])
-            i -= i & (-i)
-        return total
-
-    def range_sum(self, lo: int, hi: int) -> int:
-        """Sum of values at 0-based positions ``[lo, hi]``."""
-        if hi < lo:
-            return 0
-        return self.prefix_sum(hi) - self.prefix_sum(lo - 1)
-
-
 def lookback_gaps(elements: "_np.ndarray", positions: "_np.ndarray"):
     """Vectorized previous-occurrence gaps (the lookback reuse kernel).
 
@@ -206,29 +140,144 @@ def lookback_gaps(elements: "_np.ndarray", positions: "_np.ndarray"):
     return p[1:][repeat] - p[:-1][repeat] - 1
 
 
+def set_stack_distances(lines, num_sets: int = 1, depth: Optional[int] = None):
+    """Exact per-set LRU stack distances of a line stream (``numpy`` backend).
+
+    The distance of an access is the number of distinct *same-set* lines
+    touched since the previous access to its line (:data:`COLD_MISS` for a
+    first touch) — Mattson's stack position in the set's own LRU stack, the
+    quantity a per-set scalar stack walk reports.  All of it is sorts:
+
+    1. a stable argsort by set index makes every set's subsequence
+       contiguous and keeps it in access order, so a per-set distance is
+       a plain stack distance whose window never crosses a set boundary;
+    2. back-to-back repeats are distance 0 and are dropped (removing them
+       changes no other window's distinct-line count);
+    3. one stable argsort by line pairs every access with its previous
+       same-line position ``p``;
+    4. the distance of the access at ``i`` is ``(i - p - 1)`` minus the
+       reuse intervals strictly nested inside ``(p, i)`` — each such
+       interval is one repeated line inside the window — counted by a
+       bottom-up merge over the intervals ordered by start
+       (:func:`_nested_interval_counts`).
+
+    ``depth`` clips distances at ``depth`` (a stack truncated to its top
+    ``depth`` entries holds exactly the true stack's top ``depth``).
+
+    Returns ``(order, distances, last)``: ``order`` is the stable set-major
+    permutation of the stream, and ``distances[k]`` / ``last[k]`` describe
+    access ``order[k]`` — its distance, and whether it is the final access
+    to its line.
+    """
+    if _np is None:  # pragma: no cover - guarded by backend resolution
+        raise RuntimeError("set_stack_distances requires numpy")
+    lines = _np.asarray(lines, dtype=_np.int64)
+    n = len(lines)
+    if num_sets > 1:
+        sets = set_index(lines, num_sets)
+        if num_sets <= 1 << 16:
+            sets = sets.astype(_np.uint16)  # stable sort is a radix sort
+        order = _np.argsort(sets, kind="stable")
+        stream = lines[order]
+    else:
+        order = _np.arange(n, dtype=_np.int64)
+        stream = lines
+    distances = _np.zeros(n, dtype=_np.int64)
+    last = _np.zeros(n, dtype=bool)
+    if n == 0:
+        return order, distances, last
+    # Collapse runs: ``starts[r]`` is run r's first position in ``stream``.
+    head = _np.empty(n, dtype=bool)
+    head[0] = True
+    _np.not_equal(stream[1:], stream[:-1], out=head[1:])
+    starts = _np.flatnonzero(head)
+    runs = stream[starts]
+    m = len(runs)
+    by_line = _np.argsort(runs, kind="stable")
+    repeat = runs[by_line[1:]] == runs[by_line[:-1]]
+    next_use = _np.full(m, -1, dtype=_np.int64)
+    next_use[by_line[:-1][repeat]] = by_line[1:][repeat]
+    reused = _np.flatnonzero(next_use >= 0)  # interval starts, ascending
+    reuse = next_use[reused]
+    # Each set's intervals are one contiguous block; none nests across.
+    offsets = _np.arange(len(reused), dtype=_np.int64)
+    if num_sets > 1 and len(reused):
+        interval_sets = set_index(runs[reused], num_sets)
+        new_set = _np.empty(len(reused), dtype=bool)
+        new_set[0] = True
+        _np.not_equal(interval_sets[1:], interval_sets[:-1], out=new_set[1:])
+        offsets -= _np.maximum.accumulate(_np.where(new_set, offsets, 0))
+    window = reuse - reused - 1
+    window -= _nested_interval_counts(reuse, m, offsets)
+    if depth is not None:
+        _np.minimum(window, depth, out=window)
+    run_distance = _np.full(m, COLD_MISS, dtype=_np.int64)
+    run_distance[reuse] = window
+    distances[starts] = run_distance
+    final = next_use < 0
+    run_ends = _np.empty(m, dtype=_np.int64)
+    run_ends[:-1] = starts[1:] - 1
+    run_ends[-1] = n - 1
+    last[run_ends[final]] = True
+    return order, distances, last
+
+
+def set_index(lines, num_sets: int):
+    """Cache-set index of every line (``&`` for power-of-two set counts)."""
+    if num_sets & (num_sets - 1) == 0:
+        return lines & (num_sets - 1)
+    return lines % num_sets
+
+
+def _nested_interval_counts(ends, bound: int, offsets):
+    """``counts[k] = #{j > k : ends[j] < ends[k]}`` within ``k``'s block.
+
+    With intervals ordered by start, this is the number of intervals
+    nested strictly inside interval ``k``.  ``offsets[k]`` is ``k``'s
+    position inside its block of intervals that may nest (one cache set);
+    ``bound`` exceeds every end.  Bottom-up merge sort inside each block:
+    at each level every pair of adjacent sorted runs is merged by one
+    stable argsort of ``(pair start, end)`` keys, and an element of the
+    left run gains exactly the right-run elements that overtake it — its
+    merged position minus its position before the merge.  The merge stops
+    at the widest block, not the whole array.  Keys stay below
+    ``size * bound``, far inside int64 for any stream that fits in memory.
+    """
+    size = len(ends)
+    position = _np.arange(size, dtype=_np.int64)
+    values = ends
+    counts = _np.zeros(size, dtype=_np.int64)
+    index = position
+    widest = int(offsets.max()) + 1 if size else 0
+    width = 1
+    while width < widest:
+        pair_start = position - (offsets & (2 * width - 1))
+        step = _np.argsort(pair_start * bound + values, kind="stable")
+        # New slot q holds old slot step[q]; a positive shift is a left
+        # element overtaken by smaller right elements.
+        counts = counts[step]
+        counts += _np.maximum(position - step, 0)
+        values = values[step]
+        index = index[step]
+        width *= 2
+    out = _np.empty(size, dtype=_np.int64)
+    out[index] = counts
+    return out
+
+
 def stack_distances_array(elements) -> "_np.ndarray":
     """LRU stack distances of an element array (``numpy`` backend).
 
-    Same online Fenwick algorithm as :class:`StackDistanceTracker`, backed
-    by :class:`ArrayFenwickTree` and returning one ``int64`` array (cold
-    misses as :data:`COLD_MISS`) that downstream histogram construction can
-    consume with a single ``np.unique``.
+    :func:`set_stack_distances` with one set and no depth cap, returned in
+    access order as one ``int64`` array (cold misses as
+    :data:`COLD_MISS`) that downstream histogram construction can consume
+    with a single ``np.unique``.
     """
     if _np is None:  # pragma: no cover - guarded by backend resolution
         raise RuntimeError("stack_distances_array requires numpy")
-    arr = _np.asarray(elements, dtype=_np.int64)
-    out = _np.empty(len(arr), dtype=_np.int64)
-    tree = ArrayFenwickTree(max(1, len(arr)))
-    last_time: dict = {}
-    for now, element in enumerate(arr.tolist()):
-        prev = last_time.get(element)
-        if prev is None:
-            out[now] = COLD_MISS
-        else:
-            out[now] = tree.range_sum(prev + 1, now - 1)
-            tree.add(prev, -1)
-        last_time[element] = now
-        tree.add(now, 1)
+    order, distances, _ = set_stack_distances(elements)
+    out = _np.empty(len(distances), dtype=_np.int64)
+    out[order] = distances
     return out
 
 

@@ -115,6 +115,31 @@ def memsim_fallback_reasons(config: SimConfig) -> List[str]:
     return reasons
 
 
+def decode_records(trace: Sequence[AccessTuple], core: int = 0):
+    """One core's flat trace as an ``(n, 4)`` int64 record array.
+
+    Columns are ``(pc, address, size, is_store)``; ``core`` only labels
+    the error raised for malformed records.
+    """
+    if np is None:  # pragma: no cover - depends on the environment
+        raise RuntimeError("decode_records requires numpy")
+    try:
+        # Flattened fromiter beats np.asarray-of-tuples ~2x on the
+        # python-tuple traces this decode normally sees.
+        block = np.fromiter(
+            itertools.chain.from_iterable(trace),
+            dtype=np.int64, count=len(trace) * 4,
+        ).reshape(-1, 4)
+    except (TypeError, ValueError):
+        block = np.asarray(trace, dtype=np.int64)
+    if block.ndim != 2 or block.shape[1] != 4:
+        raise ValueError(
+            f"core {core}: flat trace records must be "
+            f"(pc, address, size, is_store) tuples"
+        )
+    return block
+
+
 class FlatTraceArrays:
     """Columnar view of per-core flat traces, in global replay order.
 
@@ -141,20 +166,7 @@ class FlatTraceArrays:
         for core, trace in enumerate(per_core_traces):
             if not trace:
                 continue
-            try:
-                # Flattened fromiter beats np.asarray-of-tuples ~2x on the
-                # python-tuple traces this decode normally sees.
-                block = np.fromiter(
-                    itertools.chain.from_iterable(trace),
-                    dtype=np.int64, count=len(trace) * 4,
-                ).reshape(-1, 4)
-            except (TypeError, ValueError):
-                block = np.asarray(trace, dtype=np.int64)
-            if block.ndim != 2 or block.shape[1] != 4:
-                raise ValueError(
-                    f"core {core}: flat trace records must be "
-                    f"(pc, address, size, is_store) tuples"
-                )
+            block = decode_records(trace, core)
             chunks.append(block)
             cores.append(np.full(len(block), core, dtype=np.int64))
             clocks.append(np.arange(len(block), dtype=np.int64))

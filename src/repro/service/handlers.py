@@ -203,7 +203,7 @@ def _handle_simulate(params: Dict[str, Any], backend: str) -> Dict[str, Any]:
         from repro.analytical.analytic import AnalyticCacheModel
 
         traces = flat_drain(assignments)
-        model = AnalyticCacheModel.from_flat(traces)
+        model = AnalyticCacheModel.from_flat(traces, backend)
         reasons = model.applicability(config)
         if reasons:
             result = SimtSimulator(config, backend=backend).replay_flat(traces)

@@ -97,13 +97,12 @@ class BenchmarkPipeline:
         default=None, repr=False, compare=False)
     _proxy_flat: Optional[List[List[AccessTuple]]] = field(
         default=None, repr=False, compare=False)
-    #: Memoized analytic models over the flat drains (``analytic`` mode);
-    #: the model memoizes its own per-geometry scans, so one instance
-    #: serves every configuration of every sweep on this pipeline.
-    _original_model: Optional["AnalyticCacheModel"] = field(
-        default=None, repr=False, compare=False)
-    _proxy_model: Optional["AnalyticCacheModel"] = field(
-        default=None, repr=False, compare=False)
+    #: Memoized analytic models over the flat drains (``analytic`` mode),
+    #: keyed by ``(stream, backend)``; the model memoizes its own
+    #: per-geometry scans, so one instance serves every configuration of
+    #: every sweep on this pipeline.
+    _models: Dict[Tuple[str, str], "AnalyticCacheModel"] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -121,23 +120,25 @@ class BenchmarkPipeline:
             self._proxy_flat = flat_drain(self.proxy_assignments)
         return self._proxy_flat
 
-    def original_model(self) -> "AnalyticCacheModel":
+    def original_model(
+        self, backend: Optional[str] = None
+    ) -> "AnalyticCacheModel":
         """Analytic reuse model over the original's flat traces."""
-        from repro.analytical.analytic import AnalyticCacheModel
+        return self._model("original", self.original_flat, backend)
 
-        if self._original_model is None:
-            self._original_model = AnalyticCacheModel.from_flat(
-                self.original_flat())
-        return self._original_model
-
-    def proxy_model(self) -> "AnalyticCacheModel":
+    def proxy_model(self, backend: Optional[str] = None) -> "AnalyticCacheModel":
         """Analytic reuse model over the proxy's flat traces."""
+        return self._model("proxy", self.proxy_flat, backend)
+
+    def _model(self, stream: str, flat, backend: Optional[str]):
         from repro.analytical.analytic import AnalyticCacheModel
 
-        if self._proxy_model is None:
-            self._proxy_model = AnalyticCacheModel.from_flat(
-                self.proxy_flat())
-        return self._proxy_model
+        key = (stream, resolve_backend(backend))
+        model = self._models.get(key)
+        if model is None:
+            model = self._models[key] = AnalyticCacheModel.from_flat(
+                flat(), key[1])
+        return model
 
 
 def build_pipeline(
@@ -302,8 +303,8 @@ def simulate_pair(
     """
     mode = resolve_sim_mode(sim_mode)
     if mode == "analytic":
-        model = pipeline.original_model()
-        proxy_model = pipeline.proxy_model()
+        model = pipeline.original_model(backend)
+        proxy_model = pipeline.proxy_model(backend)
         reasons = model.applicability(config) + proxy_model.applicability(
             config)
         if not reasons:
@@ -414,13 +415,15 @@ def analytic_sweep(
     reasons recorded in ``analytic_fallbacks`` — the sweep-level mirror of
     the array memsim's ``oracle_fallbacks`` contract, so a caller can
     always tell which points are model predictions and why the others are
-    not.
+    not.  ``backend`` picks both the models' scans (``numpy``: the array
+    scan; ``python``: the scalar oracle, bit-identical) and the fallback
+    replay engine.
     """
     from repro.core.cache import config_fingerprint
     from repro.memsim.vectorized import simulate_flat_multi
 
-    model = pipeline.original_model()
-    proxy_model = pipeline.proxy_model()
+    model = pipeline.original_model(backend)
+    proxy_model = pipeline.proxy_model(backend)
     result = SweepResult(benchmark=pipeline.name)
     pairs: List[Optional[RunPair]] = [None] * len(configs)
     fallback_indices: List[int] = []

@@ -16,6 +16,10 @@ Three contracts from the analytic-mode design:
 * **journal resume** — a journaled analytic sweep mixing predictions and
   replay fallbacks resumes bit-identically without recomputation, with
   the fallback matrix restored from the journal.
+
+The model-level contracts run on both scans: the scalar stack walk (the
+``model`` fixture) and, in the ``*ArrayScan`` subclasses, the ``numpy``
+array scan, which must predict bit-identically.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from repro.analytical.analytic import (
     analytic_sweep_report,
 )
 from repro.analysis import verify_analytic_sweep_report
+from repro.core.backend import numpy_available
 from repro.gpu.executor import execute_kernel, flat_drain
 from repro.memsim.config import PAPER_BASELINE, CacheConfig, PrefetcherConfig
 from repro.memsim.simulator import simulate_flat_trace
@@ -51,8 +56,38 @@ def traces():
 
 
 @pytest.fixture(scope="module")
-def model(traces):
-    return AnalyticCacheModel.from_flat(traces)
+def scalar_model(traces):
+    """The model on the scalar scan (the stdlib oracle)."""
+    return AnalyticCacheModel.from_flat(traces, "python")
+
+
+@pytest.fixture(scope="module")
+def array_model(traces):
+    """The model on the ``numpy`` array scan."""
+    return AnalyticCacheModel.from_flat(traces, "numpy")
+
+
+@pytest.fixture(scope="module")
+def model(scalar_model):
+    """The model under test; the ``*ArrayScan`` classes override it."""
+    return scalar_model
+
+
+needs_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="the array scan needs numpy")
+
+#: Randomized LRU geometries of the cross-validation tests.
+LRU_GEOMETRIES = dict(
+    l1_sets=st.sampled_from([16, 32, 64, 128]),
+    l1_assoc=st.sampled_from([1, 2, 4, 8]),
+    l1_line=st.sampled_from([32, 64, 128]),
+    # L2 >= 128 KiB: below that the documented small-L2 writeback gap
+    # (store misses the replay charges as L2 writeback traffic) exceeds
+    # the stated tolerance; docs/performance.md records that envelope.
+    l2_sets=st.sampled_from([1024, 2048, 4096]),
+    l2_assoc=st.sampled_from([2, 4, 8]),
+    l2_line=st.sampled_from([64, 128]),
+)
 
 
 def _config(l1_sets, l1_assoc, l1_line, l2_sets, l2_assoc, l2_line):
@@ -69,17 +104,7 @@ class TestCrossValidation:
     """Analytic predictions vs the scalar flat-replay oracle."""
 
     @settings(max_examples=12, deadline=None)
-    @given(
-        l1_sets=st.sampled_from([16, 32, 64, 128]),
-        l1_assoc=st.sampled_from([1, 2, 4, 8]),
-        l1_line=st.sampled_from([32, 64, 128]),
-        # L2 >= 128 KiB: below that the documented small-L2 writeback gap
-        # (store misses the replay charges as L2 writeback traffic) exceeds
-        # the stated tolerance; docs/performance.md records that envelope.
-        l2_sets=st.sampled_from([1024, 2048, 4096]),
-        l2_assoc=st.sampled_from([2, 4, 8]),
-        l2_line=st.sampled_from([64, 128]),
-    )
+    @given(**LRU_GEOMETRIES)
     def test_randomized_lru_configs(self, model, traces, l1_sets, l1_assoc,
                                     l1_line, l2_sets, l2_assoc, l2_line):
         config = _config(l1_sets, l1_assoc, l1_line,
@@ -115,6 +140,38 @@ class TestCrossValidation:
                     <= ANALYTIC_MISS_RATE_TOLERANCE)
 
 
+@needs_numpy
+class TestCrossValidationArrayScan(TestCrossValidation):
+    """The same contracts with the model on the ``numpy`` array scan.
+
+    The randomized test checks the array model against the scalar model
+    for bit-identical results, rather than re-drawing the replay
+    comparison: the two models agree exactly, so the scalar run above
+    carries the replay contract for both.
+    """
+
+    @pytest.fixture(scope="class")
+    def model(self, array_model):
+        return array_model
+
+    @settings(max_examples=12, deadline=None)
+    @given(**LRU_GEOMETRIES)
+    def test_randomized_lru_configs(self, model, scalar_model, l1_sets,
+                                    l1_assoc, l1_line, l2_sets, l2_assoc,
+                                    l2_line):
+        config = _config(l1_sets, l1_assoc, l1_line,
+                         l2_sets, l2_assoc, l2_line)
+        assert (model.predict(config).to_dict()
+                == scalar_model.predict(config).to_dict())
+
+    def test_backends_predict_identically(self, model, scalar_model):
+        """Both scans give bit-identical results on the reduced fig6a grid."""
+        for base in sweeps.l1_sweep(reduced=True):
+            config = base.with_(num_cores=NUM_CORES)
+            assert (model.predict(config).to_dict()
+                    == scalar_model.predict(config).to_dict())
+
+
 class TestFallbackCompleteness:
     """Every un-capturable feature must produce a reason, none silently."""
 
@@ -144,12 +201,13 @@ class TestFallbackCompleteness:
         assert analytic_fallback_reasons(self.BASELINE) == []
         assert model.applicability(self.BASELINE) == []
 
-    def test_report_records_every_fallback(self, traces):
+    def test_report_records_every_fallback(self, model, traces):
         grid = [c.with_(num_cores=NUM_CORES)
                 for c in sweeps.l1_sweep(reduced=True)][:3]
         grid[1] = grid[1].with_(
             l1=dataclasses.replace(grid[1].l1, replacement="fifo"))
-        report = analytic_sweep_report(traces, grid, target="kmeans")
+        report = analytic_sweep_report(traces, grid, backend=model.backend,
+                                       target="kmeans")
         flags = [entry["analytic"] for entry in report["results"]]
         assert flags == [True, False, True]
         matrix = report["analytic_fallback_reasons"]
@@ -158,6 +216,15 @@ class TestFallbackCompleteness:
         # The artifact must satisfy its own verifier, including the
         # two-way flag <-> reason consistency contract.
         assert verify_analytic_sweep_report(report, "<test>") == []
+
+
+@needs_numpy
+class TestFallbackCompletenessArrayScan(TestFallbackCompleteness):
+    """Fallback completeness with the model on the ``numpy`` array scan."""
+
+    @pytest.fixture(scope="class")
+    def model(self, array_model):
+        return array_model
 
 
 class TestHarnessMode:
@@ -174,6 +241,25 @@ class TestHarnessMode:
         assert [pair.analytic for pair in result.pairs] == [True, True, False]
         assert len(result.analytic_fallbacks) == 1
         assert result.analytic_fallbacks[0]["reasons"]
+
+
+    @needs_numpy
+    def test_backend_picks_the_scan(self):
+        kernel = suite.make("vectoradd", scale="tiny")
+        pipeline = build_pipeline(kernel, num_cores=NUM_CORES)
+        grid = [c.with_(num_cores=NUM_CORES)
+                for c in sweeps.l1_sweep(reduced=True)][:2]
+        array = run_sweep(pipeline, grid, sim_mode="analytic",
+                          backend="numpy")
+        scalar = run_sweep(pipeline, grid, sim_mode="analytic",
+                           backend="python")
+        assert pipeline.original_model("numpy").backend == "numpy"
+        assert pipeline.proxy_model("python").backend == "python"
+        assert pipeline.original_model("numpy") is pipeline.original_model(
+            "numpy")
+        for got, expected in zip(array.pairs, scalar.pairs):
+            assert got.original.to_dict() == expected.original.to_dict()
+            assert got.proxy.to_dict() == expected.proxy.to_dict()
 
 
 class TestJournalResume:

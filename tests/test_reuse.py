@@ -8,14 +8,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.backend import numpy_available
 from repro.core.reuse import (
     COLD_MISS,
     StackDistanceTracker,
     _FenwickTree,
     miss_rate_from_distances,
     naive_stack_distances,
+    set_stack_distances,
     stack_distances,
+    stack_distances_array,
 )
+
+needs_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="array kernels need numpy")
+
+
+def naive_set_stack_distances(trace, num_sets):
+    """Per-set oracle: one explicit LRU stack per ``line % num_sets``."""
+    stacks = {}
+    out = []
+    for line in trace:
+        stack = stacks.setdefault(line % num_sets, [])
+        if line in stack:
+            depth = stack.index(line)
+            del stack[depth]
+            out.append(depth)
+        else:
+            out.append(COLD_MISS)
+        stack.insert(0, line)
+    return out
 
 
 class TestFenwickTree:
@@ -141,6 +163,54 @@ class TestStackDistanceTracker:
         for _ in range(20_000):
             tracker.access(rng.randrange(1000))
         assert tracker.accesses == 20_000
+
+
+@needs_numpy
+class TestArrayKernel:
+    """The sort-based kernel against the explicit-stack oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=12), max_size=150))
+    def test_stack_distances_array_matches_naive(self, trace):
+        assert stack_distances_array(trace).tolist() == (
+            naive_stack_distances(trace))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=40), max_size=150),
+        st.sampled_from([1, 2, 3, 4, 5, 8, 16]),
+    )
+    def test_set_distances_match_per_set_stacks(self, trace, num_sets):
+        import numpy as np
+
+        order, distances, last = set_stack_distances(trace, num_sets)
+        in_access_order = np.empty(len(trace), dtype=np.int64)
+        in_access_order[order] = distances
+        assert in_access_order.tolist() == naive_set_stack_distances(
+            trace, num_sets)
+        final = np.zeros(len(trace), dtype=bool)
+        final[order] = last
+        assert final.tolist() == [
+            line not in trace[i + 1:] for i, line in enumerate(trace)]
+        # Set-major and stable: each set's accesses stay in access order.
+        sets = [trace[i] % num_sets for i in order.tolist()]
+        assert sets == sorted(sets)
+        assert all(a < b for a, b in zip(order.tolist(), order[1:].tolist())
+                   if trace[a] % num_sets == trace[b] % num_sets)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=40), max_size=150),
+        st.integers(min_value=0, max_value=6),
+    )
+    def test_depth_clips_distances(self, trace, depth):
+        _, clipped, _ = set_stack_distances(trace, 3, depth)
+        _, exact, _ = set_stack_distances(trace, 3)
+        assert clipped.tolist() == [min(d, depth) for d in exact.tolist()]
+
+    def test_empty_stream(self):
+        order, distances, last = set_stack_distances([], 4, 16)
+        assert len(order) == len(distances) == len(last) == 0
 
 
 class TestMissRateFromDistances:
