@@ -254,7 +254,10 @@ def _sequential_cold(kernels, configs, num_cores: int):
     takes per benchmark — :func:`build_pipeline` then :func:`run_sweep`
     with identical defaults — so the stage breakdown costs no extra run
     and the results stay comparable with the pooled runs.  Returns
-    ``(sweeps, total_seconds, stage_seconds)``.
+    ``(sweeps, total_seconds, stage_seconds)``: ``profile_s`` is the one
+    kernel execution plus the profile statistics, ``generate_s`` proxy
+    generation alone (the pipeline's ``profiling_seconds`` and
+    ``generation_seconds``), ``memsim_s`` the sweep.
     """
     from repro.validation.harness import build_pipeline, run_sweep
 

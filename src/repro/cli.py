@@ -40,7 +40,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=1234,
                         help="proxy generation seed")
     parser.add_argument("--backend", choices=BACKENDS, default=None,
-                        help="profiling/generation kernels: python "
+                        help="front-end/profiling/generation kernels: python "
                              "(reference) or numpy (vectorized array core; "
                              "default: $GMAP_BACKEND or python)")
 
@@ -469,7 +469,7 @@ def _cmd_simulate(args) -> int:
         label = args.target
     else:
         kernel = suite.make(args.target, scale=args.scale)
-        assignments = execute_kernel(kernel, args.cores)
+        assignments = execute_kernel(kernel, args.cores, backend=args.backend)
         label = args.target
     config = PAPER_BASELINE.with_(num_cores=args.cores)
     config = _apply_sim_overrides(config, args)

@@ -30,7 +30,7 @@ from repro.core.pi_profile import DEFAULT_SIMILARITY_THRESHOLD, PiClusterer
 from repro.core.profile import GmapProfile, InstructionStats, PiProfileStats
 from repro.core.distributions import Histogram
 from repro.core.reuse import COLD_MISS, StackDistanceTracker
-from repro.gpu.executor import WarpTrace, build_warp_traces, collect_thread_traces
+from repro.gpu.executor import WarpTrace, collect_thread_traces, kernel_warp_traces
 from repro.gpu.instructions import SYNC_PC
 from repro.workloads.base import KernelModel
 
@@ -165,21 +165,26 @@ class GmapProfiler:
 
     # -- public API ----------------------------------------------------------
 
-    def profile(self, kernel: KernelModel) -> GmapProfile:
-        """Profile a kernel model end to end."""
-        thread_traces = collect_thread_traces(kernel)
+    def profile(
+        self,
+        kernel: KernelModel,
+        warp_traces: Optional[Sequence[WarpTrace]] = None,
+    ) -> GmapProfile:
+        """Profile a kernel model end to end.
+
+        ``warp_traces`` are the kernel's already executed warps, in warp-id
+        order and coalesced at this profiler's ``segment_size`` — what
+        :func:`~repro.gpu.executor.execute_kernel` builds at the default
+        segment size.  Given them, the profiler skips its own front end and
+        only reads them; the profile is the same either way.  A
+        non-coalescing profiler works on the uncoalesced thread streams and
+        refuses them.
+        """
         occupancy = 1.0
         if self.coalescing:
-            coalescer = CoalescingModel(self.segment_size)
-            if self.backend == "numpy":
-                from repro.core.vectorized import build_warp_traces_fast
-
-                warp_traces = build_warp_traces_fast(
-                    kernel.launch, thread_traces, coalescer
-                )
-            else:
-                warp_traces = build_warp_traces(
-                    kernel, thread_traces, coalescer
+            if warp_traces is None:
+                warp_traces = kernel_warp_traces(
+                    kernel, CoalescingModel(self.segment_size), self.backend
                 )
             units = _warp_unit_streams(warp_traces)
             unit_kind = "warp"
@@ -190,7 +195,12 @@ class GmapProfiler:
             if instructions:
                 occupancy = active / (instructions * 32)
         else:
-            units = _thread_unit_streams(thread_traces)
+            if warp_traces is not None:
+                raise ValueError(
+                    "a non-coalescing profiler needs the thread streams, "
+                    "not coalesced warp traces"
+                )
+            units = _thread_unit_streams(collect_thread_traces(kernel))
             unit_kind = "thread"
         return self.profile_unit_streams(
             units,

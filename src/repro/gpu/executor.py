@@ -8,13 +8,17 @@ Fermi execution model:
 2. threads are grouped into warps (CUDA guide G.1 via
    :class:`~repro.gpu.hierarchy.LaunchConfig`) and each warp's lane accesses
    are executed in lockstep with structured-divergence masking and coalesced
-   per the G.4.2 model (:func:`build_warp_traces`);
+   per the G.4.2 model (:func:`kernel_warp_traces` — the scalar
+   :func:`build_warp_traces` walk, or its bit-exact array twin on the
+   ``numpy`` backend);
 3. threadblocks are dealt to cores round-robin, bounded by the number of
    concurrently resident blocks per core (paper section 4.5), yielding each
    core's ordered list of active warp traces (:func:`assign_warps_to_cores`).
 
 The same machinery executes both original kernel models and G-MAP proxies,
-so original-vs-clone comparisons share every downstream stage.
+so original-vs-clone comparisons share every downstream stage.  A pipeline
+executes each kernel once: the profiler reads the executed warp traces back
+out of the core assignments (:func:`assigned_warp_traces`).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.backend import resolve_backend
 from repro.core.coalescing import CoalescingModel
 from repro.gpu.hierarchy import LaunchConfig, assign_blocks_to_cores, resident_waves
 from repro.gpu.instructions import SYNC_PC, AccessTuple
@@ -177,6 +182,27 @@ def build_warp_traces(
     return warp_traces
 
 
+def kernel_warp_traces(
+    kernel: KernelModel,
+    coalescer: Optional[CoalescingModel] = None,
+    backend: Optional[str] = None,
+) -> List[WarpTrace]:
+    """Execute a kernel's threads and coalesce every warp, by warp id.
+
+    ``backend="numpy"`` takes the array builder
+    (:func:`~repro.core.vectorized.build_warp_traces_fast`), which is
+    bit-exact with the scalar walk the ``python`` backend runs.
+    """
+    thread_traces = collect_thread_traces(kernel)
+    if coalescer is None:
+        coalescer = CoalescingModel()
+    if resolve_backend(backend) == "numpy":
+        from repro.core.vectorized import build_warp_traces_fast
+
+        return build_warp_traces_fast(kernel.launch, thread_traces, coalescer)
+    return build_warp_traces(kernel, thread_traces, coalescer)
+
+
 def assign_warps_to_cores(
     launch: LaunchConfig,
     warp_traces: Sequence[WarpTrace],
@@ -222,12 +248,33 @@ def execute_kernel(
     num_cores: int,
     max_blocks_per_core: int = 8,
     coalescer: Optional[CoalescingModel] = None,
+    backend: Optional[str] = None,
 ) -> List[CoreAssignment]:
-    """Full front end: kernel model → per-core coalesced warp traces."""
-    thread_traces = collect_thread_traces(kernel)
-    warp_traces = build_warp_traces(kernel, thread_traces, coalescer)
+    """Full front end: kernel model → per-core coalesced warp traces.
+
+    ``backend`` picks the warp builder (:func:`kernel_warp_traces`); the
+    assignments are identical on both backends.
+    """
     return assign_warps_to_cores(
-        kernel.launch, warp_traces, num_cores, max_blocks_per_core
+        kernel.launch,
+        kernel_warp_traces(kernel, coalescer, backend),
+        num_cores,
+        max_blocks_per_core,
+    )
+
+
+def assigned_warp_traces(
+    assignments: Sequence[CoreAssignment],
+) -> List[WarpTrace]:
+    """The warp traces placed in ``assignments``, back in warp-id order.
+
+    The same objects, not copies: this is how a pipeline hands the
+    original's executed warps to the profiler instead of executing the
+    kernel a second time.
+    """
+    return sorted(
+        (warp for a in assignments for wave in a.waves for warp in wave),
+        key=lambda warp: warp.warp_id,
     )
 
 

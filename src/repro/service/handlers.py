@@ -137,7 +137,8 @@ def _handle_simulate(params: Dict[str, Any], backend: str) -> Dict[str, Any]:
     Three modes, selected by params:
 
     * default — the latency-feedback SIMT loop (always the scalar oracle;
-      ``backend`` does not apply);
+      ``backend`` picks only the benchmark's front end, whose traces are
+      identical on both backends);
     * ``flat: true`` — fixed-order flat replay on ``backend`` (the
       array-resident memsim engine when ``numpy``);
     * ``sweep: "l1" | "l2"`` — one-pass multi-config flat replay over that
@@ -174,7 +175,7 @@ def _handle_simulate(params: Dict[str, Any], backend: str) -> Dict[str, Any]:
         assignments = assignments_from_traces(traces, cores)
     else:
         kernel = suite.make(target, scale=params.get("scale", "small"))
-        assignments = execute_kernel(kernel, cores)
+        assignments = execute_kernel(kernel, cores, backend=backend)
     config = PAPER_BASELINE.with_(num_cores=cores)
     sweep = params.get("sweep")
     if sweep:

@@ -40,11 +40,14 @@ from typing import (
 
 from repro.core.backend import resolve_backend
 from repro.core.cache import ArtifactCache, resolve_cache
+from repro.core.coalescing import DEFAULT_SEGMENT_SIZE
 from repro.core.generator import ProxyGenerator
 from repro.core.miniaturize import miniaturize_profile
 from repro.core.profile import GmapProfile
 from repro.core.profiler import GmapProfiler
-from repro.gpu.executor import CoreAssignment, execute_kernel, flat_drain
+from repro.gpu.executor import (
+    CoreAssignment, assigned_warp_traces, execute_kernel, flat_drain,
+)
 from repro.gpu.instructions import AccessTuple
 from repro.memsim.config import SimConfig
 from repro.memsim.simulator import SimtSimulator, simulate_flat_trace
@@ -77,6 +80,11 @@ class BenchmarkPipeline:
     The original's warp traces and the proxy's generated warp traces do not
     depend on cache/prefetcher/DRAM parameters (only on core count and
     residency), so they are built once and re-simulated per configuration.
+
+    ``profiling_seconds`` covers the one kernel execution (the front end
+    whose warp traces become both the original and the profiler's input)
+    plus the profile statistics and their verification;
+    ``generation_seconds`` covers proxy generation alone.
 
     ``cache_key`` identifies the pipeline in the artifact cache (set
     whenever ``build_pipeline`` ran with a cache); ``from_cache`` records
@@ -165,7 +173,12 @@ def build_pipeline(
     bit-identical across backends; the generated proxy is statistically
     equivalent but not bit-identical (different RNG streams), so the
     backend participates in the pipeline cache key.  When an explicit
-    ``profiler`` is passed its own backend wins for profiling.
+    ``profiler`` is passed its own backend wins for the profile statistics.
+
+    The kernel executes once: the original's warp traces are the profiler's
+    input whenever the profiler coalesces at the executor's segment size
+    (the default).  A profiler with ``coalescing=False`` or another
+    ``segment_size`` runs its own front end.
 
     ``cache`` (None/False off, True for the default location, or an
     :class:`~repro.core.cache.ArtifactCache`) memoizes the profile and both
@@ -209,11 +222,16 @@ def build_pipeline(
                 from_cache=True,
             )
     t0 = time.perf_counter()
-    profile = profiler.profile(kernel)
+    original = execute_kernel(
+        kernel, num_cores, max_blocks_per_core, backend=backend)
+    if profiler.coalescing and profiler.segment_size == DEFAULT_SEGMENT_SIZE:
+        profile = profiler.profile(
+            kernel, warp_traces=assigned_warp_traces(original))
+    else:
+        profile = profiler.profile(kernel)
     if verify:
         _verify_profile_or_raise(profile, kernel.name)
     t1 = time.perf_counter()
-    original = execute_kernel(kernel, num_cores, max_blocks_per_core)
     if scale_factor != 1.0:
         profile_for_generation = miniaturize_profile(profile, scale_factor)
     else:

@@ -270,8 +270,8 @@ class TestFileAndLoaderIntegration:
 class TestPipelineGate:
     def test_build_pipeline_rejects_malformed_profile(self):
         class BrokenProfiler(GmapProfiler):
-            def profile(self, kernel):
-                profile = super().profile(kernel)
+            def profile(self, kernel, **kwargs):
+                profile = super().profile(kernel, **kwargs)
                 broken = copy.deepcopy(profile)
                 broken.pi_profiles[0].probability = 0.25
                 return broken
@@ -282,8 +282,8 @@ class TestPipelineGate:
 
     def test_build_pipeline_verify_can_be_disabled(self):
         class BrokenProfiler(GmapProfiler):
-            def profile(self, kernel):
-                profile = super().profile(kernel)
+            def profile(self, kernel, **kwargs):
+                profile = super().profile(kernel, **kwargs)
                 broken = copy.deepcopy(profile)
                 broken.pi_profiles[0].probability = 0.25
                 return broken
