@@ -38,10 +38,10 @@ def main() -> None:
     kernels = [k.name for k in app]
     print(f"application: {app!r}\n")
 
-    profile = profile_application(app)
-    original = simulate_application(
-        execute_application(app, PAPER_BASELINE.num_cores), PAPER_BASELINE
-    )
+    # One front-end run per kernel: the profiler reads the executed warps.
+    executed = execute_application(app, PAPER_BASELINE.num_cores)
+    profile = profile_application(app, original=executed)
+    original = simulate_application(executed, PAPER_BASELINE)
     clone = simulate_application(
         generate_application_proxy(profile, PAPER_BASELINE.num_cores, seed=42),
         PAPER_BASELINE,

@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.analysis.findings import Finding, format_findings
+from repro.gpu.instructions import SYNC_PC
 
 PathLike = Union[str, Path]
 
@@ -124,7 +125,9 @@ def verify_profile_payload(data: Mapping[str, Any], origin: str) -> List[Finding
         )
 
     scale_factor = float(data.get("scale_factor", 1.0))
-    known_pcs = set(instructions.keys())
+    # A TB barrier flows through π sequences like an instruction but, by
+    # design, has no entry in B.
+    known_pcs = set(instructions.keys()) | {str(SYNC_PC)}
 
     # -- per-pi checks: reuse histograms, PC membership ---------------------
     for index, pi in enumerate(pi_profiles):

@@ -18,7 +18,11 @@ from repro.core.generator import ProxyGenerator
 from repro.core.profile import GmapProfile
 from repro.core.profiler import GmapProfiler
 from repro.gpu.application import Application
-from repro.gpu.executor import CoreAssignment, execute_kernel
+from repro.gpu.executor import (
+    CoreAssignment,
+    assigned_warp_traces,
+    execute_kernel,
+)
 from repro.memsim.config import SimConfig
 from repro.memsim.simulator import SimtSimulator
 from repro.memsim.stats import SimResult
@@ -71,13 +75,37 @@ class ApplicationProfile:
 
 
 def profile_application(
-    app: Application, profiler: Optional[GmapProfiler] = None
+    app: Application,
+    profiler: Optional[GmapProfiler] = None,
+    original: Optional[Sequence[List[CoreAssignment]]] = None,
 ) -> ApplicationProfile:
-    """Phase ① for every kernel launch of an application."""
+    """Phase ① for every kernel launch of an application.
+
+    ``original`` is :func:`execute_application`'s output for ``app``.
+    Given it, a profiler that :attr:`~GmapProfiler.reads_executed_warps`
+    reads each kernel's executed warps back out of those assignments
+    (:func:`~repro.gpu.executor.assigned_warp_traces`) instead of running
+    the front end a second time, as ``build_pipeline`` does for one
+    kernel; the profiles are the same either way.
+    """
     profiler = profiler or GmapProfiler()
+    if original is not None and len(original) != len(app):
+        raise ValueError(
+            f"{len(original)} kernel assignments for the {len(app)} kernels "
+            f"of {app.name!r}"
+        )
+    reuse = original is not None and profiler.reads_executed_warps
     return ApplicationProfile(
         name=app.name,
-        kernel_profiles=[profiler.profile(kernel) for kernel in app],
+        kernel_profiles=[
+            profiler.profile(
+                kernel,
+                warp_traces=(
+                    assigned_warp_traces(original[index]) if reuse else None
+                ),
+            )
+            for index, kernel in enumerate(app)
+        ],
     )
 
 

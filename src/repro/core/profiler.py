@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.backend import resolve_backend
-from repro.core.coalescing import CoalescingModel
+from repro.core.coalescing import DEFAULT_SEGMENT_SIZE, CoalescingModel
 from repro.core.pi_profile import DEFAULT_SIMILARITY_THRESHOLD, PiClusterer
 from repro.core.profile import GmapProfile, InstructionStats, PiProfileStats
 from repro.core.distributions import Histogram
@@ -164,6 +164,16 @@ class GmapProfiler:
         self.backend = resolve_backend(backend)
 
     # -- public API ----------------------------------------------------------
+
+    @property
+    def reads_executed_warps(self) -> bool:
+        """Whether :meth:`profile` can take the executor's warp traces.
+
+        True when this profiler coalesces at the executor's segment size,
+        so the warps :func:`~repro.gpu.executor.execute_kernel` built are
+        the ones it would build itself.
+        """
+        return self.coalescing and self.segment_size == DEFAULT_SEGMENT_SIZE
 
     def profile(
         self,

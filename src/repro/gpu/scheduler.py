@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 import random
 from abc import ABC, abstractmethod
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import List, Optional, Sequence, Tuple
 
 
@@ -50,10 +50,8 @@ class LrrScheduler(WarpScheduler):
     def select(self, ready: Sequence[int], last: Optional[int]) -> int:
         if last is None:
             return ready[0]
-        for warp in ready:
-            if warp > last:
-                return warp
-        return ready[0]
+        index = bisect_right(ready, last)
+        return ready[index] if index < len(ready) else ready[0]
 
 
 class GtoScheduler(WarpScheduler):
@@ -198,7 +196,10 @@ class WarpQueue:
         if warp not in self._ready_time:
             raise KeyError(f"warp {warp} not in queue")
         self._ready_time[warp] = until
-        self._unready(warp)
+        ready = self._ready  # :meth:`_unready`, inlined on the issue path
+        index = bisect_left(ready, warp)
+        if index < len(ready) and ready[index] == warp:
+            del ready[index]
         heapq.heappush(self._heap, (until, warp))
 
     def retire(self, warp: int) -> None:
@@ -212,7 +213,13 @@ class WarpQueue:
             del ready[index]
 
     def ready_at(self, time: float) -> List[int]:
-        """Ascending ids of the warps ready at ``time`` (a fresh list)."""
+        """Ascending ids of the warps ready at ``time``.
+
+        This is the queue's live list, not a copy: read it before the next
+        :meth:`add`, :meth:`delay`, :meth:`retire` or :meth:`ready_at`,
+        never change it, and do not keep it.  It is made for the
+        simulator's per-issue step, its only caller in the program.
+        """
         if time < self._horizon:
             self._rebuild(time)
         self._horizon = time
@@ -229,7 +236,7 @@ class WarpQueue:
                     # entries; the second finds it already listed.
                     if index == len(ready) or ready[index] != warp:
                         ready.insert(index, warp)
-        return self._ready[:]
+        return self._ready
 
     def _rebuild(self, time: float) -> None:
         items = self._ready_time.items()

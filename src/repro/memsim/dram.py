@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, List
 
 from repro.memsim.address_mapping import AddressMapping
@@ -32,11 +31,15 @@ from repro.memsim.config import DramConfig
 from repro.memsim.stats import DramStats
 
 
-@dataclass
 class _Bank:
-    open_row: int = -1          # -1 = closed (precharged)
-    busy_until: float = 0.0     # earliest next command start, core cycles
-    activated_at: float = 0.0   # last ACT time, for tRAS enforcement
+    """One bank's row buffer and command timing."""
+
+    __slots__ = ("open_row", "busy_until", "activated_at")
+
+    def __init__(self) -> None:
+        self.open_row = -1          # -1 = closed (precharged)
+        self.busy_until = 0.0       # earliest next command start, core cycles
+        self.activated_at = 0.0     # last ACT time, for tRAS enforcement
 
 
 class _Channel:
@@ -101,11 +104,26 @@ class DramModel:
             [_Rank() for _ in range(config.ranks)]
             for _ in range(config.channels)
         ]
+        # Per-request constants: the mapping's field slices (the shifts and
+        # masks of ``mapping.coordinates``), the FR-FCFS window, and the
+        # row-empty and row-conflict latencies, summed left to right.
+        mapping = self.mapping
+        self._ch_shift, self._ch_mask = mapping._ch_shift, mapping._ch_mask
+        self._ra_shift, self._ra_mask = mapping._ra_shift, mapping._ra_mask
+        self._ba_shift, self._ba_mask = mapping._ba_shift, mapping._ba_mask
+        self._ro_shift, self._ro_mask = mapping._ro_shift, mapping._ro_mask
+        self._frfcfs_window = config.frfcfs_window
+        self._t_empty = self.t_rcd + self.t_cas
+        self._t_conflict = self.t_rp + self.t_rcd + self.t_cas
+        self._refresh = self.t_refi > 0 and self.t_rfc > 0
 
     def access(self, now: float, address: int, is_write: bool = False) -> float:
         """Service one transaction arriving at ``now``; returns its latency."""
-        channel_id, rank_id, bank_id, row = self.mapping.coordinates(address)
-        bank = self._banks[channel_id][rank_id][bank_id]
+        channel_id = (address >> self._ch_shift) & self._ch_mask
+        rank_id = (address >> self._ra_shift) & self._ra_mask
+        row = (address >> self._ro_shift) & self._ro_mask
+        bank = self._banks[channel_id][rank_id][
+            (address >> self._ba_shift) & self._ba_mask]
         channel = self._channels[channel_id]
         stats = self.stats
 
@@ -116,18 +134,19 @@ class DramModel:
         stats.queue_len_sum += len(pending)
         stats.queue_samples += 1
 
-        if bank.open_row == row:
+        open_row = bank.open_row
+        if open_row == row:
             kind_latency = self.t_cas
             stats.row_hits += 1
             row_hit = True
-        elif bank.open_row < 0:
-            kind_latency = self.t_rcd + self.t_cas
+        elif open_row < 0:
+            kind_latency = self._t_empty
             stats.row_empties += 1
             row_hit = False
         else:
             # Precharge may not begin before tRAS after the activation.
             ras_ready = bank.activated_at + self.t_ras
-            kind_latency = self.t_rp + self.t_rcd + self.t_cas
+            kind_latency = self._t_conflict
             kind_latency += max(0.0, ras_ready - max(now, bank.busy_until))
             stats.row_conflicts += 1
             row_hit = False
@@ -136,7 +155,7 @@ class DramModel:
         if row_hit:
             # FR-FCFS: promote row hits past the backlog, bounded by the
             # reorder window (older requests beyond it still block the bus).
-            window = self.config.frfcfs_window
+            window = self._frfcfs_window
             if len(pending) > window:
                 backlog_release = backlog[len(pending) - window - 1]
                 start = max(start, backlog_release)
@@ -150,15 +169,15 @@ class DramModel:
         if not is_write and self.t_wtr > 0:
             # Write-to-read turnaround on the rank's shared data path.
             start = max(start, rank.last_write_end + self.t_wtr)
-        if self.t_refi > 0 and self.t_rfc > 0:
+        if self._refresh:
             # Periodic all-bank refresh: commands inside the blackout slide
             # to its end.
             phase = start % self.t_refi
             if phase < self.t_rfc:
                 start += self.t_rfc - phase
 
-        if bank.open_row != row:
-            bank.activated_at = start + (self.t_rp if bank.open_row >= 0 else 0.0)
+        if open_row != row:
+            bank.activated_at = start + (self.t_rp if open_row >= 0 else 0.0)
             rank.recent_acts.append(bank.activated_at)
         finish = start + kind_latency + self.t_burst
         if is_write:

@@ -78,6 +78,18 @@ class MemoryHierarchy:
         self._l2_write_through = l2_config.write_policy == "write-through"
         self._l1_fits_l2 = l2_config.line_size >= l1_config.line_size
         self._noc = config.noc_latency
+        # The common global path :meth:`access` runs inline: no L1
+        # write-through, one L2 access per L1 miss, no L1 prefetcher.
+        self._l1_inline = (
+            not self._l1_write_through
+            and self._l1_fits_l2
+            and config.l1_prefetcher is None
+        )
+        # The L2's own set layout, for the residency probe of prefetch
+        # candidates (``SetAssociativeCache.contains``, inline).
+        self._l2_sets = self.l2._sets
+        self._l2_tag_shift = self.l2._line_shift
+        self._l2_set_mask = self.l2._set_mask
 
     # -- public entry ---------------------------------------------------------
 
@@ -114,16 +126,70 @@ class MemoryHierarchy:
                 if cache is not None:
                     return self._read_only_access(cache, now, address)
         line_size = self._l1_line
-        if size <= line_size:
+        if size > line_size:
+            latency = 0.0
+            end = address + size
+            sector = (address // line_size) * line_size
+            while sector < end:
+                latency = max(
+                    latency, self._access_l1(core, now, pc, sector, is_store)
+                )
+                sector += line_size
+            return latency
+        if not self._l1_inline:
             return self._access_l1(core, now, pc, address, is_store)
-        latency = 0.0
-        end = address + size
-        sector = (address // line_size) * line_size
-        while sector < end:
-            latency = max(
-                latency, self._access_l1(core, now, pc, sector, is_store)
+        # :meth:`_access_l1` and its L1-miss :meth:`_access_l2` step, inline
+        # for the common configuration (see ``_l1_inline``).
+        l1 = self.l1s[core]
+        hit_latency = self._l1_hit
+        hit, victim = l1.access(address, is_store)
+        if hit:
+            return hit_latency
+        line = address - address % line_size
+        mshr = self.l1_mshrs[core]
+        inflight = mshr.lookup(line, now)
+        if inflight is not None:
+            l1.stats.mshr_merges += 1
+            latency = max(hit_latency, inflight - now)
+        else:
+            l2 = self.l2
+            noc = self._noc
+            arrival = now + hit_latency + noc
+            l2_hit_latency = self._l2_hit
+            bank = (line >> self._l2_bank_shift) & self._l2_bank_mask
+            bank_busy = self._l2_bank_busy
+            start = max(arrival, bank_busy[bank])
+            bank_busy[bank] = start + l2_hit_latency
+            l2_hit, l2_victim = l2.access(line, False)
+            if l2_hit:
+                service = l2_hit_latency
+            else:
+                l2_line = line - line % self._l2_line
+                l2_inflight = self.l2_mshr.lookup(l2_line, start)
+                if l2_inflight is not None:
+                    l2.stats.mshr_merges += 1
+                    service = max(l2_hit_latency, l2_inflight - start)
+                else:
+                    dram_latency = self.dram.access(
+                        start + l2_hit_latency, l2_line, is_write=False
+                    )
+                    service = l2_hit_latency + dram_latency
+                    self.l2_mshr.allocate(l2_line, start, service)
+                self._handle_l2_victim(start, l2_victim)
+            prefetcher = self.l2_prefetcher
+            if prefetcher is not None:
+                candidates = prefetcher.observe(line, l2_hit)
+                if candidates:
+                    self._l2_prefetch(start, candidates)
+            l2_latency = noc + (start - arrival) + service
+            stall, completion = mshr.allocate(
+                line, now, hit_latency + l2_latency
             )
-            sector += line_size
+            if stall > 0:
+                l1.stats.mshr_stalls += 1
+            latency = completion - now
+        if victim is not None and victim.dirty:
+            self._writeback_to_l2(now, victim.address)
         return latency
 
     # -- L1 level ---------------------------------------------------------------
@@ -258,18 +324,29 @@ class MemoryHierarchy:
                 self.l2_mshr.allocate(line, start, service)
             self._handle_l2_victim(start, victim)
         if self.l2_prefetcher is not None:
-            for candidate in self.l2_prefetcher.observe(address, hit):
-                self._l2_prefetch(start, candidate)
+            candidates = self.l2_prefetcher.observe(address, hit)
+            if candidates:
+                self._l2_prefetch(start, candidates)
         return noc + (start - now) + service
 
-    def _l2_prefetch(self, now: float, address: int) -> None:
+    def _l2_prefetch(self, now: float, candidates: List[int]) -> None:
+        """Issue the stream prefetcher's candidates; fill the absent ones.
+
+        Most candidates are already resident, so residency is probed on
+        the L2's sets directly (what ``contains`` does) before a fill.
+        """
         l2 = self.l2
-        l2.stats.prefetch_issued += 1
-        if l2.contains(address):
-            return
-        victim = l2.prefetch_fill(address)
-        self.dram.access(now, l2.line_address(address), is_write=False)
-        self._handle_l2_victim(now, victim)
+        l2.stats.prefetch_issued += len(candidates)
+        sets = self._l2_sets
+        shift = self._l2_tag_shift
+        mask = self._l2_set_mask
+        for address in candidates:
+            tag = address >> shift
+            if tag in sets[tag & mask]:
+                continue
+            victim = l2.prefetch_fill(address)
+            self.dram.access(now, tag << shift, is_write=False)
+            self._handle_l2_victim(now, victim)
 
     def _writeback_to_l2(self, now: float, address: int) -> None:
         """Posted write of a dirty L1 victim into the L2 (chunked if the

@@ -18,8 +18,9 @@ is already resident, fetches it, and attributes the fill.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import OrderedDict
-from typing import List
+from typing import Dict, List, Tuple
 
 from repro.memsim.config import PrefetcherConfig
 
@@ -73,39 +74,68 @@ class StridePrefetcher:
 
 
 class StreamPrefetcher:
-    """Sequential stream prefetcher (L2)."""
+    """Sequential stream prefetcher (L2).
+
+    A miss within ``stream_window`` lines of a tracked stream, in its
+    direction, extends the oldest such stream; a miss on a stream's last
+    line is ignored; any other miss allocates a stream, evicting the oldest
+    when the table is full.  Streams are kept in allocation order as
+    ``seq -> [last_line, direction, confirmed]`` beside a sorted list of
+    ``(last_line, seq)``, so a miss bisects to the streams whose last line
+    lies in its window instead of scanning the table.
+    """
 
     def __init__(self, config: PrefetcherConfig, line_size: int) -> None:
         if config.kind != "stream":
             raise ValueError(f"expected a stream config, got {config.kind!r}")
         self.config = config
         self.line_size = line_size
-        # Each stream: [last_line, direction, confirmed]
-        self._streams: List[list] = []
+        self._streams: Dict[int, list] = {}
+        self._by_line: List[Tuple[int, int]] = []
+        self._next_seq = 0
 
     def observe(self, address: int, hit: bool) -> List[int]:
         """Train on an access (typically L2 misses); returns prefetch addrs."""
-        if self.config.train_on_miss_only and hit:
+        config = self.config
+        if config.train_on_miss_only and hit:
             return []
         line = address // self.line_size
-        window = self.config.stream_window
-        for stream in self._streams:
-            delta = line - stream[0]
-            if delta == 0:
+        window = config.stream_window
+        streams = self._streams
+        by_line = self._by_line
+        # The oldest stream (smallest seq) that the miss matches.
+        match = None
+        for index in range(bisect_left(by_line, (line - window,)),
+                           bisect_left(by_line, (line + window + 1,))):
+            last, seq = by_line[index]
+            if match is not None and seq > match[1]:
+                continue
+            if last == line:
+                match = (last, seq)
+            elif last < line:
+                if streams[seq][1] >= 0:
+                    match = (last, seq)
+            elif streams[seq][1] <= 0:
+                match = (last, seq)
+        if match is not None:
+            last, seq = match
+            if last == line:
                 return []
-            if 0 < delta <= window and stream[1] >= 0:
-                stream[0] = line
-                stream[1] = 1
-                stream[2] = True
-                return self._issue(line, 1)
-            if -window <= delta < 0 and stream[1] <= 0:
-                stream[0] = line
-                stream[1] = -1
-                stream[2] = True
-                return self._issue(line, -1)
-        if len(self._streams) >= self.config.table_size:
-            self._streams.pop(0)
-        self._streams.append([line, 0, False])
+            del by_line[bisect_left(by_line, match)]
+            insort(by_line, (line, seq))
+            direction = 1 if last < line else -1
+            stream = streams[seq]
+            stream[0] = line
+            stream[1] = direction
+            stream[2] = True
+            return self._issue(line, direction)
+        if len(streams) >= config.table_size:
+            oldest = next(iter(streams))
+            del by_line[bisect_left(by_line, (streams.pop(oldest)[0], oldest))]
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        streams[seq] = [line, 0, False]
+        insort(by_line, (line, seq))
         return []
 
     def _issue(self, line: int, direction: int) -> List[int]:

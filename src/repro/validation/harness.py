@@ -40,7 +40,6 @@ from typing import (
 
 from repro.core.backend import resolve_backend
 from repro.core.cache import ArtifactCache, resolve_cache
-from repro.core.coalescing import DEFAULT_SEGMENT_SIZE
 from repro.core.generator import ProxyGenerator
 from repro.core.miniaturize import miniaturize_profile
 from repro.core.profile import GmapProfile
@@ -224,7 +223,7 @@ def build_pipeline(
     t0 = time.perf_counter()
     original = execute_kernel(
         kernel, num_cores, max_blocks_per_core, backend=backend)
-    if profiler.coalescing and profiler.segment_size == DEFAULT_SEGMENT_SIZE:
+    if profiler.reads_executed_warps:
         profile = profiler.profile(
             kernel, warp_traces=assigned_warp_traces(original))
     else:

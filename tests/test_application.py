@@ -11,10 +11,12 @@ from repro.core.app_pipeline import (
     profile_application,
     simulate_application,
 )
+from repro.core.profiler import GmapProfiler
 from repro.gpu.application import Application
 from repro.io.profile_io import load_application_profile, save_application_profile
 from repro.memsim.config import PAPER_BASELINE
 from repro.workloads import suite
+from repro.workloads.base import KernelModel
 from repro.workloads.applications import (
     make_backprop_application,
     make_srad_application,
@@ -135,10 +137,9 @@ class TestApplicationSimulation:
 
     def test_backprop_application_clones(self):
         app = make_backprop_application("tiny")
-        profile = profile_application(app)
-        original = simulate_application(
-            execute_application(app, 15), PAPER_BASELINE
-        )
+        executed = execute_application(app, 15)
+        profile = profile_application(app, original=executed)
+        original = simulate_application(executed, PAPER_BASELINE)
         clone = simulate_application(
             generate_application_proxy(profile, 15, seed=42), PAPER_BASELINE
         )
@@ -164,3 +165,39 @@ class TestApplicationSimulation:
         alone = simulate_application(assignments[1:], PAPER_BASELINE)
         assert alone.per_kernel[0].l2.miss_rate > \
             seq.per_kernel[1].l2.miss_rate
+
+
+class TestApplicationFrontEndOnce:
+    """Executing and profiling an application runs each kernel once."""
+
+    def test_profile_from_executed_warps_matches_own_front_end(self, srad_app,
+                                                                srad_profile):
+        executed = execute_application(srad_app, 15)
+        reused = profile_application(srad_app, original=executed)
+        assert reused.to_dict() == srad_profile.to_dict()
+
+    def test_one_execution_per_kernel(self, monkeypatch, srad_app):
+        calls = []
+        trace_thread = KernelModel.trace_thread
+
+        def counting(self, tid):
+            calls.append(tid)
+            return trace_thread(self, tid)
+
+        monkeypatch.setattr(KernelModel, "trace_thread", counting)
+        executed = execute_application(srad_app, 15)
+        profile_application(srad_app, original=executed)
+        assert len(srad_app) == 2
+        assert len(calls) == sum(k.launch.total_threads for k in srad_app)
+
+    def test_non_coalescing_profiler_runs_its_own_front_end(self, srad_app):
+        executed = execute_application(srad_app, 15)
+        profiler = GmapProfiler(coalescing=False)
+        assert profile_application(
+            srad_app, profiler, original=executed).to_dict() == (
+            profile_application(srad_app, profiler).to_dict())
+
+    def test_assignments_must_match_kernels(self, srad_app):
+        executed = execute_application(srad_app, 15)
+        with pytest.raises(ValueError):
+            profile_application(srad_app, original=executed[:1])

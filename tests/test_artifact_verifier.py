@@ -293,3 +293,22 @@ class TestPipelineGate:
             kernel, num_cores=2, profiler=BrokenProfiler(), verify=False
         )
         assert pipeline.profile.pi_profiles[0].probability == 0.25
+
+
+class TestBarrierPcInPiSequences:
+    """``SYNC_PC`` flows through π sequences with no entry in B, by design."""
+
+    def test_sync_pc_is_not_an_unknown_pc(self, payload):
+        payload["pi_profiles"][0]["sequence"] = [80, -1, 80]
+        assert rules_for(payload) == set()
+
+    def test_unknown_pc_still_fires_next_to_sync_pc(self, payload):
+        payload["pi_profiles"][0]["sequence"] = [80, -1, 999]
+        assert rules_for(payload) == {"pi-unknown-pc"}
+
+    @pytest.mark.parametrize("name", ["histogram_shared", "matmul_shared",
+                                      "pathfinder", "reduction"])
+    def test_barrier_kernels_build_verified(self, name):
+        kernel = suite.make(name, scale="tiny")
+        pipeline = build_pipeline(kernel, num_cores=4, verify=True)
+        assert any(-1 in pi.sequence for pi in pipeline.profile.pi_profiles)

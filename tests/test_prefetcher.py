@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from typing import List
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memsim.config import PrefetcherConfig
 from repro.memsim.prefetcher import StreamPrefetcher, StridePrefetcher, make_prefetcher
@@ -151,3 +155,74 @@ class TestStreamPrefetcher:
         large = self._pf(window=16)
         large.observe(0, False)
         assert large.observe(near_miss, False) != []
+
+
+# The stream prefetcher before its table was indexed, kept verbatim (but for
+# the class name) as the model of the indexed one.
+class LinearScanStreamPrefetcher:
+    """Sequential stream prefetcher (L2)."""
+
+    def __init__(self, config: PrefetcherConfig, line_size: int) -> None:
+        if config.kind != "stream":
+            raise ValueError(f"expected a stream config, got {config.kind!r}")
+        self.config = config
+        self.line_size = line_size
+        # Each stream: [last_line, direction, confirmed]
+        self._streams: List[list] = []
+
+    def observe(self, address: int, hit: bool) -> List[int]:
+        """Train on an access (typically L2 misses); returns prefetch addrs."""
+        if self.config.train_on_miss_only and hit:
+            return []
+        line = address // self.line_size
+        window = self.config.stream_window
+        for stream in self._streams:
+            delta = line - stream[0]
+            if delta == 0:
+                return []
+            if 0 < delta <= window and stream[1] >= 0:
+                stream[0] = line
+                stream[1] = 1
+                stream[2] = True
+                return self._issue(line, 1)
+            if -window <= delta < 0 and stream[1] <= 0:
+                stream[0] = line
+                stream[1] = -1
+                stream[2] = True
+                return self._issue(line, -1)
+        if len(self._streams) >= self.config.table_size:
+            self._streams.pop(0)
+        self._streams.append([line, 0, False])
+        return []
+
+    def _issue(self, line: int, direction: int) -> List[int]:
+        size = self.line_size
+        out = []
+        for k in range(1, self.config.degree + 1):
+            target = line + direction * k
+            if target >= 0:
+                out.append(target * size)
+        return out
+
+
+class TestIndexedStreamTableModel:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 160), st.integers(0, 127),
+                           st.booleans()), max_size=120),
+        st.integers(1, 32),
+        st.integers(1, 8),
+        st.integers(1, 8),
+        st.booleans(),
+    )
+    def test_matches_linear_scan(self, accesses, window, table_size, degree,
+                                 miss_only):
+        config = PrefetcherConfig(kind="stream", degree=degree,
+                                  stream_window=window, table_size=table_size,
+                                  train_on_miss_only=miss_only)
+        indexed = StreamPrefetcher(config, line_size=128)
+        model = LinearScanStreamPrefetcher(config, line_size=128)
+        for line, offset, hit in accesses:
+            address = line * 128 + offset
+            assert indexed.observe(address, hit) == model.observe(address, hit)
+            assert list(indexed._streams.values()) == model._streams

@@ -3,9 +3,10 @@
 ``GOLDEN`` pins a digest of the full :class:`SimResult` of the
 latency-feedback loop (:meth:`SimtSimulator.run`) for configurations the
 benchmark never runs: every scheduling policy, non-LRU replacement, the
-write policies, an inclusive L2, both prefetchers, 64 B L2 lines under a
-128 B L1, the texture/constant/shared paths, a barrier-heavy kernel,
-``max_requests`` and a multi-kernel application.  Any change to the loop or
+write policies, an inclusive L2, both prefetchers (the stream prefetcher
+also with a two-entry table and trained on misses only), 64 B L2 lines
+under a 128 B L1, the texture/constant/shared paths, a barrier-heavy
+kernel, ``max_requests`` and a multi-kernel application.  Any change to the loop or
 the hierarchy behind it must keep every digest.
 
 The hypothesis tests check the fast structures of the loop against their
@@ -87,6 +88,17 @@ CASES = {
     "l2-stream-prefetch": ("srad", {
         "l1": _SMALL_L1,
         "l2_prefetcher": PrefetcherConfig(kind="stream", degree=4)}, None),
+    # Two streams: FIFO eviction of the stream table on every new region.
+    "l2-stream-prefetch-table2": ("bfs", {
+        "l1": _SMALL_L1,
+        "l2_prefetcher": PrefetcherConfig(kind="stream", degree=4,
+                                          stream_window=8, table_size=2)},
+        None),
+    "l2-stream-prefetch-miss-only": ("srad", {
+        "l1": _SMALL_L1,
+        "l2_prefetcher": PrefetcherConfig(kind="stream", degree=2,
+                                          stream_window=32,
+                                          train_on_miss_only=True)}, None),
     "l2-64B-under-l1-128B": ("kmeans", {"l2": CacheConfig(
         size=32 * 1024, assoc=8, line_size=64, hit_latency=30,
         banks=4)}, None),
@@ -101,7 +113,9 @@ CASES = {
 }
 
 #: Digests recorded before the loop's data structures were rewritten (with
-#: random replacement already seeded from a stable hash of the cache name).
+#: random replacement already seeded from a stable hash of the cache name);
+#: the two extra stream-prefetcher cases were recorded before the stream
+#: table was indexed.
 GOLDEN = {
     "application-srad": "6d88e0143ea4e379",
     "barrier-heavy": "74179dbe1c92b337",
@@ -113,6 +127,8 @@ GOLDEN = {
     "l2-64B-under-l1-128B": "4236c7f869cad0cd",
     "l2-inclusive": "34291e0c7e0bdcc2",
     "l2-stream-prefetch": "9bb173637421c5b8",
+    "l2-stream-prefetch-miss-only": "adf0f9271d7eb24c",
+    "l2-stream-prefetch-table2": "b8016e78c50d892e",
     "l2-write-through": "59bcb5a8e18f8043",
     "max-requests": "adb68abe338f9451",
     "repl-fifo": "f20b07ec2ad39cd9",
