@@ -1,10 +1,13 @@
-"""Warp scheduling policies and the per-core warp queue.
+"""Warp scheduling policies.
 
 G-MAP accounts for GPU thread-level parallelism with a *per-core warp queue*
 (paper section 4.5): the queue initially holds all active warps ordered by
 warp identifier; a scheduling policy picks which ready warp issues its next
 (coalesced) memory request, and an issuing warp is delayed in proportion to
-the request's latency before it becomes ready again.
+the request's latency before it becomes ready again.  The queue itself
+lives in the simulator's per-core issue loop
+(:class:`repro.memsim.simulator._CoreState`); a policy only sees the
+ascending ids of the ready warps.
 
 Policies:
 
@@ -19,11 +22,10 @@ Policies:
 
 from __future__ import annotations
 
-import heapq
 import random
 from abc import ABC, abstractmethod
-from bisect import bisect_left, bisect_right
-from typing import List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from typing import Optional, Sequence
 
 
 class WarpScheduler(ABC):
@@ -159,106 +161,3 @@ def measure_p_self(schedule: Sequence[int]) -> float:
         return 0.0
     same = sum(1 for a, b in zip(schedule, schedule[1:]) if a == b)
     return same / (len(schedule) - 1)
-
-
-class WarpQueue:
-    """Ready/pending bookkeeping for one core's active warps.
-
-    Warps are registered with :meth:`add`; :meth:`ready_at` returns the ids
-    ready at a given time; :meth:`delay` marks a warp busy until
-    ``time + latency`` (the paper's "delayed in proportion to the request's
-    latency").  Retired warps are removed with :meth:`retire`.
-
-    ``_ready_time`` is the authoritative ``{warp: ready time}`` map.  Two
-    structures make the per-issue query incremental: a lazy-deletion
-    min-heap of ``(time, warp)`` entries (an entry is live while it matches
-    ``_ready_time``) and an ascending list of the warps already found ready
-    at ``_horizon``, the latest queried time.  :meth:`ready_at` only moves
-    heap entries that have come due into the list; querying an earlier time
-    than the horizon rebuilds both from the map.
-    """
-
-    __slots__ = ("_ready_time", "_heap", "_ready", "_horizon")
-
-    def __init__(self) -> None:
-        self._ready_time: dict[int, float] = {}
-        self._heap: List[Tuple[float, int]] = []
-        self._ready: List[int] = []
-        self._horizon = float("-inf")
-
-    def add(self, warp: int, time: float = 0.0) -> None:
-        if warp in self._ready_time:
-            raise ValueError(f"warp {warp} already queued")
-        self._ready_time[warp] = time
-        heapq.heappush(self._heap, (time, warp))
-
-    def delay(self, warp: int, until: float) -> None:
-        if warp not in self._ready_time:
-            raise KeyError(f"warp {warp} not in queue")
-        self._ready_time[warp] = until
-        ready = self._ready  # :meth:`_unready`, inlined on the issue path
-        index = bisect_left(ready, warp)
-        if index < len(ready) and ready[index] == warp:
-            del ready[index]
-        heapq.heappush(self._heap, (until, warp))
-
-    def retire(self, warp: int) -> None:
-        if self._ready_time.pop(warp, None) is not None:
-            self._unready(warp)
-
-    def _unready(self, warp: int) -> None:
-        ready = self._ready
-        index = bisect_left(ready, warp)
-        if index < len(ready) and ready[index] == warp:
-            del ready[index]
-
-    def ready_at(self, time: float) -> List[int]:
-        """Ascending ids of the warps ready at ``time``.
-
-        This is the queue's live list, not a copy: read it before the next
-        :meth:`add`, :meth:`delay`, :meth:`retire` or :meth:`ready_at`,
-        never change it, and do not keep it.  It is made for the
-        simulator's per-issue step, its only caller in the program.
-        """
-        if time < self._horizon:
-            self._rebuild(time)
-        self._horizon = time
-        heap = self._heap
-        if heap and heap[0][0] <= time:
-            ready = self._ready
-            ready_time = self._ready_time
-            pop = heapq.heappop
-            while heap and heap[0][0] <= time:
-                due, warp = pop(heap)
-                if ready_time.get(warp) == due:
-                    index = bisect_left(ready, warp)
-                    # A warp re-delayed to the same time has two live
-                    # entries; the second finds it already listed.
-                    if index == len(ready) or ready[index] != warp:
-                        ready.insert(index, warp)
-        return self._ready
-
-    def _rebuild(self, time: float) -> None:
-        items = self._ready_time.items()
-        self._ready = sorted(w for w, t in items if t <= time)
-        self._heap = [(t, w) for w, t in items if t > time]
-        heapq.heapify(self._heap)
-
-    def next_event(self) -> Optional[float]:
-        """Earliest time any warp becomes ready, or None if empty."""
-        heap = self._heap
-        ready_time = self._ready_time
-        while heap and ready_time.get(heap[0][1]) != heap[0][0]:
-            heapq.heappop(heap)  # superseded by a later delay or a retire
-        earliest = heap[0][0] if heap else None
-        for warp in self._ready:
-            due = ready_time[warp]
-            if earliest is None or due < earliest:
-                earliest = due
-        return earliest
-
-    def __len__(self) -> int:
-        return len(self._ready_time)
-
-    def __contains__(self, warp: int) -> bool:
-        return warp in self._ready_time

@@ -107,7 +107,9 @@ class SetAssociativeCache:
             stats.evictions += 1
             if was_dirty:
                 stats.writebacks += 1
-            victim = Victim(victim_tag << self._line_shift, was_dirty)
+            # ``tuple.__new__`` skips the NamedTuple's Python ``__new__``.
+            victim = tuple.__new__(
+                Victim, (victim_tag << self._line_shift, was_dirty))
         lines[tag] = [dirty, False, 0]  # insert stamps order FIFO sets only
         return False, victim
 
@@ -128,7 +130,8 @@ class SetAssociativeCache:
             self.stats.evictions += 1
             if was_dirty:
                 self.stats.writebacks += 1
-            victim = Victim(victim_tag << self._line_shift, was_dirty)
+            victim = tuple.__new__(
+                Victim, (victim_tag << self._line_shift, was_dirty))
         self._clock += 1
         lines[tag] = [dirty, prefetched, self._clock]
         return victim

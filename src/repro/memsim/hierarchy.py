@@ -78,13 +78,6 @@ class MemoryHierarchy:
         self._l2_write_through = l2_config.write_policy == "write-through"
         self._l1_fits_l2 = l2_config.line_size >= l1_config.line_size
         self._noc = config.noc_latency
-        # The common global path :meth:`access` runs inline: no L1
-        # write-through, one L2 access per L1 miss, no L1 prefetcher.
-        self._l1_inline = (
-            not self._l1_write_through
-            and self._l1_fits_l2
-            and config.l1_prefetcher is None
-        )
         # The L2's own set layout, for the residency probe of prefetch
         # candidates (``SetAssociativeCache.contains``, inline).
         self._l2_sets = self.l2._sets
@@ -136,61 +129,7 @@ class MemoryHierarchy:
                 )
                 sector += line_size
             return latency
-        if not self._l1_inline:
-            return self._access_l1(core, now, pc, address, is_store)
-        # :meth:`_access_l1` and its L1-miss :meth:`_access_l2` step, inline
-        # for the common configuration (see ``_l1_inline``).
-        l1 = self.l1s[core]
-        hit_latency = self._l1_hit
-        hit, victim = l1.access(address, is_store)
-        if hit:
-            return hit_latency
-        line = address - address % line_size
-        mshr = self.l1_mshrs[core]
-        inflight = mshr.lookup(line, now)
-        if inflight is not None:
-            l1.stats.mshr_merges += 1
-            latency = max(hit_latency, inflight - now)
-        else:
-            l2 = self.l2
-            noc = self._noc
-            arrival = now + hit_latency + noc
-            l2_hit_latency = self._l2_hit
-            bank = (line >> self._l2_bank_shift) & self._l2_bank_mask
-            bank_busy = self._l2_bank_busy
-            start = max(arrival, bank_busy[bank])
-            bank_busy[bank] = start + l2_hit_latency
-            l2_hit, l2_victim = l2.access(line, False)
-            if l2_hit:
-                service = l2_hit_latency
-            else:
-                l2_line = line - line % self._l2_line
-                l2_inflight = self.l2_mshr.lookup(l2_line, start)
-                if l2_inflight is not None:
-                    l2.stats.mshr_merges += 1
-                    service = max(l2_hit_latency, l2_inflight - start)
-                else:
-                    dram_latency = self.dram.access(
-                        start + l2_hit_latency, l2_line, is_write=False
-                    )
-                    service = l2_hit_latency + dram_latency
-                    self.l2_mshr.allocate(l2_line, start, service)
-                self._handle_l2_victim(start, l2_victim)
-            prefetcher = self.l2_prefetcher
-            if prefetcher is not None:
-                candidates = prefetcher.observe(line, l2_hit)
-                if candidates:
-                    self._l2_prefetch(start, candidates)
-            l2_latency = noc + (start - arrival) + service
-            stall, completion = mshr.allocate(
-                line, now, hit_latency + l2_latency
-            )
-            if stall > 0:
-                l1.stats.mshr_stalls += 1
-            latency = completion - now
-        if victim is not None and victim.dirty:
-            self._writeback_to_l2(now, victim.address)
-        return latency
+        return self._access_l1(core, now, pc, address, is_store)
 
     # -- L1 level ---------------------------------------------------------------
 
@@ -198,32 +137,28 @@ class MemoryHierarchy:
         self, core: int, now: float, pc: int, address: int, is_store: bool
     ) -> float:
         l1 = self.l1s[core]
-        hit_latency = self._l1_hit
         hit, victim = l1.access(address, is_store)
-        write_through = is_store and self._l1_write_through
-        if write_through:
-            # Stores forward downstream immediately (posted); a no-allocate
-            # miss does not fetch the line at all.
+        latency = self._l1_hit
+        fetch = not hit
+        if is_store and self._l1_write_through:
+            # Stores forward downstream immediately (posted).  A
+            # no-allocate miss does not fetch the line at all: the store is
+            # buffered and the warp has nothing to wait for.
             self._writeback_to_l2(now, l1.line_address(address))
-        if hit:
-            latency = hit_latency
-        elif write_through and not self._l1_write_allocate:
-            latency = hit_latency  # buffered store, nothing to wait for
-        else:
+            fetch = fetch and self._l1_write_allocate
+        if fetch:
             line = address - address % self._l1_line
             mshr = self.l1_mshrs[core]
             inflight = mshr.lookup(line, now)
             if inflight is not None:
                 l1.stats.mshr_merges += 1
-                latency = max(hit_latency, inflight - now)
+                latency = max(latency, inflight - now)
             else:
                 # An L1 line narrower than the L2 line fits in one L2 access;
                 # a wider one (the paper's 64B-L2 / 128B-L1 points) is fetched
                 # as parallel L2-line-sized chunks and waits for the slowest.
                 if self._l1_fits_l2:
-                    l2_latency = self._access_l2(
-                        now + hit_latency, line, is_store=False
-                    )
+                    l2_latency = self._access_l2(now + latency, line, False)
                 else:
                     l2_line = self._l2_line
                     l2_latency = 0.0
@@ -231,13 +166,11 @@ class MemoryHierarchy:
                     while chunk < line + self._l1_line:
                         l2_latency = max(
                             l2_latency,
-                            self._access_l2(
-                                now + hit_latency, chunk, is_store=False
-                            ),
+                            self._access_l2(now + latency, chunk, False),
                         )
                         chunk += l2_line
                 stall, completion = mshr.allocate(
-                    line, now, hit_latency + l2_latency
+                    line, now, latency + l2_latency
                 )
                 if stall > 0:
                     l1.stats.mshr_stalls += 1
@@ -299,35 +232,35 @@ class MemoryHierarchy:
                     address += l1_line
 
     def _access_l2(self, now: float, address: int, is_store: bool) -> float:
-        l2 = self.l2
         noc = self._noc  # SM -> L2 partition traversal
-        now = now + noc
+        arrival = now + noc
         hit_latency = self._l2_hit
         bank = (address >> self._l2_bank_shift) & self._l2_bank_mask
         bank_busy = self._l2_bank_busy
-        start = max(now, bank_busy[bank])
+        start = bank_busy[bank]
+        if start < arrival:
+            start = arrival
         bank_busy[bank] = start + hit_latency
-        hit, victim = l2.access(address, is_store)
+        hit, victim = self.l2.access(address, is_store)
         if hit:
             service = hit_latency
         else:
             line = address - address % self._l2_line
             inflight = self.l2_mshr.lookup(line, start)
             if inflight is not None:
-                l2.stats.mshr_merges += 1
+                self.l2.stats.mshr_merges += 1
                 service = max(hit_latency, inflight - start)
             else:
-                dram_latency = self.dram.access(
-                    start + hit_latency, line, is_write=False
-                )
-                service = hit_latency + dram_latency
+                service = hit_latency + self.dram.access(
+                    start + hit_latency, line, False)
                 self.l2_mshr.allocate(line, start, service)
-            self._handle_l2_victim(start, victim)
+            if victim is not None:
+                self._handle_l2_victim(start, victim)
         if self.l2_prefetcher is not None:
             candidates = self.l2_prefetcher.observe(address, hit)
             if candidates:
                 self._l2_prefetch(start, candidates)
-        return noc + (start - now) + service
+        return noc + (start - arrival) + service
 
     def _l2_prefetch(self, now: float, candidates: List[int]) -> None:
         """Issue the stream prefetcher's candidates; fill the absent ones.

@@ -14,36 +14,42 @@ just lists of :class:`~repro.gpu.executor.CoreAssignment`.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence
+from bisect import insort
+from heapq import heappop, heappush
+from math import inf, nextafter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.gpu.executor import CoreAssignment, WarpTrace
 from repro.gpu.instructions import AccessTuple
-from repro.gpu.scheduler import WarpQueue, WarpScheduler, make_scheduler
+from repro.gpu.scheduler import WarpScheduler, make_scheduler
 from repro.memsim.config import SimConfig
 from repro.memsim.hierarchy import MemoryHierarchy
 from repro.memsim.stats import SimResult
 
 
-#: Warps parked at a barrier are delayed to this time; they re-enter the
-#: ready set only through an explicit barrier release.
-_BARRIER_PARK = float("inf")
-
-
 class _CoreState:
     """Scheduling state of one simulated core.
 
-    Besides the warp queue, the core tracks TB-level barriers (paper
-    section 4.5): a warp reaching a ``SYNC_PC`` record parks until every
-    still-active warp of its threadblock has arrived, then the whole block
-    crosses together.  A block's barrier also releases when its remaining
-    non-parked warps retire, so clones whose warps drew π profiles with
-    differing barrier counts cannot deadlock.
+    The warp queue (paper section 4.5) is split in two.  ``ready`` lists,
+    ascending, the warps found ready by ``now`` that have not issued since.
+    ``pending`` is a min-heap of ``(ready time, warp)`` for the warps
+    waiting out a request's latency.  ``cursors`` holds every queued warp,
+    so a warp parked at a barrier is the one kind in neither structure.
+    A warp enters ``pending`` only when it is in neither (it has just
+    issued, been released from a barrier, or arrived with a new wave), so
+    every heap entry is current.  :meth:`issue` keeps all of it in locals.
+
+    The core also tracks TB-level barriers: a warp reaching a ``SYNC_PC``
+    record parks until every still-active warp of its threadblock has
+    arrived, then the whole block crosses together.  A block's barrier also
+    releases when its remaining non-parked warps retire, so clones whose
+    warps drew π profiles with differing barrier counts cannot deadlock.
     """
 
     __slots__ = (
-        "core_id", "now", "queue", "scheduler", "traces", "cursors",
-        "waves", "wave_index", "last_warp", "issued", "same_issues",
-        "block_active", "barrier_wait", "syncs_crossed",
+        "core_id", "now", "scheduler", "pending", "ready", "transactions",
+        "cursors", "blocks", "waves", "wave_index", "last_warp", "issued",
+        "same_issues", "block_active", "barrier_wait", "syncs_crossed",
     )
 
     def __init__(
@@ -51,10 +57,12 @@ class _CoreState:
     ) -> None:
         self.core_id = core_id
         self.now = 0.0
-        self.queue = WarpQueue()
         self.scheduler = scheduler
-        self.traces: Dict[int, WarpTrace] = {}
+        self.pending: List[Tuple[float, int]] = []
+        self.ready: List[int] = []
+        self.transactions: Dict[int, List[AccessTuple]] = {}
         self.cursors: Dict[int, int] = {}
+        self.blocks: Dict[int, int] = {}
         self.waves = waves
         self.wave_index = 0
         self.last_warp: Optional[int] = None
@@ -63,44 +71,48 @@ class _CoreState:
         self.block_active: Dict[int, int] = {}
         self.barrier_wait: Dict[int, List[int]] = {}
         self.syncs_crossed = 0
-        self._load_next_wave()
+        self._load_next_wave(0.0)
 
-    def _load_next_wave(self) -> bool:
-        """Fill the warp queue with the next resident wave of threadblocks."""
+    def _load_next_wave(self, now: float) -> None:
+        """Queue the next resident wave of threadblocks, ready at ``now``."""
+        cursors = self.cursors
+        block_active = self.block_active
         while self.wave_index < len(self.waves):
             wave = self.waves[self.wave_index]
             self.wave_index += 1
-            loaded = False
-            self.block_active = {}
-            self.barrier_wait = {}
+            block_active.clear()
+            self.barrier_wait.clear()
             for trace in wave:
                 if trace.transactions:
-                    self.queue.add(trace.warp_id, self.now)
-                    self.traces[trace.warp_id] = trace
-                    self.cursors[trace.warp_id] = 0
-                    self.block_active[trace.block] = (
-                        self.block_active.get(trace.block, 0) + 1
+                    warp = trace.warp_id
+                    if warp in cursors:
+                        raise ValueError(f"warp {warp} already queued")
+                    heappush(self.pending, (now, warp))
+                    self.transactions[warp] = trace.transactions
+                    cursors[warp] = 0
+                    self.blocks[warp] = trace.block
+                    block_active[trace.block] = (
+                        block_active.get(trace.block, 0) + 1
                     )
-                    loaded = True
-            if loaded:
-                return True
-        return False
+            if cursors:
+                return
 
-    @property
-    def active(self) -> bool:
-        return len(self.queue) > 0
-
-    def _retire(self, warp: int) -> None:
-        block = self.traces[warp].block
-        self.queue.retire(warp)
-        del self.traces[warp]
+    def _retire(self, warp: int, now: float) -> None:
+        del self.transactions[warp]
         del self.cursors[warp]
+        block = self.blocks.pop(warp)
         self.block_active[block] -= 1
-        self._maybe_release_barrier(block)
-        if not self.queue:
-            self._load_next_wave()
+        self._maybe_release_barrier(block, now)
+        if not self.cursors:
+            self._load_next_wave(now)
 
-    def _maybe_release_barrier(self, block: int) -> None:
+    def _park(self, warp: int, now: float) -> None:
+        """Park ``warp`` at its block's barrier (a ``SYNC_PC`` record)."""
+        block = self.blocks[warp]
+        self.barrier_wait.setdefault(block, []).append(warp)
+        self._maybe_release_barrier(block, now)
+
+    def _maybe_release_barrier(self, block: int, now: float) -> None:
         waiting = self.barrier_wait.get(block)
         if not waiting or len(waiting) < self.block_active.get(block, 0):
             return
@@ -108,57 +120,93 @@ class _CoreState:
         self.syncs_crossed += 1
         for warp in waiting:
             cursor = self.cursors[warp] + 1  # step past the SYNC record
-            if cursor >= len(self.traces[warp].transactions):
-                self.cursors[warp] = cursor
-                self._retire(warp)
+            self.cursors[warp] = cursor
+            if cursor >= len(self.transactions[warp]):
+                self._retire(warp, now)
             else:
-                self.cursors[warp] = cursor
-                self.queue.delay(warp, self.now + 1.0)
+                heappush(self.pending, (now + 1.0, warp))
 
-    def step(self, hierarchy: MemoryHierarchy) -> bool:
-        """Issue at most one transaction; returns False when the core idles."""
-        queue = self.queue
+    def issue(
+        self,
+        hierarchy: MemoryHierarchy,
+        events: List[Tuple[float, int]],
+        index: int,
+        budget: float,
+    ) -> int:
+        """Issue until the core drains, ``budget`` requests have issued, or
+        the earliest entry of ``events`` (the other cores' event heap)
+        comes before ``(now, index)``; returns the requests issued.
+
+        Only in the last case does the core push itself back onto
+        ``events``.  When no warp is ready, the first ``pending`` warp
+        becomes ready and the clock jumps to its time if that is later.
+        Then every warp due by ``now`` joins ``ready``.  The chosen warp
+        issues one transaction and waits out its latency in ``pending``,
+        or parks at its block's barrier on a ``SYNC_PC`` record.  Either
+        way the clock advances one cycle.
+        """
+        pending = self.pending
+        ready = self.ready
+        transactions_of = self.transactions
+        cursors = self.cursors
+        select = self.scheduler.select
+        access = hierarchy.access
+        core_id = self.core_id
+        last = self.last_warp
         now = self.now
-        ready = queue.ready_at(now)
-        if not ready:
-            next_ready = queue.next_event()
-            if next_ready is None:
-                return self._load_next_wave()
-            if next_ready == _BARRIER_PARK:
-                raise RuntimeError(
-                    f"core {self.core_id}: all warps parked at barriers — "
-                    "barrier bookkeeping is inconsistent"
-                )
-            now = self.now = max(now, next_ready)
-            ready = queue.ready_at(now)
-        warp = self.scheduler.select(ready, self.last_warp)
-        trace = self.traces[warp]
-        transactions = trace.transactions
-        cursor = self.cursors[warp]
-        pc, address, size, is_store = transactions[cursor]
-        if pc < 0:  # SYNC_PC: park at the TB barrier (no memory request)
-            block = trace.block
-            self.barrier_wait.setdefault(block, []).append(warp)
-            queue.delay(warp, _BARRIER_PARK)
-            self.last_warp = warp
-            self._maybe_release_barrier(block)
-            self.now += 1.0
-            return True
-        latency = hierarchy.access(
-            self.core_id, now, pc, address, size, bool(is_store)
-        )
-        if self.last_warp == warp:
-            self.same_issues += 1
-        self.last_warp = warp
-        self.issued += 1
-        cursor += 1
-        self.cursors[warp] = cursor
-        if cursor >= len(transactions):
-            self._retire(warp)
+        # No other core runs during the call, so the entry to yield to is
+        # fixed: ``(time, other) < (now, index)`` is ``now >= time`` when
+        # ``other < index`` and ``now > time`` otherwise.
+        if events:
+            time, other = events[0]
+            yield_at = time if other < index else nextafter(time, inf)
         else:
-            queue.delay(warp, now + latency)
-        self.now = now + 1.0
-        return True
+            yield_at = inf
+        issued = same = 0
+        while True:
+            if not ready:
+                if not pending:
+                    raise RuntimeError(
+                        f"core {core_id}: all warps parked at barriers — "
+                        "barrier bookkeeping is inconsistent"
+                    )
+                due, warp = heappop(pending)
+                ready.append(warp)
+                if due > now:
+                    now = due
+            while pending and pending[0][0] <= now:
+                insort(ready, heappop(pending)[1])
+            warp = select(ready, last)
+            ready.remove(warp)
+            transactions = transactions_of[warp]
+            cursor = cursors[warp]
+            pc, address, size, is_store = transactions[cursor]
+            if pc < 0:  # SYNC_PC: no memory request
+                self._park(warp, now)
+            else:
+                latency = access(core_id, now, pc, address, size,
+                                 bool(is_store))
+                if last == warp:
+                    same += 1
+                issued += 1
+                cursor += 1
+                if cursor < len(transactions):
+                    cursors[warp] = cursor
+                    heappush(pending, (now + latency, warp))
+                else:
+                    self._retire(warp, now)
+            last = warp
+            now += 1.0
+            if not cursors or issued >= budget:
+                break  # drained, or out of budget
+            if now >= yield_at:
+                heappush(events, (now, index))
+                break
+        self.now = now
+        self.last_warp = last
+        self.issued += issued
+        self.same_issues += same
+        return issued
 
 
 class SimtSimulator:
@@ -208,10 +256,11 @@ class SimtSimulator:
         Cores interleave in global time order so the shared L2/DRAM sees a
         realistic merged request stream.  The interleave is driven by an
         event heap keyed on ``(now, core index)``: the earliest core issues
-        a burst of transactions until the next core's timestamp overtakes
-        it, then re-enters the heap.  Ties on ``now`` resolve to the lowest
-        core index — the same order the previous ``min()`` scan produced —
-        so results are bit-identical to the linear-scan implementation.
+        a burst of transactions (one :meth:`_CoreState.issue` call) until
+        the next core's timestamp overtakes it, then re-enters the heap.
+        Ties on ``now`` resolve to the lowest core index — the same order
+        a ``min()`` scan over the cores produces — so results are
+        bit-identical to the linear-scan implementation.
         """
         scheduler_proto = make_scheduler(
             self.config.scheduler,
@@ -223,29 +272,15 @@ class SimtSimulator:
             for a in assignments
         ]
         issued_total = 0
-        budget = max_requests if max_requests is not None else float("inf")
+        budget = max_requests if max_requests is not None else inf
         hierarchy = self.hierarchy
-        heap = [(core.now, index) for index, core in enumerate(cores)
-                if core.active]
-        heapq.heapify(heap)
-        heappop, heappush = heapq.heappop, heapq.heappush
-        while heap and issued_total < budget:
-            _, index = heappop(heap)
-            core = cores[index]
-            step = core.step
-            # ``traces`` holds exactly the queued warps: empty once drained.
-            traces = core.traces
-            while True:
-                before = core.issued
-                alive = step(hierarchy)
-                issued_total += core.issued - before
-                if not alive or not traces:
-                    break  # drained: the core leaves the event heap
-                if issued_total >= budget:
-                    break
-                if heap and heap[0] < (core.now, index):
-                    heappush(heap, (core.now, index))
-                    break
+        events = [(core.now, index) for index, core in enumerate(cores)
+                  if core.cursors]
+        heapq.heapify(events)
+        while events and issued_total < budget:
+            _, index = heappop(events)
+            issued_total += cores[index].issue(hierarchy, events, index,
+                                               budget - issued_total)
 
         # Snapshots: the hierarchy keeps counting on a later run().
         result = SimResult(

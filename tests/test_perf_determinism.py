@@ -4,8 +4,9 @@ The event-heap simulator hot path and the parallel sweep engine are pure
 optimisations: this module pins them to the behaviour of the straightforward
 implementations they replaced.
 
-* ``SimtSimulator.run`` must match the pre-heap ``min(active, key=now)``
-  linear scan bit-for-bit (the reference loop is preserved here);
+* ``SimtSimulator.run`` must match, bit for bit, a ``min(active, key=now)``
+  scan over brute-force cores that issue one step at a time
+  (:class:`ReferenceCore`, kept here as the definition of the loop);
 * ``simulate_flat_trace`` must match the linear-scan merge with the same
   tie-break (and the documented SYNC clock-advance semantics);
 * ``SweepRunner(jobs=4)`` must return results equal to ``jobs=1``.
@@ -13,16 +14,14 @@ implementations they replaced.
 
 from __future__ import annotations
 
+from math import inf
+
 import pytest
 
 from repro.gpu.executor import execute_kernel
 from repro.gpu.instructions import pack, sync_marker
 from repro.memsim.hierarchy import MemoryHierarchy
-from repro.memsim.simulator import (
-    SimtSimulator,
-    _CoreState,
-    simulate_flat_trace,
-)
+from repro.memsim.simulator import SimtSimulator, simulate_flat_trace
 from repro.memsim.stats import SimResult
 from repro.gpu.scheduler import make_scheduler
 from repro.validation import sweeps
@@ -33,25 +32,128 @@ WORKLOADS = ("vectoradd", "kmeans", "bfs")
 SCHEDULERS = ("lrr", "gto")
 
 
-def reference_run(config, assignments, max_requests=None) -> SimResult:
-    """The pre-heap simulation loop: O(num_cores) min() scan per issue."""
+class ReferenceCore:
+    """One core of the SIMT loop, by definition, one issue per step.
+
+    The ready warps are the ascending ids whose ready time is at most
+    ``now``; when none is ready the clock jumps to the earliest ready
+    time.  A chosen warp issues its next transaction and waits for its
+    latency, or parks at its block's barrier on a SYNC record; a barrier
+    releases (one cycle later) once every still-active warp of the block
+    has arrived.  A core loads its next wave when its queue empties.
+    """
+
+    def __init__(self, core_id, waves, scheduler):
+        self.core_id = core_id
+        self.scheduler = scheduler
+        self.waves = waves
+        self.wave_index = 0
+        self.now = 0.0
+        self.ready_time = {}
+        self.traces = {}
+        self.cursors = {}
+        self.last_warp = None
+        self.issued = 0
+        self.same_issues = 0
+        self.syncs_crossed = 0
+        self.block_active = {}
+        self.barrier_wait = {}
+        self.load_next_wave()
+
+    @property
+    def active(self):
+        return bool(self.ready_time)
+
+    def load_next_wave(self):
+        while self.wave_index < len(self.waves) and not self.ready_time:
+            wave = self.waves[self.wave_index]
+            self.wave_index += 1
+            self.block_active = {}
+            self.barrier_wait = {}
+            for trace in wave:
+                if trace.transactions:
+                    self.ready_time[trace.warp_id] = self.now
+                    self.traces[trace.warp_id] = trace
+                    self.cursors[trace.warp_id] = 0
+                    self.block_active[trace.block] = (
+                        self.block_active.get(trace.block, 0) + 1)
+
+    def retire(self, warp):
+        block = self.traces.pop(warp).block
+        del self.ready_time[warp]
+        del self.cursors[warp]
+        self.block_active[block] -= 1
+        self.maybe_release(block)
+        if not self.ready_time:
+            self.load_next_wave()
+
+    def maybe_release(self, block):
+        waiting = self.barrier_wait.get(block)
+        if not waiting or len(waiting) < self.block_active.get(block, 0):
+            return
+        self.barrier_wait[block] = []
+        self.syncs_crossed += 1
+        for warp in waiting:
+            self.cursors[warp] += 1  # past the SYNC record
+            if self.cursors[warp] >= len(self.traces[warp].transactions):
+                self.retire(warp)
+            else:
+                self.ready_time[warp] = self.now + 1.0
+
+    def ready(self):
+        return sorted(w for w, t in self.ready_time.items() if t <= self.now)
+
+    def step(self, hierarchy):
+        ready = self.ready()
+        if not ready:
+            self.now = min(self.ready_time.values())
+            assert self.now != inf, "every warp parked at a barrier"
+            ready = self.ready()
+        warp = self.scheduler.select(ready, self.last_warp)
+        trace = self.traces[warp]
+        pc, address, size, is_store = trace.transactions[self.cursors[warp]]
+        if pc < 0:
+            self.barrier_wait.setdefault(trace.block, []).append(warp)
+            self.ready_time[warp] = inf
+            self.last_warp = warp
+            self.maybe_release(trace.block)
+        else:
+            latency = hierarchy.access(self.core_id, self.now, pc, address,
+                                       size, bool(is_store))
+            if self.last_warp == warp:
+                self.same_issues += 1
+            self.last_warp = warp
+            self.issued += 1
+            self.cursors[warp] += 1
+            if self.cursors[warp] >= len(trace.transactions):
+                self.retire(warp)
+            else:
+                self.ready_time[warp] = self.now + latency
+        self.now += 1.0
+
+
+def reference_run(config, assignments, max_requests=None,
+                  hierarchy=None) -> SimResult:
+    """The simulation loop by definition: a ``min()`` scan over the cores
+    for every single step of :class:`ReferenceCore`."""
     scheduler_proto = make_scheduler(
         config.scheduler, config.sched_p_self, config.scheduler_seed
     )
-    hierarchy = MemoryHierarchy(config)
+    if hierarchy is None:
+        hierarchy = MemoryHierarchy(config)
     cores = [
-        _CoreState(a.core_id, a.waves, scheduler_proto.clone())
+        ReferenceCore(a.core_id, a.waves, scheduler_proto.clone())
         for a in assignments
     ]
     active = [c for c in cores if c.active]
     issued_total = 0
-    budget = max_requests if max_requests is not None else float("inf")
+    budget = max_requests if max_requests is not None else inf
     while active and issued_total < budget:
         core = min(active, key=lambda c: c.now)
         before = core.issued
-        alive = core.step(hierarchy)
+        core.step(hierarchy)
         issued_total += core.issued - before
-        if not alive or not core.active:
+        if not core.active:
             active = [c for c in active if c.active]
     result = SimResult(
         l1=hierarchy.l1_stats(),

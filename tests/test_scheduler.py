@@ -1,4 +1,4 @@
-"""Tests for warp scheduling policies and the warp queue."""
+"""Tests for warp scheduling policies and the per-core warp queue."""
 
 from __future__ import annotations
 
@@ -9,10 +9,15 @@ from repro.gpu.scheduler import (
     LrrScheduler,
     SchedPselfScheduler,
     TwoLevelScheduler,
-    WarpQueue,
     make_scheduler,
     measure_p_self,
 )
+from repro.gpu.executor import CoreAssignment, WarpTrace
+from repro.gpu.instructions import pack
+from repro.memsim import simulator as simulator_module
+from repro.memsim.config import CacheConfig, SimConfig
+from repro.memsim.hierarchy import MemoryHierarchy
+from repro.memsim.simulator import SimtSimulator
 
 
 class TestLrr:
@@ -108,7 +113,6 @@ class TestTwoLevel:
 
     def test_end_to_end_simulation(self, small_config):
         from repro.gpu.executor import execute_kernel
-        from repro.memsim.simulator import SimtSimulator
         from repro.workloads import suite
         kernel = suite.make("aes", "tiny")
         assignments = execute_kernel(kernel, small_config.num_cores)
@@ -161,46 +165,77 @@ class TestMeasurePself:
         assert measure_p_self(seq_lrr) < 0.1
 
 
+class _ScriptedHierarchy(MemoryHierarchy):
+    """Returns the latencies of ``script`` in turn and logs each access."""
+
+    def __init__(self, config, script):
+        super().__init__(config)
+        self.script = list(script)
+        self.log = []
+
+    def access(self, core, now, pc, address, size, is_store):
+        self.log.append((now, pc))
+        return self.script.pop(0)
+
+
+class _RecordingLrr(LrrScheduler):
+    def __init__(self, seen):
+        self.seen = seen
+
+    def select(self, ready, last):
+        self.seen.append(list(ready))
+        return super().select(ready, last)
+
+    def clone(self):
+        return _RecordingLrr(self.seen)
+
+
+def _run_core(waves, latencies):
+    """One core's issue loop; warps are ``(warp id, transaction pcs)``.
+
+    Each transaction's pc names its warp in the access log.
+    """
+    config = SimConfig(num_cores=1,
+                       l1=CacheConfig(size=4096, assoc=4, line_size=128))
+    simulator = SimtSimulator(config)
+    simulator.hierarchy = hierarchy = _ScriptedHierarchy(config, latencies)
+    assignment = CoreAssignment(0, [
+        [WarpTrace(warp_id=warp, block=0,
+                   transactions=[pack(pc, 128 * i) for i, pc in
+                                 enumerate(pcs)])
+         for warp, pcs in wave]
+        for wave in waves
+    ])
+    return hierarchy.log, simulator.run([assignment])
+
+
 class TestWarpQueue:
-    def test_add_and_ready(self):
-        q = WarpQueue()
-        q.add(3)
-        q.add(1)
-        assert q.ready_at(0.0) == [1, 3]
+    """The per-core warp queue, as the simulator's issue loop runs it."""
+
+    def test_add_and_ready(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(simulator_module, "make_scheduler",
+                            lambda *_: _RecordingLrr(seen))
+        _run_core([[(3, [3]), (1, [1])]], [5.0, 5.0])
+        assert seen[0] == [1, 3]
 
     def test_duplicate_add_rejected(self):
-        q = WarpQueue()
-        q.add(1)
         with pytest.raises(ValueError):
-            q.add(1)
+            _run_core([[(1, [1]), (1, [1])]], [1.0, 1.0])
 
     def test_delay_hides_warp(self):
-        q = WarpQueue()
-        q.add(1)
-        q.delay(1, until=10.0)
-        assert q.ready_at(5.0) == []
-        assert q.ready_at(10.0) == [1]
-
-    def test_delay_unknown_warp(self):
-        with pytest.raises(KeyError):
-            WarpQueue().delay(4, 1.0)
+        log, _ = _run_core([[(1, [1, 1])]], [10.0, 1.0])
+        assert log == [(0.0, 1), (10.0, 1)]
 
     def test_retire(self):
-        q = WarpQueue()
-        q.add(2)
-        q.retire(2)
-        assert len(q) == 0
-        q.retire(2)  # idempotent
+        """A retired warp leaves the queue; the next wave is queued at
+        the retiring issue's time."""
+        log, result = _run_core([[(2, [2])], [(2, [7])]], [50.0, 1.0])
+        assert log == [(0.0, 2), (1.0, 7)]
+        assert result.requests_issued == 2
+        assert result.cycles == 2.0
 
     def test_next_event(self):
-        q = WarpQueue()
-        assert q.next_event() is None
-        q.add(1, time=4.0)
-        q.add(2, time=2.0)
-        assert q.next_event() == 2.0
-
-    def test_contains(self):
-        q = WarpQueue()
-        q.add(9)
-        assert 9 in q
-        assert 3 not in q
+        """With no warp ready the clock jumps to the earliest ready time."""
+        log, _ = _run_core([[(1, [1, 1]), (2, [2, 2])]], [4.0, 2.0, 1.0, 1.0])
+        assert log == [(0.0, 1), (1.0, 2), (3.0, 2), (4.0, 1)]

@@ -10,8 +10,9 @@ kernel, ``max_requests`` and a multi-kernel application.  Any change to the loop
 the hierarchy behind it must keep every digest.
 
 The hypothesis tests check the fast structures of the loop against their
-brute-force definitions: the incremental warp queue, the DRAM channel's
-sorted backlog and the tuple form of the DRAM address mapping.
+brute-force definitions: the per-core issue loop with its warp queue, the
+DRAM channel's sorted backlog and the tuple form of the DRAM address
+mapping.
 
 Print the digests of the current code with
 ``PYTHONPATH=src python tests/test_simt_golden.py``.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from functools import lru_cache
 
 import pytest
@@ -28,8 +30,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.app_pipeline import execute_application, simulate_application
-from repro.gpu.executor import execute_kernel
-from repro.gpu.scheduler import WarpQueue
+from repro.gpu.executor import CoreAssignment, WarpTrace, execute_kernel
+from repro.gpu.instructions import pack, sync_marker
 from repro.memsim.address_mapping import AddressMapping
 from repro.memsim.config import (
     CacheConfig,
@@ -38,9 +40,11 @@ from repro.memsim.config import (
     SimConfig,
 )
 from repro.memsim.dram import DramModel
+from repro.memsim.hierarchy import MemoryHierarchy
 from repro.memsim.simulator import SimtSimulator
 from repro.workloads import suite
 from repro.workloads.applications import make_application
+from tests.test_perf_determinism import assert_results_identical, reference_run
 
 BASE = SimConfig(
     num_cores=4,
@@ -196,68 +200,102 @@ def test_every_case_recorded():
 
 # -- model tests of the loop's structures -----------------------------------
 
-_times = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 7.5, 10.0, float("inf")])
-_warps = st.integers(min_value=0, max_value=9)
-_ops = st.lists(
+class _StubHierarchy(MemoryHierarchy):
+    """A hierarchy whose demand latency is a seeded random draw.
+
+    It logs every access, so two loops that issue the same requests in
+    the same order at the same times draw the same latencies.
+    """
+
+    LATENCIES = (0.0, 1.0, 2.5, 4.0, 9.0, 30.0, 200.0)
+
+    def __init__(self, config, seed):
+        super().__init__(config)
+        self.rng = random.Random(seed)
+        self.log = []
+
+    def access(self, core, now, pc, address, size, is_store):
+        self.log.append((core, now, pc, address, size, is_store))
+        return self.rng.choice(self.LATENCIES)
+
+
+_SYNC = sync_marker()
+_records = st.lists(
     st.one_of(
-        st.tuples(st.just("add"), _warps, _times),
-        st.tuples(st.just("delay"), _warps, _times),
-        st.tuples(st.just("retire"), _warps, _times),
-        st.tuples(st.just("ready_at"), _warps, _times),
-        st.tuples(st.just("next_event"), _warps, _times),
+        st.just(_SYNC),
+        st.builds(pack, st.integers(0, 3), st.integers(0, 63).map(
+            lambda line: 128 * line), st.just(4), st.booleans()),
     ),
-    max_size=80,
+    max_size=6,
+)
+# A wave: up to five warps (ids unique in the wave, reused across waves)
+# in up to two threadblocks.
+_waves = st.lists(
+    st.lists(st.tuples(st.integers(0, 1), _records), max_size=5),
+    min_size=1, max_size=3,
 )
 
 
+def _assignments_of(cores):
+    return [
+        CoreAssignment(core_id, [
+            [WarpTrace(warp_id=warp, block=block, transactions=list(records))
+             for warp, (block, records) in enumerate(wave)]
+            for wave in waves
+        ])
+        for core_id, waves in enumerate(cores)
+    ]
+
+
 class TestWarpQueueModel:
-    @settings(max_examples=300, deadline=None)
-    @given(_ops)
-    def test_matches_brute_force(self, ops):
-        queue = WarpQueue()
-        model = {}
-        for op, warp, time in ops:
-            if op == "add":
-                if warp in model:
-                    with pytest.raises(ValueError):
-                        queue.add(warp, time)
-                else:
-                    queue.add(warp, time)
-                    model[warp] = time
-            elif op == "delay":
-                if warp in model:
-                    queue.delay(warp, time)
-                    model[warp] = time
-                else:
-                    with pytest.raises(KeyError):
-                        queue.delay(warp, time)
-            elif op == "retire":
-                queue.retire(warp)
-                model.pop(warp, None)
-            elif op == "ready_at":
-                assert queue.ready_at(time) == sorted(
-                    w for w, t in model.items() if t <= time)
-            else:
-                assert queue.next_event() == min(model.values(), default=None)
-            assert len(queue) == len(model)
-            assert (warp in queue) == (warp in model)
+    """The per-core issue loop against the brute-force reference.
+
+    The warp queue lives in locals of ``_CoreState.issue``: an ascending
+    ready list and a heap of ``(ready time, warp)`` for the others.
+    ``reference_run`` (tests/test_perf_determinism.py) recomputes the
+    ready set from the map on every step and scans the cores with
+    ``min()``.  Both drive a stub hierarchy with seeded random latencies,
+    so any difference in which warp issues when shows up in its log.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(_waves, min_size=1, max_size=3),
+        st.sampled_from(["lrr", "gto", "schedpself", "twolevel"]),
+        st.one_of(st.none(), st.integers(0, 25)),
+        st.integers(0, 2**16),
+    )
+    def test_matches_brute_force(self, cores, policy, max_requests, seed):
+        config = BASE.with_(num_cores=len(cores), scheduler=policy,
+                            sched_p_self=0.6, scheduler_seed=seed)
+        simulator = SimtSimulator(config)
+        simulator.hierarchy = fast = _StubHierarchy(config, seed)
+        result = simulator.run(_assignments_of(cores),
+                               max_requests=max_requests)
+        slow = _StubHierarchy(config, seed)
+        expected = reference_run(config, _assignments_of(cores),
+                                 max_requests=max_requests, hierarchy=slow)
+        assert fast.log == slow.log
+        assert result.requests_issued == expected.requests_issued
+        assert result.cycles == expected.cycles
+        assert result.barriers_crossed == expected.barriers_crossed
+        assert result.measured_p_self == expected.measured_p_self
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(_warps, st.floats(0.0, 50.0)), max_size=60))
-    def test_monotone_issue_loop(self, delays):
-        """The simulator's pattern: ready_at at a rising clock, then delay."""
-        queue = WarpQueue()
-        model = {w: 0.0 for w in range(10)}
-        for w in model:
-            queue.add(w)
-        now = 0.0
-        for warp, latency in delays:
-            expected = sorted(w for w, t in model.items() if t <= now)
-            assert queue.ready_at(now) == expected
-            if warp in model:
-                queue.delay(warp, now + latency)
-                model[warp] = now + latency
-            now += 1.0
+    @given(st.lists(st.integers(0, 9), min_size=1, max_size=12),
+           st.integers(1, 40), st.integers(0, 2**16))
+    def test_monotone_issue_loop(self, lengths, scale, seed):
+        """Real hierarchy, one wave of plain loads: the loop and the
+        reference see the same requests and return the same result."""
+        traces = [[pack(0, 128 * (scale * warp + i)) for i in range(n)]
+                  for warp, n in enumerate(lengths)]
+        config = BASE.with_(num_cores=1, scheduler_seed=seed)
+        assignments = [CoreAssignment(0, [[
+            WarpTrace(warp_id=warp, block=0, transactions=records)
+            for warp, records in enumerate(traces)]])]
+        assert_results_identical(
+            SimtSimulator(config).run(assignments),
+            reference_run(config, assignments))
 
 
 class TestDramBacklogModel:
