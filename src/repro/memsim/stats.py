@@ -196,6 +196,22 @@ class SimResult:
                 f"unknown metric {name!r}; known: {sorted(table)}"
             ) from None
 
+    def copy(self) -> "SimResult":
+        """Deep copy: no stats block is shared with this result."""
+        return SimResult(
+            l1=self.l1.copy(),
+            l2=self.l2.copy(),
+            dram=self.dram.copy(),
+            texture=self.texture.copy(),
+            constant=self.constant.copy(),
+            shared_accesses=self.shared_accesses,
+            requests_issued=self.requests_issued,
+            cycles=self.cycles,
+            measured_p_self=self.measured_p_self,
+            barriers_crossed=self.barriers_crossed,
+            per_core_l1=[stats.copy() for stats in self.per_core_l1],
+        )
+
     def to_dict(self) -> dict:
         return {
             "l1": self.l1.to_dict(),

@@ -110,10 +110,29 @@ class BenchmarkPipeline:
     #: every sweep on this pipeline.
     _models: Dict[Tuple[str, str], "AnalyticCacheModel"] = field(
         default_factory=dict, repr=False, compare=False)
+    #: Memoized :attr:`proxy_is_original` (``None`` until first asked).
+    _proxy_is_original: Optional[bool] = field(
+        default=None, repr=False, compare=False)
 
     @property
     def name(self) -> str:
         return self.kernel.name
+
+    @property
+    def proxy_is_original(self) -> bool:
+        """Whether the proxy's simulated input is the original's.
+
+        When every distribution of a profile is a point mass, Algorithm 1
+        samples the original stream back.  Only the fields the simulators
+        read are compared: each core's ``core_id`` and, per wave, the
+        ordered ``(warp_id, block, transactions)`` of its warps.  Where
+        this holds, every engine simulates the stream once and hands the
+        proxy a copy of the original's result.
+        """
+        if self._proxy_is_original is None:
+            self._proxy_is_original = _same_simulated_input(
+                self.original_assignments, self.proxy_assignments)
+        return self._proxy_is_original
 
     def original_flat(self) -> List[List[AccessTuple]]:
         """The original's fixed-order per-core traces (Algorithm 2 drain)."""
@@ -123,6 +142,8 @@ class BenchmarkPipeline:
 
     def proxy_flat(self) -> List[List[AccessTuple]]:
         """The proxy's fixed-order per-core traces (Algorithm 2 drain)."""
+        if self.proxy_is_original:
+            return self.original_flat()
         if self._proxy_flat is None:
             self._proxy_flat = flat_drain(self.proxy_assignments)
         return self._proxy_flat
@@ -135,6 +156,8 @@ class BenchmarkPipeline:
 
     def proxy_model(self, backend: Optional[str] = None) -> "AnalyticCacheModel":
         """Analytic reuse model over the proxy's flat traces."""
+        if self.proxy_is_original:
+            return self.original_model(backend)
         return self._model("proxy", self.proxy_flat, backend)
 
     def _model(self, stream: str, flat, backend: Optional[str]):
@@ -146,6 +169,27 @@ class BenchmarkPipeline:
             model = self._models[key] = AnalyticCacheModel.from_flat(
                 flat(), key[1])
         return model
+
+
+def _same_simulated_input(
+    original: Sequence[CoreAssignment], proxy: Sequence[CoreAssignment]
+) -> bool:
+    """Equal core ids, wave shapes and ``(warp_id, block, transactions)``."""
+    if len(original) != len(proxy):
+        return False
+    for core, other in zip(original, proxy):
+        if (core.core_id != other.core_id
+                or len(core.waves) != len(other.waves)):
+            return False
+        for wave, other_wave in zip(core.waves, other.waves):
+            if len(wave) != len(other_wave):
+                return False
+            for warp, other_warp in zip(wave, other_wave):
+                if (warp.warp_id != other_warp.warp_id
+                        or warp.block != other_warp.block
+                        or warp.transactions != other_warp.transactions):
+                    return False
+    return True
 
 
 def build_pipeline(
@@ -300,7 +344,10 @@ def simulate_pair(
     the paper's ``SchedP_self`` abstraction (section 4.5): the original run
     is simulated under the real policy, its empirical probability of
     back-to-back same-warp issue is measured, and the proxy is scheduled
-    with that probability.
+    with that probability.  Otherwise, when the pipeline's
+    :attr:`~BenchmarkPipeline.proxy_is_original` holds, the proxy's result
+    is a copy of the original's: same input, same configuration, same
+    result, simulated once.
 
     With a ``cache`` and a pipeline that carries a ``cache_key``, the whole
     result pair is memoized per configuration — a warm sweep point costs one
@@ -335,8 +382,11 @@ def simulate_pair(
     if mode == "flat":
         original = simulate_flat_trace(
             pipeline.original_flat(), config, backend=backend)
-        proxy = simulate_flat_trace(
-            pipeline.proxy_flat(), config, backend=backend)
+        if pipeline.proxy_is_original:
+            proxy = original.copy()
+        else:
+            proxy = simulate_flat_trace(
+                pipeline.proxy_flat(), config, backend=backend)
         return RunPair(config=config, original=original, proxy=proxy)
     cache = resolve_cache(cache)
     pair_key = None
@@ -352,7 +402,10 @@ def simulate_pair(
         proxy_config = config.with_(
             scheduler="schedpself", sched_p_self=original.measured_p_self
         )
-    proxy = SimtSimulator(proxy_config).run(pipeline.proxy_assignments)
+    if proxy_config == config and pipeline.proxy_is_original:
+        proxy = original.copy()
+    else:
+        proxy = SimtSimulator(proxy_config).run(pipeline.proxy_assignments)
     if cache is not None and pair_key is not None:
         cache.store_pair(pair_key, original, proxy)
     return RunPair(config=config, original=original, proxy=proxy)
@@ -401,22 +454,36 @@ def replay_sweep(
     (:class:`~repro.memsim.vectorized.FlatTraceArrays`) and fanned out to
     every configuration through
     :func:`~repro.memsim.vectorized.simulate_flat_multi` — the one-pass
-    multi-config path.  With ``backend="python"`` (or out-of-matrix
-    configurations) each config replays the scalar oracle instead,
-    bit-identical to calling :func:`simulate_pair` with
+    multi-config path.  A proxy that is the original
+    (:attr:`BenchmarkPipeline.proxy_is_original`) is not replayed again:
+    it gets copies of the original's results.  With ``backend="python"``
+    (or out-of-matrix configurations) each config replays the scalar
+    oracle instead, bit-identical to calling :func:`simulate_pair` with
     ``sim_mode="flat"`` per config.
     """
-    from repro.memsim.vectorized import simulate_flat_multi
-
-    originals = simulate_flat_multi(
-        pipeline.original_flat(), configs, backend=backend)
-    proxies = simulate_flat_multi(
-        pipeline.proxy_flat(), configs, backend=backend)
+    originals, proxies = _replay_both(pipeline, configs, backend)
     result = SweepResult(benchmark=pipeline.name)
     for config, original, proxy in zip(configs, originals, proxies):
         result.pairs.append(
             RunPair(config=config, original=original, proxy=proxy))
     return result
+
+
+def _replay_both(
+    pipeline: BenchmarkPipeline,
+    configs: Sequence[SimConfig],
+    backend: Optional[str],
+) -> Tuple[List[SimResult], List[SimResult]]:
+    """One-pass multi-config replay of both streams (once when identical)."""
+    from repro.memsim.vectorized import simulate_flat_multi
+
+    originals = simulate_flat_multi(
+        pipeline.original_flat(), configs, backend=backend)
+    if pipeline.proxy_is_original:
+        return originals, [result.copy() for result in originals]
+    proxies = simulate_flat_multi(
+        pipeline.proxy_flat(), configs, backend=backend)
+    return originals, proxies
 
 
 def analytic_sweep(
@@ -437,7 +504,6 @@ def analytic_sweep(
     replay engine.
     """
     from repro.core.cache import config_fingerprint
-    from repro.memsim.vectorized import simulate_flat_multi
 
     model = pipeline.original_model(backend)
     proxy_model = pipeline.proxy_model(backend)
@@ -461,11 +527,8 @@ def analytic_sweep(
                 analytic=True,
             )
     if fallback_indices:
-        fallback_configs = [configs[i] for i in fallback_indices]
-        originals = simulate_flat_multi(
-            pipeline.original_flat(), fallback_configs, backend=backend)
-        proxies = simulate_flat_multi(
-            pipeline.proxy_flat(), fallback_configs, backend=backend)
+        originals, proxies = _replay_both(
+            pipeline, [configs[i] for i in fallback_indices], backend)
         for index, original, proxy in zip(
             fallback_indices, originals, proxies
         ):

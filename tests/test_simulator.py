@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.gpu.executor import CoreAssignment, WarpTrace, execute_kernel
@@ -188,3 +190,24 @@ class TestResultMetrics:
         d = result.to_dict()
         assert d["l1"]["accesses"] == result.l1.accesses
         assert "row_buffer_locality" in d["dram"]
+
+    def test_copy_is_deep(self, small_config, tiny_vectoradd):
+        assignments = execute_kernel(tiny_vectoradd, small_config.num_cores)
+        source = simulate(assignments, small_config)
+        source.texture.accesses = 3
+        source.constant.hits = 2
+        source.shared_accesses = 5
+        source.barriers_crossed = 7
+        snapshot = copy.deepcopy(source)
+        duplicate = source.copy()
+        assert duplicate == source
+        assert len(duplicate.per_core_l1) == small_config.num_cores
+        for block in (duplicate.l1, duplicate.l2, duplicate.dram,
+                      duplicate.texture, duplicate.constant,
+                      *duplicate.per_core_l1):
+            for name in type(block)._FIELDS:
+                setattr(block, name, getattr(block, name) + 1)
+            assert source == snapshot
+        duplicate.per_core_l1.append(duplicate.l1)
+        assert duplicate != source
+        assert source == snapshot
