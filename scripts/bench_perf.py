@@ -337,9 +337,9 @@ def _bench_analytic(configs, num_cores: int, reps: int = ANALYTIC_REPS):
     from repro.analytical.analytic import (
         ANALYTIC_MISS_RATE_TOLERANCE,
         AnalyticCacheModel,
-        analytic_fallback_reasons,
     )
     from repro.gpu.executor import execute_kernel, flat_drain
+    from repro.memsim.capabilities import fallback_reasons
     from repro.memsim.vectorized import simulate_flat_multi
 
     kernel = suite.make(MEMSIM_BENCHMARK, scale="tiny")
@@ -382,7 +382,7 @@ def _bench_analytic(configs, num_cores: int, reps: int = ANALYTIC_REPS):
         base.with_(l2=dataclasses.replace(base.l2, replacement="random")),
     ]
     fallbacks_demonstrated = all(
-        analytic_fallback_reasons(config) and model.applicability(config)
+        fallback_reasons(config, "analytic") and model.applicability(config)
         for config in out_of_scope
     )
     return (min(times), min(scan_times), max_delta,

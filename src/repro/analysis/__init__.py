@@ -54,14 +54,15 @@ from repro.analysis.findings import (
     format_findings,
 )
 from repro.analysis.verify import (
-    verify_analytic_sweep_report,
     ProfileVerificationError,
     verify_application_payload,
+    verify_artifact_payload,
     verify_profile,
     verify_profile_file,
     verify_profile_payload,
     verify_sim_config,
     verify_sweep_configs,
+    verify_sweep_report,
     verify_trace_file,
 )
 
@@ -85,12 +86,13 @@ __all__ = [
     "lint_paths",
     "load_baseline",
     "write_baseline",
-    "verify_analytic_sweep_report",
     "verify_application_payload",
+    "verify_artifact_payload",
     "verify_profile",
     "verify_profile_file",
     "verify_profile_payload",
     "verify_sim_config",
     "verify_sweep_configs",
+    "verify_sweep_report",
     "verify_trace_file",
 ]

@@ -18,8 +18,7 @@ from typing import Any, Dict, List, Tuple
 from repro.analysis.engine import EngineConfig, lint_file
 from repro.analysis.rules import rule_ids
 from repro.analysis.verify import (
-    verify_analytic_sweep_report,
-    verify_multi_config_report,
+    verify_artifact_payload,
     verify_profile_payload,
     verify_sim_config,
 )
@@ -537,64 +536,12 @@ def _config_fixtures() -> Dict[str, Any]:
     }
 
 
-def _minimal_multi_config() -> Dict[str, Any]:
-    """A smallest well-formed one-pass multi-config report to mutate."""
-    def stats(accesses: int, hits: int) -> Dict[str, int]:
-        return {"accesses": accesses, "hits": hits, "misses": accesses - hits}
-
-    def block() -> Dict[str, Any]:
-        return {
-            "requests_issued": 8,
-            "cycles": 64.0,
-            "l1": stats(8, 2),
-            "l2": stats(6, 1),
-        }
-
-    return {
-        "format": "gmap-multi-config",
-        "schema_version": 1,
-        "target": "fixture",
-        "backend": "numpy",
-        "num_configs": 2,
-        "results": [
-            {"config": "cfg-a", "result": block()},
-            {"config": "cfg-b", "result": block()},
-        ],
-        "oracle_fallbacks": [],
-    }
-
-
-def _multi_config_fixtures() -> Dict[str, Dict[str, Any]]:
-    fixtures: Dict[str, Dict[str, Any]] = {}
-
-    bad = _minimal_multi_config()
-    bad["num_configs"] = 3
-    fixtures["multiconfig-count"] = bad
-
-    bad = _minimal_multi_config()
-    bad["results"][0]["result"]["l1"]["hits"] = 5  # 5 + 6 != 8
-    fixtures["multiconfig-totals"] = bad
-
-    bad = _minimal_multi_config()
-    bad["results"][1]["result"]["cycles"] = 99.0
-    fixtures["multiconfig-trace-mismatch"] = bad
-
-    bad = _minimal_multi_config()
-    bad["results"][0] = {"config": "cfg-a"}  # stat block dropped
-    fixtures["multiconfig-bad-block"] = bad
-
-    bad = _minimal_multi_config()
-    bad["oracle_fallbacks"] = [{"index": 7, "reasons": ["prefetch"]}]
-    fixtures["multiconfig-fallback-index"] = bad
-
-    return fixtures
-
-
-def _minimal_analytic_sweep() -> Dict[str, Any]:
+def _minimal_sweep() -> Dict[str, Any]:
     """A smallest well-formed analytic sweep artifact to mutate.
 
-    One analytic prediction plus one explained fallback — exercising both
-    sides of the two-way fallback consistency contract from a clean base.
+    One analytic prediction plus one explained fallback to the array
+    engine — exercising both sides of the two-way fallback consistency
+    contract from a clean base.
     """
     def stats(accesses: int, hits: int) -> Dict[str, int]:
         return {"accesses": accesses, "hits": hits, "misses": accesses - hits}
@@ -608,64 +555,70 @@ def _minimal_analytic_sweep() -> Dict[str, Any]:
         }
 
     return {
-        "format": "gmap-analytic-sweep",
+        "format": "gmap-sweep",
         "schema_version": 1,
         "target": "fixture",
-        "backend": "python",
+        "backend": "numpy",
+        "engine": "analytic",
         "num_configs": 2,
         "tolerance": 0.12,
         "results": [
-            {"config": "cfg-a", "result": block(), "analytic": True},
-            {"config": "cfg-b", "result": block(), "analytic": False},
+            {"config": "cfg-a", "engine": "analytic", "result": block()},
+            {"config": "cfg-b", "engine": "array", "result": block()},
         ],
-        "analytic_fallback_reasons": [
+        "fallbacks": [
             {"index": 1, "reasons": ["l1 prefetcher outside the model"]},
         ],
     }
 
 
-def _analytic_sweep_fixtures() -> Dict[str, Dict[str, Any]]:
+def _sweep_fixtures() -> Dict[str, Dict[str, Any]]:
+    """rule id -> :func:`_minimal_sweep` with one mutation that breaks it."""
     fixtures: Dict[str, Dict[str, Any]] = {}
 
-    bad = _minimal_analytic_sweep()
+    bad = _minimal_sweep()
     bad["num_configs"] = 5
-    fixtures["analytic-count"] = bad
+    fixtures["sweep-count"] = bad
 
-    bad = _minimal_analytic_sweep()
-    bad["tolerance"] = 0.0  # a zero bound can never admit a prediction
-    fixtures["analytic-tolerance"] = bad
+    bad = _minimal_sweep()
+    bad["results"][0] = {"config": "cfg-a", "engine": "analytic"}
+    fixtures["sweep-bad-block"] = bad
 
-    bad = _minimal_analytic_sweep()
+    bad = _minimal_sweep()
     bad["results"][0]["result"]["l1"]["hits"] = 5  # 5 + 6 != 8
-    fixtures["analytic-totals"] = bad
+    fixtures["sweep-totals"] = bad
 
-    bad = _minimal_analytic_sweep()
+    bad = _minimal_sweep()
     bad["results"][1]["result"]["cycles"] = 99.0
-    fixtures["analytic-trace-mismatch"] = bad
+    fixtures["sweep-trace-mismatch"] = bad
 
-    bad = _minimal_analytic_sweep()
-    bad["results"][0] = {"config": "cfg-a", "analytic": True}
-    fixtures["analytic-bad-block"] = bad
+    bad = _minimal_sweep()
+    del bad["results"][0]["engine"]
+    fixtures["sweep-engine"] = bad
 
-    bad = _minimal_analytic_sweep()
-    del bad["results"][0]["analytic"]
-    fixtures["analytic-flag"] = bad
+    bad = _minimal_sweep()
+    bad["tolerance"] = 0.0  # a zero bound can never admit a prediction
+    fixtures["sweep-tolerance"] = bad
 
-    bad = _minimal_analytic_sweep()
-    bad["analytic_fallback_reasons"] = [{"index": 9, "reasons": ["x"]}]
-    fixtures["analytic-fallback-index"] = bad
+    bad = _minimal_sweep()
+    bad["fallbacks"] = [{"index": 9, "reasons": ["x"]}]
+    fixtures["sweep-fallback-index"] = bad
 
-    bad = _minimal_analytic_sweep()
-    bad["analytic_fallback_reasons"][0]["reasons"] = []
-    fixtures["analytic-fallback-reasons"] = bad
+    bad = _minimal_sweep()
+    bad["fallbacks"][0]["reasons"] = []
+    fixtures["sweep-fallback-reasons"] = bad
 
-    bad = _minimal_analytic_sweep()
-    bad["analytic_fallback_reasons"] = []  # replayed block left unexplained
-    fixtures["analytic-fallback-unexplained"] = bad
+    bad = _minimal_sweep()
+    bad["fallbacks"] = []  # the array-engine block left unexplained
+    fixtures["sweep-fallback-unexplained"] = bad
 
-    bad = _minimal_analytic_sweep()
-    bad["results"][1]["analytic"] = True  # claims analytic, reason says no
-    fixtures["analytic-fallback-contradiction"] = bad
+    bad = _minimal_sweep()
+    bad["results"][1]["engine"] = "analytic"  # the reason says otherwise
+    fixtures["sweep-fallback-contradiction"] = bad
+
+    bad = _minimal_sweep()
+    bad["format"] = "gmap-analytic-sweep"  # a retired sweep format
+    fixtures["unknown-artifact-format"] = bad
 
     return fixtures
 
@@ -784,32 +737,17 @@ def run_self_test() -> Tuple[bool, List[str]]:
         ok &= fired
         lines.append(f"verify {rule:<23} {'OK' if fired else 'MISSING'}")
 
-    for rule, payload in sorted(_multi_config_fixtures().items()):
-        findings = verify_multi_config_report(payload, origin="<selftest>")
+    for rule, payload in sorted(_sweep_fixtures().items()):
+        findings = verify_artifact_payload(payload, origin="<selftest>")
         fired = any(f.rule == rule for f in findings)
         ok &= fired
         lines.append(f"verify {rule:<23} {'OK' if fired else 'MISSING'}")
 
-    clean_multi = not verify_multi_config_report(
-        _minimal_multi_config(), "<selftest>")
-    ok &= clean_multi
+    clean_sweep = not verify_artifact_payload(_minimal_sweep(), "<selftest>")
+    ok &= clean_sweep
     lines.append(
-        f"verify {'clean-multiconfig-passes':<23} "
-        f"{'OK' if clean_multi else 'FALSE POSITIVE'}"
-    )
-
-    for rule, payload in sorted(_analytic_sweep_fixtures().items()):
-        findings = verify_analytic_sweep_report(payload, origin="<selftest>")
-        fired = any(f.rule == rule for f in findings)
-        ok &= fired
-        lines.append(f"verify {rule:<23} {'OK' if fired else 'MISSING'}")
-
-    clean_analytic = not verify_analytic_sweep_report(
-        _minimal_analytic_sweep(), "<selftest>")
-    ok &= clean_analytic
-    lines.append(
-        f"verify {'clean-analytic-passes':<23} "
-        f"{'OK' if clean_analytic else 'FALSE POSITIVE'}"
+        f"verify {'clean-sweep-passes':<23} "
+        f"{'OK' if clean_sweep else 'FALSE POSITIVE'}"
     )
 
     det_ok, det_lines = _memsim_determinism_lines()

@@ -252,7 +252,7 @@ def verify_profile(profile: Any, origin: Optional[str] = None) -> List[Finding]:
 
 
 def verify_profile_file(path: PathLike) -> List[Finding]:
-    """Verify a profile artifact on disk (kernel or application layout).
+    """Verify a JSON artifact on disk: a profile or a sweep report.
 
     Checksum validation happens first (as in normal loading); a corrupt
     file yields a single ``corrupt-artifact`` finding rather than an
@@ -269,255 +269,156 @@ def verify_profile_file(path: PathLike) -> List[Finding]:
         return [_finding("corrupt-artifact", origin, str(exc))]
     except (OSError, ValueError) as exc:
         return [_finding("unreadable-artifact", origin, f"cannot read: {exc}")]
-    if payload.get("format") == "gmap-multi-config":
-        return verify_multi_config_report(payload, origin)
-    if payload.get("format") == "gmap-analytic-sweep":
-        return verify_analytic_sweep_report(payload, origin)
+    return verify_artifact_payload(payload, origin)
+
+
+#: Artifact format tag of sweep reports
+#: (:data:`repro.memsim.simulator.SWEEP_FORMAT`).
+SWEEP_FORMAT = "gmap-sweep"
+
+#: ``format`` tags of the JSON artifacts ``gmap check`` knows; profiles
+#: carry no tag.
+KNOWN_ARTIFACT_FORMATS = (SWEEP_FORMAT,)
+
+#: Sweep engines in fallback order: a config only ever falls back down.
+SWEEP_ENGINES = ("analytic", "array", "oracle")
+
+
+def verify_artifact_payload(
+    payload: Mapping[str, Any], origin: str
+) -> List[Finding]:
+    """Dispatch a JSON artifact payload to its verifier by ``format`` tag.
+
+    Untagged payloads are profiles (kernel or application layout).  A
+    ``gmap-*`` tag that names no known artifact — a retired format, or a
+    newer one this build cannot read — yields one
+    ``unknown-artifact-format`` finding instead of profile findings that
+    would misdescribe the file.
+    """
+    tag = payload.get("format")
+    if tag == SWEEP_FORMAT:
+        return verify_sweep_report(payload, origin)
+    if isinstance(tag, str) and tag.startswith("gmap-"):
+        return [_finding(
+            "unknown-artifact-format", origin,
+            f"format {tag!r} is not a known artifact (known: "
+            f"{list(KNOWN_ARTIFACT_FORMATS)}); regenerate it with this build")]
     if "kernels" in payload:
         return verify_application_payload(payload, origin)
     return verify_profile_payload(payload, origin)
 
 
-def verify_multi_config_report(
+def verify_sweep_report(
     data: Mapping[str, Any], origin: str
 ) -> List[Finding]:
-    """Validate the per-config stat blocks of a one-pass multi-config run.
+    """Validate a sweep artifact (``gmap-sweep``).
 
-    The report (:func:`repro.memsim.simulator.multi_config_report`) replays
-    ONE fixed-order trace under N configurations, so two families of
-    invariants must hold across its ``results`` blocks:
+    The report (:func:`repro.memsim.simulator.sweep_report`) runs ONE
+    fixed-order trace under N configurations, so its ``results`` blocks
+    must satisfy:
 
-    * **count** — ``num_configs`` matches the number of emitted blocks, and
-      every ``oracle_fallbacks`` index points at one of them;
-    * **trace identity** — the request total and the replay cycle count are
-      properties of the trace, not the cache geometry: every block must
-      report the same ``requests_issued`` and ``cycles``.  (Per-level
-      access counts legitimately differ — sector splitting depends on the
-      config's line size — but within each block hits + misses must equal
-      accesses.)
+    * **count** — ``num_configs`` matches the number of emitted blocks;
+    * **stat blocks** — each carries ``l1``/``l2`` blocks whose hits +
+      misses equal accesses;
+    * **trace identity** — the request total and the replay cycle count
+      are properties of the trace, not the cache geometry: every block
+      (prediction or replay) reports the same ``requests_issued`` and
+      ``cycles``.  Per-level access counts legitimately differ — sector
+      splitting depends on the config's line size;
+    * **engines** — the report's requested ``engine`` and every result's
+      ``engine`` are known, and no result ran on an engine *above* the
+      requested one in the ``analytic → array → oracle`` chain; a
+      ``tolerance`` in (0, 1] is present iff the sweep is analytic;
+    * **fallbacks** — two-way consistency: a result ran on an engine other
+      than the requested one **iff** a ``fallbacks`` entry with a
+      non-empty reason list explains its index.
     """
     findings: List[Finding] = []
+
+    def flag(rule: str, message: str) -> None:
+        findings.append(_finding(rule, origin, message))
+
     results = data.get("results", [])
-    declared = data.get("num_configs")
     if not isinstance(results, list) or not results:
-        findings.append(
-            _finding(
-                "multiconfig-count", origin,
-                "report has no per-config result blocks",
-            )
-        )
+        flag("sweep-count", "report has no per-config result blocks")
         return findings
-    if declared != len(results):
-        findings.append(
-            _finding(
-                "multiconfig-count", origin,
-                f"num_configs declares {declared!r} but the report emits "
-                f"{len(results)} stat blocks",
-            )
-        )
-    blocks: List[Mapping[str, Any]] = []
-    for index, entry in enumerate(results):
-        block = entry.get("result") if isinstance(entry, Mapping) else None
-        if not isinstance(block, Mapping):
-            findings.append(
-                _finding(
-                    "multiconfig-bad-block", origin,
-                    f"results[{index}] carries no result stat block",
-                )
-            )
-            continue
-        blocks.append(block)
-        for level in ("l1", "l2"):
-            stats = block.get(level)
-            if not isinstance(stats, Mapping):
-                findings.append(
-                    _finding(
-                        "multiconfig-bad-block", origin,
-                        f"results[{index}] has no {level} stat block",
-                    )
-                )
-                continue
-            accesses = stats.get("accesses", 0)
-            hits = stats.get("hits", 0)
-            misses = stats.get("misses", 0)
-            if hits + misses != accesses:
-                findings.append(
-                    _finding(
-                        "multiconfig-totals", origin,
-                        f"results[{index}].{level}: hits {hits} + misses "
-                        f"{misses} != accesses {accesses}",
-                    )
-                )
-    for key in ("requests_issued", "cycles"):
-        values = {block.get(key) for block in blocks}
-        if len(values) > 1:
-            findings.append(
-                _finding(
-                    "multiconfig-trace-mismatch", origin,
-                    f"{key} differs across configs of the same trace: "
-                    f"{sorted(values, key=repr)[:4]} — the one-pass run "
-                    f"did not replay one identical access stream",
-                )
-            )
-    for fallback in data.get("oracle_fallbacks", []):
-        index = fallback.get("index") if isinstance(fallback, Mapping) else None
-        if not isinstance(index, int) or not 0 <= index < len(results):
-            findings.append(
-                _finding(
-                    "multiconfig-fallback-index", origin,
-                    f"oracle_fallbacks entry {fallback!r} does not point at "
-                    f"an emitted config block",
-                )
-            )
-    return findings
-
-
-def verify_analytic_sweep_report(
-    data: Mapping[str, Any], origin: str
-) -> List[Finding]:
-    """Validate an analytic sweep artifact (``gmap-analytic-sweep``).
-
-    The report (:func:`repro.analytical.analytic.analytic_sweep_report`)
-    predicts N configurations from one trace's reuse profiles, replaying
-    the out-of-model ones.  Beyond the multi-config invariants (count,
-    stat-block totals, trace identity — predictions and replays of one
-    trace must agree on ``requests_issued`` and ``cycles``), the analytic
-    contract adds a two-way fallback consistency requirement: a block is
-    marked ``analytic: false`` **iff** the ``analytic_fallback_reasons``
-    matrix records a non-empty reason list for its index — an unexplained
-    replay and a reason pointing at an analytic block are both findings.
-    """
-    findings: List[Finding] = []
-    results = data.get("results", [])
-    declared = data.get("num_configs")
-    if not isinstance(results, list) or not results:
-        findings.append(
-            _finding(
-                "analytic-count", origin,
-                "report has no per-config result blocks",
-            )
-        )
-        return findings
-    if declared != len(results):
-        findings.append(
-            _finding(
-                "analytic-count", origin,
-                f"num_configs declares {declared!r} but the report emits "
-                f"{len(results)} stat blocks",
-            )
-        )
+    if data.get("num_configs") != len(results):
+        flag("sweep-count", f"num_configs declares {data.get('num_configs')!r} "
+             f"but the report emits {len(results)} stat blocks")
+    requested = data.get("engine")
+    if requested not in SWEEP_ENGINES:
+        flag("sweep-engine", f"requested engine {requested!r} is not one of "
+             f"{list(SWEEP_ENGINES)}")
+        requested = None
     tolerance = data.get("tolerance")
-    if not isinstance(tolerance, (int, float)) or not 0 < tolerance <= 1:
-        findings.append(
-            _finding(
-                "analytic-tolerance", origin,
-                f"tolerance {tolerance!r} is not a miss-rate bound in (0, 1]",
-            )
-        )
+    if requested == "analytic" and (
+            not isinstance(tolerance, (int, float)) or not 0 < tolerance <= 1):
+        flag("sweep-tolerance",
+             f"tolerance {tolerance!r} is not a miss-rate bound in (0, 1]")
+    elif requested not in (None, "analytic") and "tolerance" in data:
+        flag("sweep-tolerance", f"an {requested} sweep makes no predictions "
+             f"but declares tolerance {tolerance!r}")
     blocks: List[Mapping[str, Any]] = []
-    replayed: set[int] = set()
+    fell_back: Dict[int, Any] = {}
     for index, entry in enumerate(results):
-        if not isinstance(entry, Mapping):
-            findings.append(
-                _finding(
-                    "analytic-bad-block", origin,
-                    f"results[{index}] is not a result entry",
-                )
-            )
-            continue
-        flag = entry.get("analytic")
-        if not isinstance(flag, bool):
-            findings.append(
-                _finding(
-                    "analytic-flag", origin,
-                    f"results[{index}].analytic is {flag!r}, not a boolean "
-                    f"— the artifact must say which engine produced each "
-                    f"block",
-                )
-            )
-        elif not flag:
-            replayed.add(index)
+        entry = entry if isinstance(entry, Mapping) else {}
+        engine = entry.get("engine")
+        if engine not in SWEEP_ENGINES:
+            flag("sweep-engine", f"results[{index}].engine is {engine!r}, not "
+                 f"one of {list(SWEEP_ENGINES)}")
+        elif requested is not None and engine != requested:
+            if SWEEP_ENGINES.index(engine) < SWEEP_ENGINES.index(requested):
+                flag("sweep-engine", f"results[{index}] ran on {engine!r}, "
+                     f"above the requested {requested!r} engine")
+            fell_back[index] = engine
         block = entry.get("result")
         if not isinstance(block, Mapping):
-            findings.append(
-                _finding(
-                    "analytic-bad-block", origin,
-                    f"results[{index}] carries no result stat block",
-                )
-            )
+            flag("sweep-bad-block",
+                 f"results[{index}] carries no result stat block")
             continue
         blocks.append(block)
         for level in ("l1", "l2"):
             stats = block.get(level)
             if not isinstance(stats, Mapping):
-                findings.append(
-                    _finding(
-                        "analytic-bad-block", origin,
-                        f"results[{index}] has no {level} stat block",
-                    )
-                )
+                flag("sweep-bad-block",
+                     f"results[{index}] has no {level} stat block")
                 continue
             accesses = stats.get("accesses", 0)
             hits = stats.get("hits", 0)
             misses = stats.get("misses", 0)
             if hits + misses != accesses:
-                findings.append(
-                    _finding(
-                        "analytic-totals", origin,
-                        f"results[{index}].{level}: hits {hits} + misses "
-                        f"{misses} != accesses {accesses}",
-                    )
-                )
+                flag("sweep-totals", f"results[{index}].{level}: hits {hits} "
+                     f"+ misses {misses} != accesses {accesses}")
     for key in ("requests_issued", "cycles"):
         values = {block.get(key) for block in blocks}
         if len(values) > 1:
-            findings.append(
-                _finding(
-                    "analytic-trace-mismatch", origin,
-                    f"{key} differs across configs of the same trace: "
-                    f"{sorted(values, key=repr)[:4]} — predictions and "
-                    f"fallback replays must describe one access stream",
-                )
-            )
+            flag("sweep-trace-mismatch",
+                 f"{key} differs across configs of the same trace: "
+                 f"{sorted(values, key=repr)[:4]} — every block must "
+                 f"describe one identical access stream")
     explained: set[int] = set()
-    for fallback in data.get("analytic_fallback_reasons", []):
+    for fallback in data.get("fallbacks", []):
         index = fallback.get("index") if isinstance(fallback, Mapping) else None
         if not isinstance(index, int) or not 0 <= index < len(results):
-            findings.append(
-                _finding(
-                    "analytic-fallback-index", origin,
-                    f"analytic_fallback_reasons entry {fallback!r} does not "
-                    f"point at an emitted config block",
-                )
-            )
+            flag("sweep-fallback-index", f"fallbacks entry {fallback!r} does "
+                 f"not point at an emitted config block")
             continue
         reasons = fallback.get("reasons")
         if (not isinstance(reasons, list) or not reasons
                 or not all(isinstance(r, str) and r for r in reasons)):
-            findings.append(
-                _finding(
-                    "analytic-fallback-reasons", origin,
-                    f"analytic_fallback_reasons[{index}] must carry a "
-                    f"non-empty list of reason strings, got {reasons!r}",
-                )
-            )
+            flag("sweep-fallback-reasons", f"fallbacks[{index}] must carry a "
+                 f"non-empty list of reason strings, got {reasons!r}")
         explained.add(index)
-    for index in sorted(replayed - explained):
-        findings.append(
-            _finding(
-                "analytic-fallback-unexplained", origin,
-                f"results[{index}] fell back to replay but no "
-                f"analytic_fallback_reasons entry explains why",
-            )
-        )
-    for index in sorted(explained - replayed):
-        findings.append(
-            _finding(
-                "analytic-fallback-contradiction", origin,
-                f"analytic_fallback_reasons[{index}] records a fallback but "
-                f"results[{index}] claims an analytic prediction",
-            )
-        )
+    if requested is None:
+        return findings
+    for index in sorted(set(fell_back) - explained):
+        flag("sweep-fallback-unexplained", f"results[{index}] ran on "
+             f"{fell_back[index]!r} instead of the requested {requested!r} "
+             f"engine but no fallbacks entry explains why")
+    for index in sorted(explained - set(fell_back)):
+        flag("sweep-fallback-contradiction", f"fallbacks records a fallback "
+             f"for config {index} but results[{index}] claims the requested "
+             f"{requested!r} engine")
     return findings
 
 

@@ -27,9 +27,6 @@ L1 *and* L2 sweep points in O(histogram) — the engine behind
 from repro.analytical.analytic import (
     ANALYTIC_MISS_RATE_TOLERANCE,
     AnalyticCacheModel,
-    AnalyticUnsupportedError,
-    analytic_fallback_reasons,
-    analytic_sweep_report,
 )
 from repro.analytical.profile_model import StackDistanceProfile
 from repro.analytical.tang import TangL1Model
@@ -38,10 +35,7 @@ from repro.analytical.nugteren import NugterenL1Model
 __all__ = [
     "ANALYTIC_MISS_RATE_TOLERANCE",
     "AnalyticCacheModel",
-    "AnalyticUnsupportedError",
     "StackDistanceProfile",
     "TangL1Model",
     "NugterenL1Model",
-    "analytic_fallback_reasons",
-    "analytic_sweep_report",
 ]

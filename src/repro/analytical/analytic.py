@@ -21,10 +21,10 @@ per configuration.  Two model sources share the predictor:
   the zero-trace estimator, fully associative plus the binomial
   set-conflict correction, rough by construction.
 
-What the model *cannot* capture falls back to simulation per config:
-:func:`analytic_fallback_reasons` mirrors the array memsim's
-``memsim_fallback_reasons`` contract (prefetchers, non-LRU replacement,
-write-through/no-allocate policies, inclusive L2), and
+What the model *cannot* capture falls back to simulation per config: the
+capability table's ``analytic`` rows (:mod:`repro.memsim.capabilities`:
+prefetchers, non-LRU replacement, write-through/no-allocate policies,
+inclusive L2, associativity beyond the tracked stack depth), and
 :meth:`AnalyticCacheModel.applicability` adds model-state reasons
 (granularities not profiled, texture/constant-space traffic).  Timing-side
 outputs (DRAM service, MSHR occupancy, stall latencies) are out of model
@@ -48,6 +48,11 @@ from repro.core.profile import GmapProfile
 from repro.core.reuse import set_index, set_stack_distances
 from repro.gpu.instructions import AccessTuple
 from repro.gpu.memspace import MemorySpace, region_bounds, space_of
+from repro.memsim.capabilities import (
+    TRACKED_SET_DEPTH,
+    UnsupportedConfigError,
+    fallback_reasons,
+)
 from repro.memsim.config import CacheConfig, SimConfig
 from repro.memsim.stats import CacheStats, DramStats, SimResult
 from repro.memsim.vectorized import decode_records
@@ -57,75 +62,12 @@ try:  # numpy is optional; the scalar scan never needs it.
 except ImportError:  # pragma: no cover - depends on the environment
     np = None  # type: ignore[assignment]
 
-#: Artifact format tag and schema version of analytic sweep reports.
-ANALYTIC_FORMAT = "gmap-analytic-sweep"
-ANALYTIC_SCHEMA_VERSION = 1
-
 #: Stated per-point |Δ miss-rate| envelope vs the event simulator for
 #: analytically-predicted points (the bench_perf.py schema-v5 gate bound).
 ANALYTIC_MISS_RATE_TOLERANCE = 0.12
 
-#: Per-set LRU stacks are tracked to this depth; deeper reuses collapse
-#: into one ≥-depth bucket (they miss at any tracked associativity).
-TRACKED_SET_DEPTH = 4096
-
 #: Histogram bucket for set distances beyond :data:`TRACKED_SET_DEPTH`.
 _BEYOND_DEPTH = 1 << 30
-
-
-class AnalyticUnsupportedError(ValueError):
-    """A config (or model state) the analytic predictor cannot capture.
-
-    Mirrors :class:`repro.memsim.vectorized.UnsupportedConfigError`:
-    carries the machine-readable ``reasons`` the caller records in the
-    ``analytic_fallback_reasons`` matrix before falling back to replay.
-    """
-
-    def __init__(self, reasons: Sequence[str]) -> None:
-        self.reasons: List[str] = list(reasons)
-        super().__init__(
-            "config outside the analytic model: " + "; ".join(self.reasons)
-        )
-
-
-def analytic_fallback_reasons(config: SimConfig) -> List[str]:
-    """Config-level features that force a fallback to replay simulation.
-
-    The analytic contract is the memsim matrix plus the timing-coupled
-    features reuse-distance theory cannot see: prefetchers rewrite the
-    demand stream, MSHR-starved L1s stall rather than miss differently
-    (miss *counts* stay exact, so tiny MSHR files stay in scope), and
-    non-LRU replacement has no stack-distance formulation.
-    """
-    reasons: List[str] = []
-    if config.l1_prefetcher is not None or config.l2_prefetcher is not None:
-        reasons.append(
-            "prefetchers rewrite the demand stream beyond reuse-distance "
-            "reach"
-        )
-    for level, cache in (("l1", config.l1), ("l2", config.l2)):
-        if cache.replacement != "lru":
-            reasons.append(
-                f"{level} replacement {cache.replacement!r} has no "
-                f"stack-distance formulation"
-            )
-        if cache.write_policy != "write-back" or not cache.write_allocate:
-            reasons.append(
-                f"{level} write policy "
-                f"{cache.write_policy}/allocate={cache.write_allocate} "
-                f"bypasses the LRU stack"
-            )
-        if cache.assoc > TRACKED_SET_DEPTH:
-            reasons.append(
-                f"{level} associativity {cache.assoc} exceeds the tracked "
-                f"stack depth {TRACKED_SET_DEPTH}"
-            )
-    if config.l2_inclusion != "non-inclusive":
-        reasons.append(
-            f"{config.l2_inclusion} L2 back-invalidates L1 lines outside "
-            f"the stack model"
-        )
-    return reasons
 
 
 def _expand_lines(
@@ -668,11 +610,11 @@ class AnalyticCacheModel:
     def applicability(self, config: SimConfig) -> List[str]:
         """Every reason ``config`` cannot be predicted by *this* model.
 
-        Config-level reasons (:func:`analytic_fallback_reasons`) plus
-        model-state ones: a granularity the profiles were not collected
-        at, or trace traffic that routes around the modelled L1/L2 pair.
+        The capability table's ``analytic`` rows plus model-state
+        reasons: a granularity the profiles were not collected at, or
+        trace traffic that routes around the modelled L1/L2 pair.
         """
-        reasons = analytic_fallback_reasons(config)
+        reasons = fallback_reasons(config, "analytic")
         if self._cores is None:
             collected = tuple((self.l2_profile or StackDistanceProfile()).line_sizes)
             for level, cache in (("l1", config.l1), ("l2", config.l2)):
@@ -693,13 +635,13 @@ class AnalyticCacheModel:
     def predict(self, config: SimConfig) -> SimResult:
         """O(histogram) miss-rate prediction as a ``SimResult``.
 
-        Raises :class:`AnalyticUnsupportedError` (reasons attached) for
-        configs outside the model; callers record the reasons and fall
-        back to replay.
+        Raises :class:`~repro.memsim.capabilities.UnsupportedConfigError`
+        (reasons attached) for configs outside the model; callers record
+        the reasons and fall back to replay.
         """
         reasons = self.applicability(config)
         if reasons:
-            raise AnalyticUnsupportedError(reasons)
+            raise UnsupportedConfigError(reasons)
         if self._cores is not None:
             return self._predict_flat(config)
         return self._predict_profile(config)
@@ -954,54 +896,3 @@ def required_line_sizes(configs: Iterable[SimConfig]) -> Tuple[int, ...]:
         sizes.add(config.l1.line_size)
         sizes.add(config.l2.line_size)
     return tuple(sorted(sizes)) or DEFAULT_LINE_SIZES
-
-
-def analytic_sweep_report(
-    per_core_traces: Sequence[Sequence[AccessTuple]],
-    configs: Sequence[SimConfig],
-    backend: Optional[str] = None,
-    target: str = "<trace>",
-    model: Optional[AnalyticCacheModel] = None,
-) -> dict:
-    """Analytic sweep artifact, mirroring ``multi_config_report``.
-
-    Configs inside the model predict in O(histogram); the rest replay on
-    the flat simulator (array backend where it applies), each with its
-    reasons recorded in the ``analytic_fallback_reasons`` matrix — the
-    analytic twin of the memsim report's ``oracle_fallbacks`` contract.
-    """
-    from repro.core.backend import resolve_backend
-    from repro.core.cache import config_fingerprint
-    from repro.memsim.simulator import simulate_flat_trace
-
-    resolved = resolve_backend(backend)
-    if model is None:
-        model = AnalyticCacheModel.from_flat(per_core_traces, resolved)
-    results = []
-    fallbacks = []
-    for index, config in enumerate(configs):
-        reasons = model.applicability(config)
-        if reasons:
-            result = simulate_flat_trace(per_core_traces, config, resolved)
-            fallbacks.append({"index": index, "reasons": reasons})
-            analytic = False
-        else:
-            result = model.predict(config)
-            analytic = True
-        results.append(
-            {
-                "config": config_fingerprint(config),
-                "result": result.to_dict(),
-                "analytic": analytic,
-            }
-        )
-    return {
-        "format": ANALYTIC_FORMAT,
-        "schema_version": ANALYTIC_SCHEMA_VERSION,
-        "target": target,
-        "backend": resolved,
-        "num_configs": len(configs),
-        "tolerance": ANALYTIC_MISS_RATE_TOLERANCE,
-        "results": results,
-        "analytic_fallback_reasons": fallbacks,
-    }

@@ -110,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "the reduced one")
     p.add_argument("--out", default=None,
                    help="with --sweep: write the per-config stat blocks as "
-                        "a JSON report (validated by 'gmap check')")
+                        "a gmap-sweep JSON report (validated by 'gmap check')")
     _add_common(p)
 
     p = sub.add_parser("validate", help="original-vs-proxy accuracy for one figure")
@@ -510,7 +510,7 @@ def _cmd_simulate_sweep(args, assignments, label: str) -> int:
     import json
 
     from repro.gpu.executor import flat_drain
-    from repro.memsim.simulator import multi_config_report
+    from repro.memsim.simulator import sweep_report
     from repro.validation import sweeps as sweep_grids
 
     grids = {"l1": sweep_grids.l1_sweep, "l2": sweep_grids.l2_sweep}
@@ -518,34 +518,21 @@ def _cmd_simulate_sweep(args, assignments, label: str) -> int:
         config.with_(num_cores=args.cores)
         for config in grids[args.sweep](reduced=not args.full)
     ]
-    if args.analytic:
-        from repro.analytical.analytic import analytic_sweep_report
-
-        report = analytic_sweep_report(
-            flat_drain(assignments), configs, backend=args.backend,
-            target=label)
-        mode = "analytic"
-    else:
-        report = multi_config_report(
-            flat_drain(assignments), configs, backend=args.backend,
-            target=label)
-        mode = "one-pass"
-    print(f"== {label}: {mode} {args.sweep} sweep, "
+    report = sweep_report(
+        flat_drain(assignments), configs, backend=args.backend,
+        target=label, analytic=args.analytic)
+    requested = report["engine"]
+    print(f"== {label}: {requested} {args.sweep} sweep, "
           f"{report['num_configs']} configs, backend={report['backend']}")
     for entry in report["results"]:
         block = entry["result"]
-        marker = "*" if entry.get("analytic") else " "
+        marker = " " if entry["engine"] == requested else "*"
         print(f" {marker}{entry['config'][:12]}  "
               f"L1 {block['l1']['misses']:>8}/{block['l1']['accesses']:<8} "
               f"L2 {block['l2']['misses']:>8}/{block['l2']['accesses']:<8} "
-              f"cycles {block['cycles']:.0f}")
-    if args.analytic and any(e.get("analytic") for e in report["results"]):
-        print("  (* = analytic prediction)")
-    for fallback in report.get("oracle_fallbacks", []):
-        print(f"  config[{fallback['index']}] ran on the oracle: "
-              + "; ".join(fallback["reasons"]))
-    for fallback in report.get("analytic_fallback_reasons", []):
-        print(f"  config[{fallback['index']}] fell back to replay: "
+              f"cycles {block['cycles']:.0f}  {entry['engine']}")
+    for fallback in report["fallbacks"]:
+        print(f"  *config[{fallback['index']}] fell back from {requested}: "
               + "; ".join(fallback["reasons"]))
     if args.out:
         from pathlib import Path

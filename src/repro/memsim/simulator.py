@@ -334,13 +334,11 @@ def simulate_flat_trace(
     from repro.core.backend import resolve_backend
 
     if resolve_backend(backend) == "numpy":
-        from repro.memsim import vectorized
+        from repro.memsim.vectorized import simulate_flat_runs
 
-        if vectorized.np is not None:
-            try:
-                return vectorized.simulate_flat_numpy(per_core_traces, config)
-            except vectorized.UnsupportedConfigError:
-                pass  # out-of-matrix config: replay the oracle below
+        # Configs the array engine declines come back through the python
+        # path below.
+        return simulate_flat_runs(per_core_traces, [config], "numpy")[0][1]
     hierarchy = MemoryHierarchy(config)
     clocks = [0.0] * len(per_core_traces)
     cursors = [0] * len(per_core_traces)
@@ -376,51 +374,79 @@ def simulate_flat_trace(
     )
 
 
-#: Artifact format tag and schema version of one-pass multi-config reports.
-MULTI_CONFIG_FORMAT = "gmap-multi-config"
-MULTI_CONFIG_SCHEMA_VERSION = 1
+#: Artifact format tag and schema version of sweep reports.
+SWEEP_FORMAT = "gmap-sweep"
+SWEEP_SCHEMA_VERSION = 1
 
 
-def multi_config_report(
+def sweep_report(
     per_core_traces: Sequence[Sequence[AccessTuple]],
     configs: Sequence[SimConfig],
     backend: Optional[str] = None,
     target: str = "<trace>",
+    analytic: bool = False,
 ) -> dict:
-    """One-pass multi-config flat replay, as a JSON-serialisable report.
+    """One flat trace under N configurations, as the ``gmap-sweep`` artifact.
 
-    The report is the artifact form of :func:`simulate_flat_multi`'s
-    per-config stat blocks; ``gmap check`` validates it with
-    :func:`repro.analysis.verify.verify_multi_config_report` (config count
-    matches, trace-level totals identical across configs).
-    ``oracle_fallbacks`` lists, per config index, the configuration-level
-    reasons the array backend declined (empty when every config ran on the
-    requested backend's fast path).
+    The report's ``engine`` is the engine requested: ``analytic`` with
+    ``analytic=True`` (O(histogram) predictions from the trace's reuse
+    profiles), otherwise ``array`` on the numpy backend and ``oracle`` on
+    the python one.  Every config the requested engine refuses runs one
+    step down the chain, and all of them replay together in one
+    :func:`~repro.memsim.vectorized.simulate_flat_runs` pass.  Each result
+    names the engine that produced it; ``fallbacks`` lists, per config
+    index, the reasons the engines acted on when they declined it.
+    ``tolerance`` (the stated miss-rate envelope of predictions) appears
+    only on analytic sweeps.  ``gmap check`` validates the artifact with
+    :func:`repro.analysis.verify.verify_sweep_report`.
     """
     from repro.core.backend import resolve_backend
     from repro.core.cache import config_fingerprint
-    from repro.memsim.vectorized import (
-        memsim_fallback_reasons,
-        simulate_flat_multi,
-    )
+    from repro.memsim.capabilities import merge_reasons
+    from repro.memsim.vectorized import simulate_flat_runs
 
     resolved = resolve_backend(backend)
-    results = simulate_flat_multi(per_core_traces, configs, backend=resolved)
-    fallbacks = []
-    if resolved == "numpy":
-        for index, config in enumerate(configs):
-            reasons = memsim_fallback_reasons(config)
-            if reasons:
-                fallbacks.append({"index": index, "reasons": reasons})
-    return {
-        "format": MULTI_CONFIG_FORMAT,
-        "schema_version": MULTI_CONFIG_SCHEMA_VERSION,
+    ran: Dict[int, Tuple[str, SimResult]] = {}
+    reasons: Dict[int, List[str]] = {}
+    replay = list(range(len(configs)))
+    report: dict = {
+        "format": SWEEP_FORMAT,
+        "schema_version": SWEEP_SCHEMA_VERSION,
         "target": target,
         "backend": resolved,
+        "engine": "array" if resolved == "numpy" else "oracle",
         "num_configs": len(configs),
-        "results": [
-            {"config": config_fingerprint(config), "result": result.to_dict()}
-            for config, result in zip(configs, results)
-        ],
-        "oracle_fallbacks": fallbacks,
     }
+    if analytic:
+        from repro.analytical.analytic import (
+            ANALYTIC_MISS_RATE_TOLERANCE,
+            AnalyticCacheModel,
+        )
+
+        model = AnalyticCacheModel.from_flat(per_core_traces, resolved)
+        replay = []
+        for index, config in enumerate(configs):
+            refused = model.applicability(config)
+            if refused:
+                replay.append(index)
+                reasons[index] = refused
+            else:
+                ran[index] = ("analytic", model.predict(config))
+        report["engine"] = "analytic"
+        report["tolerance"] = ANALYTIC_MISS_RATE_TOLERANCE
+    runs = simulate_flat_runs(
+        per_core_traces, [configs[i] for i in replay], resolved)
+    for index, (engine, result, refused) in zip(replay, runs):
+        ran[index] = (engine, result)
+        if refused:
+            reasons[index] = merge_reasons(reasons.get(index, []), refused)
+    report["results"] = [
+        {"config": config_fingerprint(config), "engine": ran[index][0],
+         "result": ran[index][1].to_dict()}
+        for index, config in enumerate(configs)
+    ]
+    report["fallbacks"] = [
+        {"index": index, "reasons": reasons[index]}
+        for index in sorted(reasons)
+    ]
+    return report

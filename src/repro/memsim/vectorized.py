@@ -28,11 +28,13 @@ bounded scalar window:
    *miss* stream the array phases produced — the part of the trace where
    ordering actually matters.
 
-Configurations outside the supported matrix (prefetchers, non-LRU
-replacement, write-through/no-allocate policies, inclusive L2, or traffic
-into a configured texture/constant cache) fall back to the python oracle —
-detected from :class:`~repro.memsim.config.SimConfig` and the decoded
-trace, never guessed.  See ``docs/performance.md`` for the full matrix.
+Configurations the capability table
+(:mod:`repro.memsim.capabilities`) refuses for the ``array`` engine
+(prefetchers, non-LRU replacement, write-through/no-allocate policies,
+inclusive L2), and traces with traffic into a configured texture/constant
+cache, fall back to the python oracle — detected from
+:class:`~repro.memsim.config.SimConfig` and the decoded trace, never
+guessed.  See ``docs/performance.md`` for the full matrix.
 
 On top of the shared phases, :func:`simulate_flat_multi` runs **one-pass
 multi-config sweeps**: a single decode + order resolution fans out to N
@@ -60,6 +62,7 @@ from repro.gpu.memspace import (
     TEXTURE_BASE,
     TEXTURE_SIZE,
 )
+from repro.memsim.capabilities import UnsupportedConfigError, fallback_reasons
 from repro.memsim.config import SimConfig
 from repro.memsim.dram import DramModel
 from repro.memsim.stats import CacheStats, SimResult
@@ -68,51 +71,6 @@ try:  # numpy is optional; the python oracle never needs it.
     import numpy as np
 except ImportError:  # pragma: no cover - depends on the environment
     np = None  # type: ignore[assignment]
-
-
-class UnsupportedConfigError(ValueError):
-    """The configuration (or trace) needs the scalar oracle.
-
-    Carries the fallback reasons so callers can report *why* the array
-    path declined — the service degradation layer and ``gmap check``
-    surface these verbatim.
-    """
-
-    def __init__(self, reasons: Sequence[str]) -> None:
-        super().__init__(
-            "array memsim backend cannot simulate this configuration: "
-            + "; ".join(reasons)
-        )
-        self.reasons = list(reasons)
-
-
-def memsim_fallback_reasons(config: SimConfig) -> List[str]:
-    """Configuration features that force the scalar oracle.
-
-    This is the hybrid fallback matrix: each entry names a ``SimConfig``
-    feature whose semantics depend on exact event ordering (or on state
-    the array phases do not model).  An empty list means the array path
-    can run — subject to the *trace-level* check in
-    :meth:`FlatTraceArrays.fallback_reasons` (texture/constant traffic).
-    """
-    reasons: List[str] = []
-    if config.l1_prefetcher is not None or config.l2_prefetcher is not None:
-        reasons.append("prefetchers require exact event ordering")
-    for level, cache in (("l1", config.l1), ("l2", config.l2)):
-        if cache.replacement != "lru":
-            reasons.append(
-                f"{level} replacement {cache.replacement!r} is not "
-                f"vectorized (process-seeded RNG / FIFO stamps)"
-            )
-        if cache.write_policy != "write-back" or not cache.write_allocate:
-            reasons.append(
-                f"{level} write policy "
-                f"{cache.write_policy}/allocate={cache.write_allocate} "
-                f"is not vectorized"
-            )
-    if config.l2_inclusion != "non-inclusive":
-        reasons.append("inclusive L2 back-invalidation requires the oracle")
-    return reasons
 
 
 def decode_records(trace: Sequence[AccessTuple], core: int = 0):
@@ -201,8 +159,12 @@ class FlatTraceArrays:
         self._l1_mask = (self.pc >= 0) & ~shared
 
     def fallback_reasons(self, config: SimConfig) -> List[str]:
-        """Config + trace features that force the scalar oracle."""
-        reasons = memsim_fallback_reasons(config)
+        """Config + trace features that force the scalar oracle.
+
+        The capability table's ``array`` rows, plus traffic into a
+        configured texture/constant cache (a property of the trace).
+        """
+        reasons = fallback_reasons(config, "array")
         address = self.address
         if config.texture_cache is not None and len(address):
             tex = (address >= TEXTURE_BASE) & (
@@ -956,7 +918,7 @@ def simulate_flat_arrays(
     """Array-phase simulation of one decoded trace under one config.
 
     Raises :class:`UnsupportedConfigError` when the config or trace needs
-    the scalar oracle (see :func:`memsim_fallback_reasons`).
+    the scalar oracle (see :meth:`FlatTraceArrays.fallback_reasons`).
     """
     if np is None:  # pragma: no cover - depends on the environment
         raise RuntimeError("simulate_flat_arrays requires numpy")
@@ -1008,34 +970,52 @@ def simulate_flat_numpy(
     return simulate_flat_arrays(FlatTraceArrays(per_core_traces), config)
 
 
+def simulate_flat_runs(
+    per_core_traces: Sequence[Sequence[AccessTuple]],
+    configs: Sequence[SimConfig],
+    backend: Optional[str] = None,
+) -> List[Tuple[str, SimResult, List[str]]]:
+    """One-pass multi-config sweep of one flat trace, with its engines.
+
+    With the numpy backend the trace is decoded and order-resolved once
+    (:class:`FlatTraceArrays`); every configuration then reuses the shared
+    tag/set source arrays, so N configs cost one trace pass plus N array
+    phases.  Returns one ``(engine, result, reasons)`` triple per config:
+    ``engine`` is ``"array"`` or ``"oracle"``, and ``reasons`` are the
+    ones the array engine raised when it declined the config — the same
+    call that sent it to the scalar oracle.  With the python backend every
+    config replays the oracle (the reference behaviour) with no reasons.
+    """
+    from repro.core.backend import resolve_backend
+    from repro.memsim.simulator import simulate_flat_trace
+
+    if resolve_backend(backend) != "numpy" or np is None:
+        return [
+            ("oracle", simulate_flat_trace(per_core_traces, config, "python"),
+             [])
+            for config in configs
+        ]
+    arrays = FlatTraceArrays(per_core_traces)
+    runs: List[Tuple[str, SimResult, List[str]]] = []
+    for config in configs:
+        try:
+            runs.append(("array", simulate_flat_arrays(arrays, config), []))
+        except UnsupportedConfigError as exc:
+            oracle = simulate_flat_trace(per_core_traces, config, "python")
+            runs.append(("oracle", oracle, exc.reasons))
+    return runs
+
+
 def simulate_flat_multi(
     per_core_traces: Sequence[Sequence[AccessTuple]],
     configs: Sequence[SimConfig],
     backend: Optional[str] = None,
 ) -> List[SimResult]:
-    """One-pass multi-config sweep of one flat trace.
+    """One-pass multi-config sweep of one flat trace (results only).
 
-    With the numpy backend the trace is decoded and order-resolved once
-    (:class:`FlatTraceArrays`); every configuration then reuses the shared
-    tag/set source arrays, so N configs cost one trace pass plus N array
-    phases.  Configurations outside the supported matrix transparently
-    fall back to the scalar oracle for that config only; with the python
-    backend every config replays the oracle (the reference behaviour).
+    See :func:`simulate_flat_runs`: configurations outside the array
+    engine's capabilities transparently fall back to the scalar oracle
+    for that config only.
     """
-    from repro.core.backend import resolve_backend
-    from repro.memsim.simulator import simulate_flat_trace
-
-    resolved = resolve_backend(backend)
-    if resolved != "numpy" or np is None:
-        return [
-            simulate_flat_trace(per_core_traces, config)
-            for config in configs
-        ]
-    arrays = FlatTraceArrays(per_core_traces)
-    results: List[SimResult] = []
-    for config in configs:
-        try:
-            results.append(simulate_flat_arrays(arrays, config))
-        except UnsupportedConfigError:
-            results.append(simulate_flat_trace(per_core_traces, config))
-    return results
+    return [result for _, result, _ in
+            simulate_flat_runs(per_core_traces, configs, backend)]

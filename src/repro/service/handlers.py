@@ -143,13 +143,13 @@ def _handle_simulate(params: Dict[str, Any], backend: str) -> Dict[str, Any]:
       array-resident memsim engine when ``numpy``);
     * ``sweep: "l1" | "l2"`` — one-pass multi-config flat replay over that
       sweep grid (``full: true`` for the paper-sized grid), returning the
-      per-config stat blocks ``gmap check`` validates;
+      ``gmap-sweep`` artifact ``gmap check`` validates;
     * ``analytic: true`` — O(histogram) predictions from the traces'
-      reuse profiles.  With a sweep it returns the ``gmap-analytic-sweep``
+      reuse profiles.  With a sweep it returns the analytic ``gmap-sweep``
       artifact (out-of-model configs replay on ``backend`` with their
-      reasons in ``analytic_fallback_reasons``); without one it predicts
-      the paper baseline, falling back to flat replay when the baseline is
-      outside the model.
+      reasons in ``fallbacks``); without one it predicts the paper
+      baseline, falling back to flat replay when the baseline is outside
+      the model.
 
     The flat paths dispatch on ``backend``, so a numpy-memsim failure flows
     through :func:`~repro.core.backend.run_with_fallback` (degraded result,
@@ -163,7 +163,7 @@ def _handle_simulate(params: Dict[str, Any], backend: str) -> Dict[str, Any]:
         flat_drain,
     )
     from repro.memsim.config import PAPER_BASELINE
-    from repro.memsim.simulator import SimtSimulator, multi_config_report
+    from repro.memsim.simulator import SimtSimulator, sweep_report
     from repro.workloads import suite
 
     target = params["target"]
@@ -190,16 +190,12 @@ def _handle_simulate(params: Dict[str, Any], backend: str) -> Dict[str, Any]:
             c.with_(num_cores=cores)
             for c in maker(reduced=not params.get("full", False))
         ]
-        if params.get("analytic"):
-            from repro.analytical.analytic import analytic_sweep_report
-
-            report = analytic_sweep_report(
-                flat_drain(assignments), configs,
-                backend=backend, target=target)
-            return {"target": target, "sim_mode": "analytic", **report}
-        report = multi_config_report(
-            flat_drain(assignments), configs, backend=backend, target=target)
-        return {"target": target, "sim_mode": "flat", **report}
+        analytic = bool(params.get("analytic"))
+        report = sweep_report(
+            flat_drain(assignments), configs, backend=backend, target=target,
+            analytic=analytic)
+        return {"target": target,
+                "sim_mode": "analytic" if analytic else "flat", **report}
     if params.get("analytic"):
         from repro.analytical.analytic import AnalyticCacheModel
 

@@ -48,6 +48,7 @@ from repro.gpu.executor import (
     CoreAssignment, assigned_warp_traces, execute_kernel, flat_drain,
 )
 from repro.gpu.instructions import AccessTuple
+from repro.memsim.capabilities import merge_reasons
 from repro.memsim.config import SimConfig
 from repro.memsim.simulator import SimtSimulator, simulate_flat_trace
 from repro.memsim.stats import SimResult
@@ -369,9 +370,8 @@ def simulate_pair(
     if mode == "analytic":
         model = pipeline.original_model(backend)
         proxy_model = pipeline.proxy_model(backend)
-        reasons = model.applicability(config) + proxy_model.applicability(
-            config)
-        if not reasons:
+        if not merge_reasons(model.applicability(config),
+                             proxy_model.applicability(config)):
             return RunPair(
                 config=config,
                 original=model.predict(config),
@@ -497,7 +497,7 @@ def analytic_sweep(
     memoized per-geometry scans; the rest are batched through the one-pass
     multi-config replay (:func:`replay_sweep`'s engine) and their refusal
     reasons recorded in ``analytic_fallbacks`` — the sweep-level mirror of
-    the array memsim's ``oracle_fallbacks`` contract, so a caller can
+    the ``gmap-sweep`` artifact's ``fallbacks`` contract, so a caller can
     always tell which points are model predictions and why the others are
     not.  ``backend`` picks both the models' scans (``numpy``: the array
     scan; ``python``: the scalar oracle, bit-identical) and the fallback
@@ -511,10 +511,8 @@ def analytic_sweep(
     pairs: List[Optional[RunPair]] = [None] * len(configs)
     fallback_indices: List[int] = []
     for index, config in enumerate(configs):
-        reasons = model.applicability(config)
-        for reason in proxy_model.applicability(config):
-            if reason not in reasons:
-                reasons.append(reason)
+        reasons = merge_reasons(model.applicability(config),
+                                proxy_model.applicability(config))
         if reasons:
             fallback_indices.append(index)
             result.analytic_fallbacks.append(

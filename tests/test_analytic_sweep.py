@@ -11,8 +11,8 @@ Three contracts from the analytic-mode design:
 * **fallback completeness** — every configuration feature the model
   cannot capture (prefetchers, non-LRU replacement, oversized
   associativity, inclusive L2) must produce a non-empty reason list and
-  route the config to replay, recorded in the artifact's
-  ``analytic_fallback_reasons`` matrix;
+  route the config to replay, recorded in the ``gmap-sweep`` artifact's
+  ``fallbacks`` list;
 * **journal resume** — a journaled analytic sweep mixing predictions and
   replay fallbacks resumes bit-identically without recomputation, with
   the fallback matrix restored from the journal.
@@ -33,14 +33,13 @@ from hypothesis import strategies as st
 from repro.analytical.analytic import (
     ANALYTIC_MISS_RATE_TOLERANCE,
     AnalyticCacheModel,
-    analytic_fallback_reasons,
-    analytic_sweep_report,
 )
-from repro.analysis import verify_analytic_sweep_report
+from repro.analysis import verify_sweep_report
 from repro.core.backend import numpy_available
 from repro.gpu.executor import execute_kernel, flat_drain
+from repro.memsim.capabilities import fallback_reasons
 from repro.memsim.config import PAPER_BASELINE, CacheConfig, PrefetcherConfig
-from repro.memsim.simulator import simulate_flat_trace
+from repro.memsim.simulator import simulate_flat_trace, sweep_report
 from repro.validation import sweeps
 from repro.validation.harness import build_pipeline, run_sweep
 from repro.validation.parallel import SweepRunner
@@ -194,11 +193,11 @@ class TestFallbackCompleteness:
     ])
     def test_feature_triggers_fallback(self, model, label, mutate):
         config = mutate(self.BASELINE)
-        assert analytic_fallback_reasons(config), label
+        assert fallback_reasons(config, "analytic"), label
         assert model.applicability(config), label
 
     def test_baseline_is_in_model(self, model):
-        assert analytic_fallback_reasons(self.BASELINE) == []
+        assert fallback_reasons(self.BASELINE, "analytic") == []
         assert model.applicability(self.BASELINE) == []
 
     def test_report_records_every_fallback(self, model, traces):
@@ -206,16 +205,18 @@ class TestFallbackCompleteness:
                 for c in sweeps.l1_sweep(reduced=True)][:3]
         grid[1] = grid[1].with_(
             l1=dataclasses.replace(grid[1].l1, replacement="fifo"))
-        report = analytic_sweep_report(traces, grid, backend=model.backend,
-                                       target="kmeans")
-        flags = [entry["analytic"] for entry in report["results"]]
-        assert flags == [True, False, True]
-        matrix = report["analytic_fallback_reasons"]
-        assert [entry["index"] for entry in matrix] == [1]
-        assert matrix[0]["reasons"]
+        report = sweep_report(traces, grid, backend=model.backend,
+                              target="kmeans", analytic=True)
+        # FIFO is refused by the array engine too: the fallback lands on
+        # the oracle, and the shared table row is recorded once.
+        engines = [entry["engine"] for entry in report["results"]]
+        assert engines == ["analytic", "oracle", "analytic"]
+        fallbacks = report["fallbacks"]
+        assert [entry["index"] for entry in fallbacks] == [1]
+        assert fallbacks[0]["reasons"] == fallback_reasons(grid[1], "analytic")
         # The artifact must satisfy its own verifier, including the
-        # two-way flag <-> reason consistency contract.
-        assert verify_analytic_sweep_report(report, "<test>") == []
+        # two-way engine <-> reason consistency contract.
+        assert verify_sweep_report(report, "<test>") == []
 
 
 @needs_numpy

@@ -3,9 +3,9 @@
 The tentpole engine's cross-validation lives in
 ``test_vectorized_memsim.py``; this file covers the plumbing around it —
 ``sim_mode="flat"`` through :func:`simulate_pair` / :func:`run_sweep` /
-:class:`SweepRunner`, the one-pass multi-config report artifact and its
-``gmap check`` rules, the simulate job handler's flat/sweep modes, and the
-per-stage memsim circuit breaker.
+:class:`SweepRunner`, the ``gmap-sweep`` report artifact (replay and
+analytic) and its ``gmap check`` rules, the simulate job handler's
+flat/sweep modes, and the per-stage memsim circuit breaker.
 """
 
 from __future__ import annotations
@@ -13,12 +13,18 @@ from __future__ import annotations
 import pytest
 
 from repro.core.backend import numpy_available
-from repro.memsim.config import CacheConfig, DramConfig, SimConfig
+from repro.memsim.config import (
+    PAPER_BASELINE,
+    CacheConfig,
+    DramConfig,
+    PrefetcherConfig,
+    SimConfig,
+)
 from repro.memsim.simulator import (
-    MULTI_CONFIG_FORMAT,
-    MULTI_CONFIG_SCHEMA_VERSION,
-    multi_config_report,
+    SWEEP_FORMAT,
+    SWEEP_SCHEMA_VERSION,
     simulate_flat_trace,
+    sweep_report,
 )
 from repro.service.degradation import STAGE_MEMSIM, DegradationPolicy
 from repro.service.handlers import execute_job
@@ -129,58 +135,120 @@ class TestSweepRunnerFlat:
                 [kernel], [fast_config()], num_cores=4, sim_mode="warp")
 
 
-class TestMultiConfigReport:
-    @pytest.fixture(scope="class")
+class TestSweepReport:
+    """The one ``gmap-sweep`` artifact, replay and analytic alike."""
+
+    @pytest.fixture(scope="class", params=[False, True],
+                    ids=["replay", "analytic"])
     def report(self, request):
         from repro.gpu.executor import execute_kernel, flat_drain
 
         kernel = suite.make("vectoradd", "tiny")
         traces = flat_drain(execute_kernel(kernel, 4))
-        configs = [fast_config(), fast_config(
-            l1=CacheConfig(size=32 * 1024, assoc=4, line_size=128))]
-        return multi_config_report(
-            traces, configs, backend="python", target="vectoradd")
+        configs = [
+            fast_config(),
+            fast_config(l1=CacheConfig(size=32 * 1024, assoc=4,
+                                       line_size=128)),
+            fast_config(l1_prefetcher=PrefetcherConfig(kind="stride")),
+        ]
+        return sweep_report(traces, configs, backend="python",
+                            target="vectoradd", analytic=request.param)
 
     def test_shape(self, report):
-        assert report["format"] == MULTI_CONFIG_FORMAT
-        assert report["schema_version"] == MULTI_CONFIG_SCHEMA_VERSION
-        assert report["num_configs"] == 2
-        assert len(report["results"]) == 2
+        analytic = report["engine"] == "analytic"
+        assert report["format"] == SWEEP_FORMAT
+        assert report["schema_version"] == SWEEP_SCHEMA_VERSION
+        assert report["num_configs"] == 3
+        assert len(report["results"]) == 3
+        assert ("tolerance" in report) == analytic
         for entry in report["results"]:
             assert isinstance(entry["config"], str)
             block = entry["result"]
             for level in ("l1", "l2"):
                 stats = block[level]
                 assert stats["hits"] + stats["misses"] == stats["accesses"]
+        engines = [entry["engine"] for entry in report["results"]]
+        if analytic:
+            # The prefetcher config is outside the model: it replays on
+            # the python backend's oracle, with its reasons recorded.
+            assert engines == ["analytic", "analytic", "oracle"]
+            assert [f["index"] for f in report["fallbacks"]] == [2]
+            assert any("prefetchers" in reason
+                       for reason in report["fallbacks"][0]["reasons"])
+        else:
+            assert report["engine"] == "oracle"
+            assert engines == ["oracle"] * 3
+            assert report["fallbacks"] == []
 
     def test_passes_verifier(self, report):
-        from repro.analysis.verify import verify_multi_config_report
+        from repro.analysis.verify import verify_sweep_report
 
-        assert verify_multi_config_report(report, "<test>") == []
+        assert verify_sweep_report(report, "<test>") == []
 
     def test_verifier_rules_fire(self, report):
         import copy
 
-        from repro.analysis.verify import verify_multi_config_report
+        from repro.analysis.verify import verify_sweep_report
 
         bad = copy.deepcopy(report)
         bad["num_configs"] = 9
         bad["results"][0]["result"]["cycles"] += 1
         bad["results"][1]["result"]["l1"]["hits"] += 1
-        rules = {
-            f.rule for f in verify_multi_config_report(bad, "<test>")
-        }
-        assert {"multiconfig-count", "multiconfig-trace-mismatch",
-                "multiconfig-totals"} <= rules
+        bad["results"][1]["engine"] = "warp"
+        if "tolerance" in bad:
+            del bad["tolerance"]
+        else:
+            bad["tolerance"] = 0.1
+        bad["fallbacks"].append({"index": 0, "reasons": []})
+        rules = {f.rule for f in verify_sweep_report(bad, "<test>")}
+        assert {"sweep-count", "sweep-trace-mismatch", "sweep-totals",
+                "sweep-engine", "sweep-tolerance", "sweep-fallback-reasons",
+                "sweep-fallback-contradiction"} <= rules
 
     def test_check_dispatches_on_format(self, report, tmp_path):
         import json
 
         from repro.analysis.verify import verify_profile_file
+        from repro.cli import main
 
         path = tmp_path / "report.json"
         path.write_text(json.dumps(report), encoding="utf-8")
         assert verify_profile_file(path) == []
+        assert main(["check", "--verify-only", str(path)]) == 0
+
+    def test_retired_format_is_an_unknown_artifact(self, report, tmp_path):
+        import json
+
+        from repro.analysis.verify import verify_profile_file
+
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({**report, "format": "gmap-multi-config"}),
+                        encoding="utf-8")
+        findings = verify_profile_file(path)
+        assert [f.rule for f in findings] == ["unknown-artifact-format"]
+        assert SWEEP_FORMAT in findings[0].message
+
+
+@pytest.mark.skipif(not numpy_available(), reason="array engine needs numpy")
+def test_array_sweep_records_trace_level_fallback():
+    """A texture-touching trace under a config with a texture cache runs
+    on the oracle; the numpy replay sweep must say so, with the reason
+    the array engine gave when it declined."""
+    from repro.analysis.verify import verify_sweep_report
+    from repro.gpu.instructions import pack
+    from repro.gpu.memspace import TEXTURE_BASE
+
+    traces = [[pack(80, 0x1000_0000, 4, False),
+               pack(84, TEXTURE_BASE + 64, 4, False)]]
+    config = PAPER_BASELINE.with_(num_cores=1)
+    report = sweep_report(traces, [config], backend="numpy")
+    assert report["engine"] == "array"
+    assert report["results"][0]["engine"] == "oracle"
+    assert report["fallbacks"] == [
+        {"index": 0, "reasons": [
+            "texture-cache traffic requires the read-only-cache scalar path"]},
+    ]
+    assert verify_sweep_report(report, "<test>") == []
 
 
 class TestSimulateHandler:
@@ -204,7 +272,7 @@ class TestSimulateHandler:
     def test_sweep_mode_returns_report(self):
         result = self._run({"target": "vectoradd", "scale": "tiny",
                             "cores": 4, "sweep": "l1"})
-        assert result["format"] == MULTI_CONFIG_FORMAT
+        assert result["format"] == SWEEP_FORMAT
         assert result["num_configs"] == len(result["results"]) == 6
 
     def test_unknown_sweep_is_invalid_request(self):

@@ -25,11 +25,14 @@ from repro.memsim.config import (
     PrefetcherConfig,
     SimConfig,
 )
+from repro.memsim.capabilities import (
+    CAPABILITIES,
+    UnsupportedConfigError,
+    fallback_reasons,
+)
 from repro.memsim.simulator import simulate_flat_trace
 from repro.memsim.vectorized import (
     FlatTraceArrays,
-    UnsupportedConfigError,
-    memsim_fallback_reasons,
     simulate_flat_multi,
     simulate_flat_numpy,
 )
@@ -200,7 +203,7 @@ class TestMultiConfig:
 
     def test_trace_invariants_across_configs(self):
         """requests_issued and cycles are properties of the trace; the
-        verifier's multiconfig-trace-mismatch rule relies on this."""
+        verifier's sweep-trace-mismatch rule relies on this."""
         traces = reuse_heavy_traces()
         configs = [
             c.with_(num_cores=len(traces))
@@ -247,7 +250,7 @@ class TestFallbackMatrix:
     )
     def test_config_level_reasons(self, changes, needle):
         config = small_config().with_(**changes)
-        reasons = memsim_fallback_reasons(config)
+        reasons = fallback_reasons(config, "array")
         assert any(needle in reason for reason in reasons)
 
     @pytest.mark.parametrize("level", ["l1", "l2"])
@@ -264,15 +267,15 @@ class TestFallbackMatrix:
     def test_cache_policy_reasons(self, level, cache_changes, needle):
         base = small_config()
         cache = dataclasses.replace(getattr(base, level), **cache_changes)
-        reasons = memsim_fallback_reasons(base.with_(**{level: cache}))
+        reasons = fallback_reasons(base.with_(**{level: cache}), "array")
         assert any(
             reason.startswith(level) and needle in reason
             for reason in reasons
         )
 
     def test_supported_baseline_has_no_reasons(self):
-        assert memsim_fallback_reasons(small_config()) == []
-        assert memsim_fallback_reasons(PAPER_BASELINE) == []
+        assert fallback_reasons(small_config(), "array") == []
+        assert fallback_reasons(PAPER_BASELINE, "array") == []
 
     @pytest.mark.parametrize(
         "base_addr, needle",
@@ -285,6 +288,37 @@ class TestFallbackMatrix:
         arrays = FlatTraceArrays(traces)
         reasons = arrays.fallback_reasons(small_config(num_cores=1))
         assert any(needle in reason for reason in reasons)
+
+    def test_every_array_row_refuses_analytic_too(self):
+        for row in CAPABILITIES:
+            if "array" in row.refused_by:
+                assert "analytic" in row.refused_by, row.feature
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        prefetch=st.sampled_from([None, "stride", "stream"]),
+        replacement=st.sampled_from(["lru", "fifo", "random"]),
+        write=st.sampled_from([("write-back", True), ("write-back", False),
+                               ("write-through", False)]),
+        level=st.sampled_from(["l1", "l2"]),
+        inclusion=st.sampled_from(["non-inclusive", "inclusive"]),
+        assoc=st.sampled_from([4, 8192]),
+    )
+    def test_array_reasons_are_analytic_reasons(
+        self, prefetch, replacement, write, level, inclusion, assoc
+    ):
+        """fallback_reasons(c, "array") ⊆ fallback_reasons(c, "analytic")."""
+        base = small_config()
+        cache = dataclasses.replace(
+            getattr(base, level), replacement=replacement,
+            write_policy=write[0], write_allocate=write[1],
+            size=assoc * 128 * 4, assoc=assoc, line_size=128)
+        config = base.with_(
+            l1_prefetcher=(PrefetcherConfig(kind=prefetch)
+                           if prefetch else None),
+            l2_inclusion=inclusion, **{level: cache})
+        array = fallback_reasons(config, "array")
+        assert set(array) <= set(fallback_reasons(config, "analytic"))
 
     def test_unsupported_raises_and_silently_degrades(self):
         traces = reuse_heavy_traces(num_cores=2)
