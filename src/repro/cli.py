@@ -259,14 +259,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(default: fcntl where available, else lease; pick "
                         "lease on NFS-like filesystems)")
     p.add_argument("--replicas", type=int, default=None, metavar="N",
-                   help="run N supervised replicas behind a front-door "
-                        "router instead of a single server (default: 1)")
-    p.add_argument("--router-port", type=int, default=None,
-                   help="router listen port with --replicas (default: 0 = "
-                        "ephemeral, printed on startup)")
+                   help="run a front-door router on --host/--port plus N "
+                        "supervised local replicas that join it, instead "
+                        "of a single server")
     p.add_argument("--router-only", action="store_true",
-                   help="run only the front-door router (no local "
-                        "replicas); replicas attach with --join")
+                   help="run only the front-door router (--replicas 0); "
+                        "replicas attach with --join")
     p.add_argument("--state-dir", default=None,
                    help="durable router state directory (outcome store); "
                         "restarts and peer routers on the same directory "
@@ -743,21 +741,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    if args.router_only:
-        from repro.service.router import serve_router
-
-        return serve_router(
-            args.host or "127.0.0.1", args.port or 0,
-            state_dir=args.state_dir,
-        )
-
-    if args.replicas is not None and args.replicas > 1:
+    if args.router_only or args.replicas is not None:
         from repro.service.fleet import FleetConfig, serve_fleet
 
         fleet_config = FleetConfig(
-            replicas=args.replicas,
-            router_host=args.host or "127.0.0.1",
-            router_port=args.router_port or 0,
+            replicas=0 if args.router_only else args.replicas,
             workers=args.serve_workers or 2,
             queue_capacity=args.queue_capacity or 32,
             job_timeout=args.job_timeout or 120.0,
@@ -772,7 +760,8 @@ def _cmd_serve(args) -> int:
             bulk_max_wait=(args.bulk_max_wait
                            if args.bulk_max_wait is not None else 30.0),
         )
-        return serve_fleet(fleet_config)
+        return serve_fleet(fleet_config, args.host or "127.0.0.1",
+                           args.port or 0)
 
     from repro.service.config import ServiceConfig
     from repro.service.server import serve_forever

@@ -98,19 +98,22 @@ def _recovery_phase(replicas: int, smoke: bool, seed: int,
             daemon=True)
         thread.start()
         threading.Event().wait(0.3)  # let the loop reach steady state
+        killed = fleet.core.endpoint("r0")
+        assert killed is not None, "r0 never registered"
+        epoch = killed.epoch
         killed_at = time.monotonic()
         fleet.kill_replica(0)
-        # Recovery is kill -> (monitor notices the death) -> full strength;
-        # without the first wait a fast check could race the monitor and
-        # read "all routable" before the corpse is even discovered.
-        noticed = poll_until(
-            lambda: not fleet.endpoints[0].routable, timeout=30.0)
-        recovered = noticed and fleet.wait_routable(replicas, timeout=60.0)
+        # Recovery is kill -> restart -> the new process registers with a
+        # higher epoch -> full strength.  Waiting for the epoch keeps a
+        # fast check from reading "all routable" off the dead incarnation
+        # before the router has even noticed it.
+        rejoined = poll_until(lambda: killed.epoch > epoch, timeout=60.0)
+        recovered = rejoined and fleet.wait_routable(replicas, timeout=60.0)
         recovery_seconds = time.monotonic() - killed_at
         thread.join(120.0)
         report = result.get("report")
         return {
-            "killed_slot": 0,
+            "killed_replica": "r0",
             "recovered": recovered,
             "kill_to_routable_seconds": round(recovery_seconds, 3),
             "report": report.to_dict() if report else None,

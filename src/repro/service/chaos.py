@@ -477,7 +477,7 @@ def scenario_router_partition(tmp: Path, rng: random.Random,
 
     with Fleet(_fleet_config(smoke, health_failures=2)) as fleet:
         fleet.pause_replica(0)
-        if not poll_until(lambda: not fleet.endpoints[0].routable,
+        if not poll_until(lambda: not fleet.routable("r0"),
                           timeout=WAIT_LIMIT):
             result.violations.append(
                 "monitor never declared the paused replica down")
@@ -579,7 +579,7 @@ def scenario_thundering_herd(tmp: Path, rng: random.Random,
     # deltas double-count) — and the single-flight lock is exercised
     # across real process boundaries.
     with Fleet(_fleet_config(smoke, workers=2, isolation=None)) as fleet:
-        bases = [ep.base_url for ep in fleet.endpoints]
+        bases = [ep.base_url for ep in fleet.core.endpoints()]
         accepted: List[Tuple[str, str]] = []  # (base, job_id)
         errors: List[str] = []
         lock = threading.Lock()

@@ -1,25 +1,27 @@
-"""Multi-replica ``gmap serve``: process supervision behind one router.
+"""Multi-replica ``gmap serve``: one router plus N supervised children.
 
-A :class:`Fleet` boots N replica processes (each the full single-server
-stack of :mod:`repro.service.server`, spawned as ``gmap serve`` child
-processes on ephemeral ports), wires them behind one
-:class:`~repro.service.router.RouterHTTPServer` front door, and runs a
-monitor loop that:
+A :class:`Fleet` starts one :class:`~repro.service.router.RouterHTTPServer`
+front door and its :class:`~repro.service.router.RouterMonitor`, then N
+``gmap serve --join <router-url>`` child processes on ephemeral ports.
+Membership belongs to the router alone, on the same path cross-host
+replicas use: each child registers itself over the ``--join`` handshake,
+the monitor probes ``/readyz`` and takes a silent child out of rotation,
+and a restarted child re-registers with a higher epoch, which makes the
+router requeue whatever the dead incarnation held.  ``gmap serve
+--router-only`` is the zero-children case of the same fleet.
 
-* **health-checks** every replica's ``/readyz`` (queue depth, EWMA job
-  seconds — the router's load signal) on a fixed cadence;
-* **declares down** a replica whose process exited or whose probes failed
-  ``health_failures`` times in a row, and asks the router to reassign its
-  non-terminal jobs;
-* **restarts** dead replicas with jittered exponential backoff
-  (:func:`~repro.service.backoff.backoff_delay`), under a flap budget: a
-  replica that dies more than ``flap_budget`` times inside
-  ``flap_window`` seconds is *parked* — taken out of rotation for a
-  human, instead of burning the machine in a crash loop;
-* lets a merely-partitioned replica (unreachable but alive, e.g.
-  ``SIGSTOP``) rejoin rotation the moment its probes succeed again.
+The fleet itself only supervises processes:
 
-Replicas run with the journal disabled: in a fleet the *router* is the
+* **restarts** a child whose process exited, after a jittered exponential
+  backoff (:func:`~repro.service.backoff.backoff_delay`) that grows with
+  the child's recent deaths;
+* **parks** a child that dies more than ``flap_budget`` times inside
+  ``flap_window`` seconds — out of rotation for a human (``"parked":
+  true`` on ``GET /fleet``) instead of burning the machine in a crash
+  loop;
+* offers kill / pause / resume hooks to the chaos harness.
+
+Children run with the journal disabled: in a fleet the *router* is the
 reassignment authority, and a journal-resumed job racing its reassigned
 twin would double-execute side-effecting work.  Identical pipeline keys
 remain single-flight through the shared cache tier either way.
@@ -28,7 +30,6 @@ remain single-flight through the shared cache tier either way.
 from __future__ import annotations
 
 import os
-import re
 import signal
 import subprocess
 import sys
@@ -37,19 +38,16 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.service.backoff import backoff_delay, poll_until
 from repro.service.outcome_store import OutcomeStore
 from repro.service.router import (
-    ReplicaEndpoint,
     RouterCore,
     RouterHTTPServer,
-    http_json,
+    RouterMonitor,
     start_router,
 )
-
-_READY_RE = re.compile(r"listening on (http://[\d.]+:\d+)")
 
 #: Lines of replica stdout/stderr kept per replica for diagnostics.
 _LOG_KEEP = 50
@@ -59,9 +57,8 @@ _LOG_KEEP = 50
 class FleetConfig:
     """Knobs of the fleet supervisor (replica knobs pass through)."""
 
+    #: Local ``--join`` children; 0 runs the router alone.
     replicas: int = 3
-    router_host: str = "127.0.0.1"
-    router_port: int = 0
     #: Per-replica worker slots / queue depth (forwarded to each replica).
     workers: int = 2
     queue_capacity: int = 32
@@ -77,14 +74,16 @@ class FleetConfig:
     #: (``fcntl``/``lease``/None = auto).
     shared_cache_lock: Optional[str] = None
     #: Durable router state directory (outcome store); None keeps the
-    #: router's job table memory-only as before.
+    #: router's job table memory-only.
     state_dir: Optional[str] = None
     #: Per-replica bulk-lane admission bound (0 = auto) and aging bound.
     bulk_capacity: int = 0
     bulk_max_wait: float = 30.0
-    #: Seconds between health probes of every replica.
+    #: Seconds between the router monitor's health probes and between
+    #: the supervisor's liveness checks.
     health_interval: float = 0.5
-    #: Consecutive probe failures before a live process is declared down.
+    #: Consecutive probe failures before the router takes a replica out
+    #: of rotation.
     health_failures: int = 3
     #: Restart backoff base/cap, seconds.
     restart_base: float = 0.2
@@ -93,33 +92,40 @@ class FleetConfig:
     #: ``flap_window`` seconds parks the replica.
     flap_window: float = 30.0
     flap_budget: int = 5
-    #: Seconds to wait for a replica's ready line at boot.
+    #: Seconds to wait for every child to register at boot.
     boot_timeout: float = 30.0
     extra_env: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {self.replicas}")
+        if self.replicas < 0:
+            raise ValueError(f"replicas must be >= 0, got {self.replicas}")
         if self.flap_budget < 1:
             raise ValueError(
                 f"flap_budget must be >= 1, got {self.flap_budget}")
 
 
 class ReplicaProcess:
-    """One supervised ``gmap serve`` child and its stdout reader."""
+    """One supervised ``gmap serve --join`` child and its restart state.
 
-    def __init__(self, slot: int, config: FleetConfig,
+    The restart state is mutated only on the fleet's supervisor thread;
+    :meth:`Fleet.snapshot` readers tolerate a point-in-time ``parked``.
+    """
+
+    def __init__(self, replica_id: str, config: FleetConfig,
                  shared_cache_dir: str) -> None:
-        self.slot = slot
+        self.replica_id = replica_id
         self._config = config
         self._shared_cache_dir = shared_cache_dir
         self._proc: Optional[subprocess.Popen[str]] = None
         self._reader: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._base_url: Optional[str] = None
         self._log: Deque[str] = deque(maxlen=_LOG_KEEP)
+        self._deaths: Deque[float] = deque(
+            maxlen=max(2 * config.flap_budget, 8))
+        #: Monotonic time of the scheduled restart; None while running.
+        self.restart_at: Optional[float] = None
+        self.parked = False
 
-    def _argv(self) -> List[str]:
+    def _argv(self, router_url: str) -> List[str]:
         cfg = self._config
         argv = [
             sys.executable, "-m", "repro.cli", "serve",
@@ -128,7 +134,8 @@ class ReplicaProcess:
             "--queue-capacity", str(cfg.queue_capacity),
             "--job-timeout", str(cfg.job_timeout),
             "--retries", str(cfg.retries),
-            "--replica-id", f"r{self.slot}",
+            "--replica-id", self.replica_id,
+            "--join", router_url,
             "--shared-cache-dir", self._shared_cache_dir,
             "--no-journal",
         ]
@@ -146,40 +153,43 @@ class ReplicaProcess:
             argv += ["--bulk-max-wait", str(cfg.bulk_max_wait)]
         return argv
 
-    def start(self) -> None:
+    def start(self, router_url: str) -> None:
+        """Spawn the child; it registers itself with ``router_url``."""
         env = dict(os.environ)
         env.update(self._config.extra_env)
-        self._ready = threading.Event()
-        self._base_url = None
+        self.restart_at = None
         self._proc = subprocess.Popen(
-            self._argv(), stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True, env=env, start_new_session=True)
+            self._argv(router_url), stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, text=True, env=env,
+            start_new_session=True)
         self._reader = threading.Thread(
-            target=self._read_output, name=f"gmap-replica-r{self.slot}-out",
-            daemon=True)
+            target=self._read_output,
+            name=f"gmap-replica-{self.replica_id}-out", daemon=True)
         self._reader.start()
 
     def _read_output(self) -> None:
         proc = self._proc
         assert proc is not None and proc.stdout is not None
         for line in proc.stdout:
-            line = line.rstrip("\n")
-            self._log.append(line)
-            match = _READY_RE.search(line)
-            if match:
-                self._base_url = match.group(1)
-                self._ready.set()
+            self._log.append(line.rstrip("\n"))
         proc.stdout.close()
 
-    def wait_ready(self, timeout: float) -> Optional[str]:
-        """Base URL once the ready line appears, or None on timeout."""
-        if self._ready.wait(timeout):
-            return self._base_url
-        return None
+    def note_death(self, now: float) -> Optional[float]:
+        """Record a newly observed exit.
 
-    @property
-    def base_url(self) -> Optional[str]:
-        return self._base_url
+        Returns the restart time (backoff over the deaths inside the flap
+        window), or None when the death exhausted the flap budget and the
+        child is now parked.
+        """
+        cfg = self._config
+        self._deaths.append(now)
+        recent = sum(1 for t in self._deaths if now - t <= cfg.flap_window)
+        if recent > cfg.flap_budget:
+            self.parked = True
+            return None
+        self.restart_at = now + backoff_delay(
+            recent, base=cfg.restart_base, cap=cfg.restart_cap)
+        return self.restart_at
 
     @property
     def pid(self) -> Optional[int]:
@@ -215,38 +225,37 @@ class ReplicaProcess:
 
 
 class Fleet:
-    """N supervised replicas + router + health/restart monitor."""
+    """Router + monitor + N supervised ``--join`` children.
 
-    def __init__(self, config: FleetConfig) -> None:
+    The router listens on ``host``/``port`` (0 = ephemeral); the children
+    always take ephemeral loopback ports and register themselves.
+    """
+
+    def __init__(self, config: FleetConfig, host: str = "127.0.0.1",
+                 port: int = 0) -> None:
         self.config = config
+        self._host = host
+        self._port = port
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
         if config.shared_cache_dir is None:
             self._tmp = tempfile.TemporaryDirectory(prefix="gmap-fleet-")
             self.shared_cache_dir = os.path.join(self._tmp.name, "shared")
         else:
             self.shared_cache_dir = config.shared_cache_dir
-        self.endpoints = [
-            ReplicaEndpoint(slot, f"r{slot}")
-            for slot in range(config.replicas)
-        ]
-        store = (OutcomeStore(config.state_dir)
-                 if config.state_dir else None)
-        self.core = RouterCore(self.endpoints, store=store)
+        self._store = (OutcomeStore(config.state_dir)
+                       if config.state_dir else None)
+        self.core = RouterCore([], store=self._store)
+        self._monitor = RouterMonitor(
+            self.core, interval=config.health_interval,
+            down_after=config.health_failures)
         self.replicas: List[ReplicaProcess] = [
-            ReplicaProcess(slot, config, self.shared_cache_dir)
-            for slot in range(config.replicas)
+            ReplicaProcess(f"r{index}", config, self.shared_cache_dir)
+            for index in range(config.replicas)
         ]
-        self._death_times: List[Deque[float]] = [
-            deque(maxlen=max(2 * config.flap_budget, 8))
-            for _ in range(config.replicas)
-        ]
-        self._restart_not_before: List[float] = [0.0] * config.replicas
-        self._restart_attempt: List[int] = [0] * config.replicas
-        self._parked: List[bool] = [False] * config.replicas
         self._stop = threading.Event()
-        self._monitor: Optional[threading.Thread] = None
+        self._supervisor: Optional[threading.Thread] = None
         self._router_server: Optional[RouterHTTPServer] = None
-        self._router_stop = None
+        self._router_stop: Optional[Callable[[], None]] = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -256,36 +265,51 @@ class Fleet:
         return self._router_server.base_url
 
     def start(self, wait_ready: bool = True) -> None:
+        """Start the router, its monitor and every child; with
+        ``wait_ready``, block until every child has registered."""
         os.makedirs(self.shared_cache_dir, exist_ok=True)
-        for replica in self.replicas:
-            replica.start()
         self._router_server, _thread, self._router_stop = start_router(
-            self.core, self.config.router_host, self.config.router_port)
-        if wait_ready:
-            deadline = time.monotonic() + self.config.boot_timeout
-            for slot, replica in enumerate(self.replicas):
-                remaining = max(0.1, deadline - time.monotonic())
-                base = replica.wait_ready(remaining)
-                if base is None:
-                    tail = "\n".join(replica.tail()[-10:])
-                    raise RuntimeError(
-                        f"replica r{slot} never became ready:\n{tail}")
-                self.endpoints[slot].set_base_url(base)
-            self._probe_all()
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, name="gmap-fleet-monitor", daemon=True)
+            self.core, self._host, self._port)
         self._monitor.start()
+        for replica in self.replicas:
+            replica.start(self.router_url)
+        self._supervisor = threading.Thread(
+            target=self._supervise_loop, name="gmap-fleet-supervisor",
+            daemon=True)
+        self._supervisor.start()
+        if wait_ready and not self.wait_routable(
+                len(self.replicas), timeout=self.config.boot_timeout):
+            missing = [replica for replica in self.replicas
+                       if not self.routable(replica.replica_id)]
+            detail = "\n".join(
+                f"{replica.replica_id}:\n" + "\n".join(replica.tail()[-10:])
+                for replica in missing)
+            self.stop()
+            raise RuntimeError(f"replicas never registered:\n{detail}")
 
     def stop(self) -> None:
+        """Stop supervising, drain the children, then the router; compact
+        and close the outcome store."""
         self._stop.set()
-        if self._monitor is not None:
-            self._monitor.join(5.0)
+        if self._supervisor is not None:
+            self._supervisor.join(5.0)
+        router_stop, self._router_stop = self._router_stop, None
+        if router_stop is not None:
+            # Draining children answer /readyz with 503: stop probing
+            # first so their jobs are not requeued onto siblings that
+            # are draining too.
+            self._monitor.stop()
         for replica in self.replicas:
             replica.terminate(grace=self.config.job_timeout / 4 + 2.0)
-        if self._router_stop is not None:
-            self._router_stop()
+        if router_stop is not None:
+            router_stop()
+        if self._store is not None:
+            self._store.compact(force=True)
+            self._store.close()
+            self._store = None
         if self._tmp is not None:
             self._tmp.cleanup()
+            self._tmp = None
 
     def __enter__(self) -> "Fleet":
         self.start()
@@ -296,111 +320,79 @@ class Fleet:
 
     # -- chaos hooks ---------------------------------------------------------
 
-    def kill_replica(self, slot: int) -> None:
-        """SIGKILL one replica (the monitor will notice and recover)."""
-        self.replicas[slot].kill()
+    def kill_replica(self, index: int) -> None:
+        """SIGKILL one replica (the supervisor restarts it)."""
+        self.replicas[index].kill()
 
-    def pause_replica(self, slot: int) -> None:
+    def pause_replica(self, index: int) -> None:
         """SIGSTOP: alive but unreachable — a network partition stand-in."""
-        pid = self.replicas[slot].pid
+        pid = self.replicas[index].pid
         if pid is not None:
             os.kill(pid, signal.SIGSTOP)
 
-    def resume_replica(self, slot: int) -> None:
-        pid = self.replicas[slot].pid
+    def resume_replica(self, index: int) -> None:
+        pid = self.replicas[index].pid
         if pid is not None:
             os.kill(pid, signal.SIGCONT)
+
+    def routable(self, replica_id: str) -> bool:
+        """True while the router has ``replica_id`` in rotation."""
+        endpoint = self.core.endpoint(replica_id)
+        return endpoint is not None and endpoint.routable
 
     def wait_routable(self, count: int, timeout: float) -> bool:
         """Block until >= ``count`` replicas are routable (or timeout)."""
         return poll_until(
-            lambda: sum(1 for ep in self.endpoints if ep.routable) >= count,
+            lambda: sum(1 for ep in self.core.endpoints()
+                        if ep.routable) >= count,
             timeout=timeout, interval=0.1, wake=self._stop)
 
-    # -- monitor -------------------------------------------------------------
+    # -- supervision ---------------------------------------------------------
 
-    def _monitor_loop(self) -> None:
-        while not self._stop.wait(self.config.health_interval):
-            self._tick()
+    def _supervise_loop(self) -> None:
+        delay = self.config.health_interval
+        while not self._stop.wait(delay):
+            delay = self._tick()
 
-    def _tick(self, now: Optional[float] = None) -> None:
+    def _tick(self, now: Optional[float] = None) -> float:
+        """Restart or park dead children; returns the seconds until the
+        next check (sooner than ``health_interval`` when a restart is
+        due before then)."""
         now = time.monotonic() if now is None else now
-        for slot, replica in enumerate(self.replicas):
-            if self._parked[slot]:
+        delay = self.config.health_interval
+        for replica in self.replicas:
+            if replica.parked or replica.alive():
                 continue
-            if not replica.alive():
-                self._handle_death(slot, now)
-                continue
-            base = replica.base_url
-            if base is None:
-                continue  # booting: ready line not seen yet
-            endpoint = self.endpoints[slot]
-            if endpoint.base_url != base:
-                endpoint.set_base_url(base)
-            self._probe(slot, base)
-
-    def _probe_all(self) -> None:
-        for slot, endpoint in enumerate(self.endpoints):
-            base = endpoint.base_url
-            if base is not None:
-                self._probe(slot, base)
-
-    def _probe(self, slot: int, base: str) -> None:
-        endpoint = self.endpoints[slot]
-        try:
-            status, body = http_json("GET", f"{base}/readyz", timeout=2.0)
-        except OSError:
-            status, body = 0, {}
-        if status == 200 and body.get("ready"):
-            endpoint.mark_healthy(body)
-            self._restart_attempt[slot] = 0
-            return
-        if endpoint.mark_probe_failed(self.config.health_failures):
-            # Transition to down: unreachable though the process lives
-            # (partition, wedged listener).  Reroute its jobs; if it is
-            # merely slow the resubmissions dedupe through single flight.
-            self.core.reassign_from(slot)
-
-    def _handle_death(self, slot: int, now: float) -> None:
-        endpoint = self.endpoints[slot]
-        if endpoint.mark_down():
-            # Fresh death: record, budget-check, schedule the restart.
-            deaths = self._death_times[slot]
-            deaths.append(now)
-            recent = [t for t in deaths if now - t <= self.config.flap_window]
-            if len(recent) > self.config.flap_budget:
-                self._parked[slot] = True
-                endpoint.mark_parked()
-                self.core.reassign_from(slot)
-                return
-            self._restart_attempt[slot] += 1
-            self._restart_not_before[slot] = now + backoff_delay(
-                self._restart_attempt[slot],
-                base=self.config.restart_base, cap=self.config.restart_cap)
-            self.core.reassign_from(slot)
-        if now < self._restart_not_before[slot]:
-            return
-        replica = self.replicas[slot]
-        replica.terminate(grace=0.5)  # reap the corpse
-        replica.start()
-        endpoint.note_restart()
-        base = replica.wait_ready(self.config.boot_timeout)
-        if base is not None:
-            endpoint.set_base_url(base)
-            self._probe(slot, base)
+            due = replica.restart_at
+            if due is None:  # a fresh death
+                due = replica.note_death(now)
+                if due is None:
+                    endpoint = self.core.endpoint(replica.replica_id)
+                    if endpoint is not None:
+                        endpoint.mark_parked()
+                    continue
+            if now >= due:
+                replica.terminate(grace=0.5)  # reap the corpse
+                replica.start(self.router_url)
+            else:
+                delay = min(delay, due - now)
+        return delay
 
     # -- introspection -------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
         snap = self.core.fleet_snapshot()
-        snap["parked"] = [s for s, p in enumerate(self._parked) if p]
+        snap["parked"] = [replica.replica_id for replica in self.replicas
+                          if replica.parked]
         snap["shared_cache_dir"] = self.shared_cache_dir
         return snap
 
 
-def serve_fleet(config: FleetConfig, ready_line: bool = True) -> int:
-    """Boot a fleet and block until SIGTERM/SIGINT stops it (CLI entry)."""
-    fleet = Fleet(config)
+def serve_fleet(config: FleetConfig, host: str = "127.0.0.1",
+                port: int = 0, ready_line: bool = True) -> int:
+    """Boot a fleet (a bare router when ``config.replicas`` is 0) and block
+    until SIGTERM/SIGINT stops it (CLI entry)."""
+    fleet = Fleet(config, host, port)
     stop = threading.Event()
 
     def _on_signal(_signum: int, _frame: object) -> None:

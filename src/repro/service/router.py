@@ -11,14 +11,16 @@ the single-replica server cannot:
   with the shortest estimated queue wait instead;
 * **failover** — a replica that refuses connections is skipped mid-submit
   (spill to the next candidate in rendezvous order) and marked suspect for
-  the fleet monitor to confirm;
+  the :class:`RouterMonitor` to confirm;
 * **reassignment** — the router records every accepted job's payload.
-  When the monitor declares a replica down, the router resubmits that
-  replica's non-terminal jobs (same ``job_id``) to a healthy one.  The
-  shared cache's ``flock``-based single flight makes the resubmission
-  safe: if the dead replica already built the artifact the resubmitted
-  job is a cache hit, and a mid-build death released the build lock with
-  the process, so exactly one live builder proceeds.
+  When the monitor declares a replica down, or the replica re-registers
+  after a restart, the router resubmits that replica's non-terminal jobs
+  (same ``job_id``) to a healthy one.  The shared cache's single flight
+  (an ``fcntl`` lock or a lease file, see ``--shared-cache-lock``) makes
+  the resubmission safe: if the dead replica already built the artifact
+  the resubmitted job is a cache hit, and a mid-build death releases the
+  build lock (with the process, or when its lease expires), so exactly
+  one live builder proceeds.
 
 The router holds *no* job results of its own beyond a bounded in-memory
 cache of terminal outcomes — replicas stay the source of truth for running
@@ -31,14 +33,16 @@ jobs it recovers.  Terminal records are evicted from memory after a TTL
 (or past a count bound) and served from the store afterwards, so a
 long-running router no longer leaks one record per job forever.
 
-Replica membership has two sources: the fleet supervisor wiring in its
-child processes (PR 7), and — new here — the ``POST /register`` handshake
-used by ``gmap serve --join <router-url>``, where cross-host replicas
-announce their base URL with a monotonically increasing *epoch*.  A
-re-registration with a higher epoch means the replica restarted: the
-router updates the URL and requeues everything it had assigned there.
-Registered replicas are health-checked over ``/readyz`` by the
-:class:`RouterMonitor` when no supervisor owns that duty.
+Membership has one path, whether the replicas are the local children of
+``gmap serve --replicas N`` or ``gmap serve --join <router-url>`` processes
+on other hosts: each replica announces ``{replica_id, base_url, epoch}``
+on ``POST /register`` and repeats it as a heartbeat.  A first
+registration or a higher epoch (the replica restarted) makes the replica
+routable; a higher epoch also requeues everything the previous
+incarnation held.  The :class:`RouterMonitor` is the only prober: it
+reads ``/readyz`` (health plus the queue telemetry that prices backlog),
+demotes a replica after consecutive failed probes, and promotes it again
+only when a probe succeeds.
 """
 
 from __future__ import annotations
@@ -99,15 +103,15 @@ def http_json(
 
 
 class ReplicaEndpoint:
-    """Runtime view of one replica, shared by router and fleet monitor.
+    """Runtime view of one replica, keyed by its ``replica_id``.
 
-    The fleet monitor writes liveness and telemetry; router handler
-    threads read them when ranking candidates.  ``base_url`` is None until
-    the replica prints its ready line.
+    :meth:`register` (the ``--join`` handshake) writes the base URL and
+    epoch, the :class:`RouterMonitor` writes liveness and telemetry, and
+    router handler threads read them when ranking candidates.
+    ``base_url`` is None until the replica first registers.
     """
 
-    def __init__(self, slot: int, replica_id: str) -> None:
-        self.slot = slot
+    def __init__(self, replica_id: str) -> None:
         self.replica_id = replica_id
         self._lock = threading.Lock()
         self._base_url: Optional[str] = None
@@ -118,33 +122,33 @@ class ReplicaEndpoint:
         self._restarts = 0
         self._epoch = 0
 
-    # -- monitor-side updates ------------------------------------------------
-
-    def set_base_url(self, base_url: Optional[str]) -> None:
-        with self._lock:
-            self._base_url = base_url
-            if base_url is None:
-                self._healthy = False
-                self._telemetry = {}
+    # -- membership and monitor-side updates ---------------------------------
 
     def register(self, base_url: str, epoch: int) -> bool:
         """Record a ``--join`` (re-)registration.
 
-        Returns True when the epoch advanced past a previously seen one —
-        i.e. the replica process restarted and its old assignments are
-        orphaned.  Registration marks the endpoint routable immediately
-        (the replica only announces itself once it is listening); the
-        health monitor demotes it again if ``/readyz`` disagrees.
+        Returns True when the epoch advanced past a previously registered
+        one — i.e. the replica process restarted and its old assignments
+        are orphaned.  A first registration or a higher epoch marks the
+        endpoint routable immediately (the replica only announces itself
+        once it is listening).  A same-epoch heartbeat only refreshes the
+        URL: health, the failure count and parking stay the monitor's, so
+        a replica it demoted stays out of rotation until a probe succeeds.
         """
         with self._lock:
-            rejoined = self._epoch != 0 and epoch > self._epoch
-            self._epoch = epoch
+            first = self._base_url is None
+            if not first and epoch < self._epoch:
+                return False  # a straggler that lost the race to a newer one
+            rejoined = not first and epoch > self._epoch
             self._base_url = base_url
-            self._healthy = True
-            self._parked = False
-            self._consecutive_failures = 0
+            if first or rejoined:
+                self._epoch = epoch
+                self._healthy = True
+                self._parked = False
+                self._consecutive_failures = 0
             if rejoined:
                 self._restarts += 1
+                self._telemetry = {}
         return rejoined
 
     @property
@@ -168,23 +172,12 @@ class ReplicaEndpoint:
                 self._healthy = False
             return was_healthy and not self._healthy
 
-    def mark_down(self) -> bool:
-        """Force down (process exit observed); True if it was healthy."""
-        with self._lock:
-            was = self._healthy
-            self._healthy = False
-            self._base_url = None
-            self._telemetry = {}
-            return was
-
     def mark_parked(self) -> None:
+        """Out of rotation until a restarted process registers again: the
+        supervisor stopped restarting it (flap budget spent)."""
         with self._lock:
             self._parked = True
             self._healthy = False
-
-    def note_restart(self) -> None:
-        with self._lock:
-            self._restarts += 1
 
     # -- router-side reads ---------------------------------------------------
 
@@ -196,7 +189,8 @@ class ReplicaEndpoint:
     @property
     def routable(self) -> bool:
         with self._lock:
-            return self._healthy and self._base_url is not None
+            return (self._healthy and not self._parked
+                    and self._base_url is not None)
 
     def est_wait_seconds(self) -> float:
         with self._lock:
@@ -232,7 +226,6 @@ class ReplicaEndpoint:
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:
             return {
-                "slot": self.slot,
                 "replica_id": self.replica_id,
                 "base_url": self._base_url,
                 "healthy": self._healthy,
@@ -245,13 +238,12 @@ class ReplicaEndpoint:
 
 
 class _JobRecord:
-    __slots__ = ("payload", "slot", "replica_id", "terminal",
-                 "reassignments", "settled_at")
+    __slots__ = ("payload", "replica_id", "terminal", "reassignments",
+                 "settled_at")
 
-    def __init__(self, payload: Dict[str, Any], slot: int,
-                 replica_id: Optional[str] = None) -> None:
+    def __init__(self, payload: Dict[str, Any],
+                 replica_id: Optional[str]) -> None:
         self.payload = payload
-        self.slot = slot
         self.replica_id = replica_id
         self.terminal: Optional[Dict[str, Any]] = None
         self.reassignments = 0
@@ -311,7 +303,7 @@ class RouterCore:
             for job_id, stored in store.jobs().items():
                 if job_id in self._jobs:
                     continue
-                record = _JobRecord(stored.payload, -1, stored.replica_id)
+                record = _JobRecord(stored.payload, stored.replica_id)
                 if stored.terminal is not None:
                     record.terminal = dict(stored.terminal)
                     record.settled_at = now
@@ -327,8 +319,9 @@ class RouterCore:
             endpoints = list(self._endpoints)
         return [ep for ep in endpoints if ep.routable]
 
-    def _endpoint_for(self, replica_id: Optional[str]) -> Optional[
+    def endpoint(self, replica_id: Optional[str]) -> Optional[
             ReplicaEndpoint]:
+        """The member registered as ``replica_id``, if any."""
         if replica_id is None:
             return None
         with self._endpoints_lock:
@@ -412,9 +405,8 @@ class RouterCore:
                     record = self._jobs.get(job_id)
                     if record is None:
                         self._jobs[job_id] = _JobRecord(
-                            payload, endpoint.slot, endpoint.replica_id)
+                            payload, endpoint.replica_id)
                     else:  # reassignment path keeps the original payload
-                        record.slot = endpoint.slot
                         record.replica_id = endpoint.replica_id
                     self._counters["routed"] += 1
                     self._counters[f"routed_{lane}"] += 1
@@ -458,7 +450,7 @@ class RouterCore:
                          "error_kind": FAILURE_INVALID_REQUEST}
         if record.terminal is not None:
             return 200, dict(record.terminal)
-        endpoint = self._endpoint_for(record.replica_id)
+        endpoint = self.endpoint(record.replica_id)
         base = endpoint.base_url if endpoint is not None else None
         if endpoint is not None and base is not None:
             try:
@@ -493,7 +485,7 @@ class RouterCore:
         stored = self._store.lookup(job_id, refresh=True)
         if stored is None:
             return None
-        record = _JobRecord(stored.payload, -1, stored.replica_id)
+        record = _JobRecord(stored.payload, stored.replica_id)
         if stored.terminal is not None:
             record.terminal = dict(stored.terminal)
             return record  # served straight from the store; stays evicted
@@ -544,7 +536,8 @@ class RouterCore:
 
     def _reassign_record(self, job_id: str, record: _JobRecord) -> bool:
         candidates = self.candidates_for(record.payload)
-        candidates = [ep for ep in candidates if ep.slot != record.slot]
+        candidates = [ep for ep in candidates
+                      if ep.replica_id != record.replica_id]
         if not candidates:
             candidates = self.candidates_for(record.payload)
         if not candidates:
@@ -556,21 +549,6 @@ class RouterCore:
                 self._counters["reassigned"] += 1
             return True
         return False
-
-    def reassign_from(self, slot: int) -> int:
-        """Resubmit every non-terminal job assigned to ``slot``; returns
-        the number successfully requeued elsewhere.  Safe to call more
-        than once — already-settled jobs are skipped and the shared-cache
-        single flight dedupes any overlap."""
-        with self._jobs_lock:
-            orphans = [(job_id, record)
-                       for job_id, record in self._jobs.items()
-                       if record.slot == slot and record.terminal is None]
-        moved = 0
-        for job_id, record in orphans:
-            if self._reassign_record(job_id, record):
-                moved += 1
-        return moved
 
     def reassign_replica(self, replica_id: str) -> int:
         """Resubmit every non-terminal job assigned to ``replica_id``."""
@@ -603,7 +581,7 @@ class RouterCore:
             ]
         moved = 0
         for job_id, record in orphans:
-            endpoint = self._endpoint_for(record.replica_id)
+            endpoint = self.endpoint(record.replica_id)
             if endpoint is not None and endpoint.routable:
                 continue
             if self._reassign_record(job_id, record):
@@ -615,7 +593,7 @@ class RouterCore:
     def register_replica(
         self, replica_id: str, base_url: str, epoch: int
     ) -> Tuple[int, Dict[str, Any]]:
-        """The ``--join`` handshake: admit or refresh a remote replica.
+        """The ``--join`` handshake: admit or refresh a replica.
 
         Idempotent for heartbeat re-registrations (same epoch).  A higher
         epoch means the replica restarted — its previous assignments are
@@ -630,7 +608,7 @@ class RouterCore:
         with self._endpoints_lock:
             endpoint = self._by_id.get(replica_id)
             if endpoint is None:
-                endpoint = ReplicaEndpoint(len(self._endpoints), replica_id)
+                endpoint = ReplicaEndpoint(replica_id)
                 self._endpoints.append(endpoint)
                 self._by_id[replica_id] = endpoint
             elif epoch < endpoint.epoch:
@@ -777,15 +755,18 @@ def start_router(
 
 
 class RouterMonitor:
-    """Health checks + orphan recovery for supervisor-less topologies.
+    """The router's one prober: health checks plus orphan recovery.
 
-    The fleet supervisor (PR 7) probes the children it spawned; a
-    standalone router has no children — replicas appear through the
-    ``--join`` handshake and may live on other hosts.  This monitor probes
-    every registered endpoint's ``/readyz`` each tick (marking endpoints
-    healthy/down exactly like the supervisor does) and then requeues
-    non-terminal jobs stranded on unroutable replicas, which is also what
-    drives recovery of store-rehydrated jobs after a router restart.
+    Every registered replica — a local ``--replicas`` child or a
+    cross-host ``--join`` process — is probed on ``/readyz`` each tick.
+    A 200 marks it healthy and stores the whole body as its telemetry
+    (queue depth, ``est_wait_seconds`` and the per-kind duration EWMAs
+    that price backlog in :meth:`RouterCore.candidates_for`);
+    ``down_after`` consecutive failures (refused, timed out, or 503 while
+    draining or full) take it out of rotation and requeue its jobs.  Each
+    tick then requeues non-terminal jobs stranded on unroutable replicas,
+    which is also what drives recovery of store-rehydrated jobs after a
+    router restart.
     """
 
     def __init__(
@@ -825,64 +806,11 @@ class RouterMonitor:
                 status, body = http_json(
                     "GET", f"{base}/readyz", timeout=2.0)
             except OSError:
-                if endpoint.mark_probe_failed(self._down_after):
-                    newly_down.append(endpoint.replica_id)
-                continue
+                status, body = 0, {}
             if status == 200:
-                telemetry = body.get("queue") if isinstance(body, dict) \
-                    else None
-                endpoint.mark_healthy(
-                    telemetry if isinstance(telemetry, dict) else {})
+                endpoint.mark_healthy(body)
             elif endpoint.mark_probe_failed(self._down_after):
                 newly_down.append(endpoint.replica_id)
         for replica_id in newly_down:
             self._core.reassign_replica(replica_id)
         self._core.reassign_orphans()
-
-
-def serve_router(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    state_dir: Optional[str] = None,
-    health_interval: float = 0.5,
-    ready_line: bool = True,
-) -> int:
-    """Blocking standalone-router entry point (``gmap serve --router-only``).
-
-    Boots with zero replicas: membership arrives entirely through
-    ``--join`` registrations.  With ``state_dir`` the job table is durable
-    and a restart on the same directory recovers terminal outcomes and
-    requeues in-flight jobs.
-    """
-    import signal
-
-    store = OutcomeStore(state_dir) if state_dir else None
-    core = RouterCore([], store=store)
-    server = RouterHTTPServer(core, host, port)
-    monitor = RouterMonitor(core, interval=health_interval).start()
-    stop = threading.Event()
-
-    def _on_signal(_signum: int, _frame: Any) -> None:
-        stop.set()
-
-    signal.signal(signal.SIGTERM, _on_signal)
-    signal.signal(signal.SIGINT, _on_signal)
-    serve_thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.2},
-        name="gmap-router", daemon=True)
-    serve_thread.start()
-    if ready_line:
-        print(f"router listening on {server.base_url} (0 replicas)",
-              flush=True)
-    try:
-        stop.wait()
-    finally:
-        monitor.stop()
-        server.shutdown()
-        server.server_close()
-        serve_thread.join(5.0)
-        if store is not None:
-            store.compact(force=True)
-            store.close()
-    return 0

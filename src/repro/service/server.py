@@ -397,9 +397,10 @@ class _ServeHandler(BaseHTTPRequestHandler):
 
 
 class JoinHeartbeat:
-    """Cross-host membership: periodic ``POST /register`` to a router.
+    """Fleet membership: periodic ``POST /register`` to a router.
 
-    Started by ``gmap serve --join <router-url>``.  Each beat announces
+    Started by ``gmap serve --join <router-url>``, which is also how the
+    local children of ``gmap serve --replicas N`` join.  Each beat announces
     ``{replica_id, base_url, epoch}``; the epoch is minted once per
     process (wall-clock milliseconds at boot), so a *restarted* replica
     registers with a higher epoch and the router knows to requeue

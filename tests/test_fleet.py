@@ -14,7 +14,7 @@ import pytest
 import repro.service.router as router_mod
 from repro.service.bench import BENCH_SCHEMA, validate_report
 from repro.service.loadgen import LoadReport, ReqGenEngine
-from repro.service.router import ReplicaEndpoint, RouterCore
+from repro.service.router import ReplicaEndpoint, RouterCore, RouterMonitor
 
 
 # -- in-memory fleet fake ---------------------------------------------------
@@ -48,22 +48,29 @@ class FakeReplica:
 
 
 class FakeFleet:
+    """Replica ``r<i>`` answers at ``http://fake-<i>``; every one joined
+    through the router's ``register_replica`` handshake."""
+
     def __init__(self, n, monkeypatch):
         self.replicas = [FakeReplica() for _ in range(n)]
-        self.endpoints = []
-        for slot in range(n):
-            ep = ReplicaEndpoint(slot, f"r{slot}")
-            ep.set_base_url(f"http://fake-{slot}")
+        self.core = RouterCore([])
+        for index in range(n):
+            self.core.register_replica(f"r{index}", f"http://fake-{index}", 1)
+        self.endpoints = [self.core.endpoint(f"r{index}")
+                          for index in range(n)]
+        for ep in self.endpoints:
             ep.mark_healthy({"est_wait_seconds": 0.0})
-            self.endpoints.append(ep)
-        self.core = RouterCore(self.endpoints)
         monkeypatch.setattr(router_mod, "http_json", self._http_json)
 
     def _http_json(self, method, url, body=None, timeout=None):
         prefix = "http://fake-"
         assert url.startswith(prefix), url
-        slot_str, _, path = url[len(prefix):].partition("/")
-        return self.replicas[int(slot_str)].handle(method, "/" + path, body)
+        index, _, path = url[len(prefix):].partition("/")
+        return self.replicas[int(index)].handle(method, "/" + path, body)
+
+    def replica(self, endpoint):
+        """The fake process behind ``endpoint``."""
+        return self.replicas[int(endpoint.replica_id[1:])]
 
     def jobs_per_replica(self):
         return [len(r.jobs) for r in self.replicas]
@@ -106,9 +113,9 @@ class TestPlacement:
 
     def test_rendezvous_minimal_disruption(self, fleet3):
         payload = _payload()
-        before = [ep.slot for ep in fleet3.core.candidates_for(payload)]
-        fleet3.endpoints[before[0]].mark_down()
-        after = [ep.slot for ep in fleet3.core.candidates_for(payload)]
+        before = [ep.replica_id for ep in fleet3.core.candidates_for(payload)]
+        fleet3.core.endpoint(before[0]).mark_probe_failed(threshold=1)
+        after = [ep.replica_id for ep in fleet3.core.candidates_for(payload)]
         # Losing the top candidate only removes it; the rest keep order.
         assert after == before[1:]
 
@@ -117,15 +124,15 @@ class TestPlacement:
         fleet3.endpoints[1].mark_healthy({"est_wait_seconds": 0.1})
         fleet3.endpoints[2].mark_healthy({"est_wait_seconds": 4.0})
         chaos = dict(_payload(), fault={"spec": "kill:*:*"})
-        order = [ep.slot for ep in fleet3.core.candidates_for(chaos)]
-        assert order == [1, 2, 0]  # least estimated wait first
+        order = [ep.replica_id for ep in fleet3.core.candidates_for(chaos)]
+        assert order == ["r1", "r2", "r0"]  # least estimated wait first
 
     def test_output_jobs_route_by_load(self, fleet3):
         fleet3.endpoints[0].mark_healthy({"est_wait_seconds": 9.0})
         fleet3.endpoints[1].mark_healthy({"est_wait_seconds": 0.1})
         fleet3.endpoints[2].mark_healthy({"est_wait_seconds": 2.0})
         side_effect = _payload(output="/tmp/x.json")
-        assert fleet3.core.candidates_for(side_effect)[0].slot == 1
+        assert fleet3.core.candidates_for(side_effect)[0].replica_id == "r1"
 
     def test_load_routing_uses_per_kind_service_time(self, fleet3):
         # Two replicas with equal backlogs: the one that has historically
@@ -139,9 +146,9 @@ class TestPlacement:
             "est_wait_seconds": 1.0, "avg_job_seconds": 2.0,
             "avg_job_seconds_by_kind": {},
         })
-        fleet3.endpoints[2].mark_down()
+        fleet3.endpoints[2].mark_probe_failed(threshold=1)
         chaos = dict(_payload(analytic=True), fault={"spec": "kill:*:*"})
-        assert fleet3.core.candidates_for(chaos)[0].slot == 0
+        assert fleet3.core.candidates_for(chaos)[0].replica_id == "r0"
 
     def test_invalid_payload_rejected(self, fleet3):
         status, body = fleet3.core.submit(["not", "a", "dict"])
@@ -150,7 +157,7 @@ class TestPlacement:
 
     def test_no_routable_replicas(self, fleet3):
         for ep in fleet3.endpoints:
-            ep.mark_down()
+            ep.mark_probe_failed(threshold=1)
         status, body = fleet3.core.submit(_payload())
         assert status == 503
         assert body["error_kind"] == "rejected"
@@ -162,7 +169,7 @@ class TestFailover:
     def test_spill_past_dead_replica(self, fleet3):
         payload = _payload()
         top = fleet3.core.candidates_for(payload)[0]
-        fleet3.replicas[top.slot].down = True
+        fleet3.replica(top).down = True
         status, body = fleet3.core.submit(payload)
         assert status == 202
         assert body["replica"] != top.replica_id
@@ -180,7 +187,7 @@ class TestFailover:
     def test_partial_shed_spills_sideways(self, fleet3):
         payload = _payload()
         top = fleet3.core.candidates_for(payload)[0]
-        fleet3.replicas[top.slot].shed = True
+        fleet3.replica(top).shed = True
         status, body = fleet3.core.submit(payload)
         assert status == 202
         assert body["replica"] != top.replica_id
@@ -216,17 +223,17 @@ class TestLookupReassign:
         assert job["reassigned"] is True
         new_owner = next(i for i, r in enumerate(fleet3.replicas)
                          if job_id in r.jobs)
-        assert new_owner != owner  # prefers a different slot
+        assert new_owner != owner  # prefers a different replica
 
-    def test_reassign_from_moves_only_nonterminal(self, fleet3):
+    def test_reassign_replica_moves_only_nonterminal(self, fleet3):
         _s, settled = fleet3.core.submit(_payload(cores=101))
         fleet3.core.lookup(settled["job_id"])  # settle it (terminal cached)
         _s, live = fleet3.core.submit(_payload(cores=102))
         owner = next(i for i, r in enumerate(fleet3.replicas)
                      if live["job_id"] in r.jobs)
         fleet3.replicas[owner].down = True
-        fleet3.endpoints[owner].mark_down()
-        moved = fleet3.core.reassign_from(owner)
+        fleet3.endpoints[owner].mark_probe_failed(threshold=1)
+        moved = fleet3.core.reassign_replica(f"r{owner}")
         assert moved == 1  # only the live job moves
         assert any(live["job_id"] in r.jobs
                    for i, r in enumerate(fleet3.replicas) if i != owner)
@@ -242,8 +249,8 @@ class TestLookupReassign:
         owner = next(i for i, r in enumerate(fleet3.replicas)
                      if job_id in r.jobs)
         fleet3.replicas[owner].down = True
-        fleet3.endpoints[owner].mark_down()
-        assert fleet3.core.reassign_from(owner) == 1
+        fleet3.endpoints[owner].mark_probe_failed(threshold=1)
+        assert fleet3.core.reassign_replica(f"r{owner}") == 1
         new_owner = next(i for i, r in enumerate(fleet3.replicas)
                          if job_id in r.jobs)
         assert new_owner != owner
@@ -257,8 +264,8 @@ class TestLookupReassign:
 
 class TestReplicaEndpoint:
     def test_probe_failure_threshold(self):
-        ep = ReplicaEndpoint(0, "r0")
-        ep.set_base_url("http://x")
+        ep = ReplicaEndpoint("r0")
+        ep.register("http://x", 1)
         ep.mark_healthy({})
         assert ep.routable
         assert ep.mark_probe_failed(threshold=3) is False
@@ -270,8 +277,8 @@ class TestReplicaEndpoint:
         assert ep.mark_probe_failed(threshold=3) is False
 
     def test_mark_healthy_resets_failures(self):
-        ep = ReplicaEndpoint(0, "r0")
-        ep.set_base_url("http://x")
+        ep = ReplicaEndpoint("r0")
+        ep.register("http://x", 1)
         ep.mark_healthy({})
         ep.mark_probe_failed(threshold=3)
         ep.mark_probe_failed(threshold=3)
@@ -279,23 +286,15 @@ class TestReplicaEndpoint:
         assert ep.mark_probe_failed(threshold=3) is False  # counter reset
         assert ep.est_wait_seconds() == 1.5
 
-    def test_mark_down_reports_transition_once(self):
-        ep = ReplicaEndpoint(0, "r0")
-        ep.set_base_url("http://x")
-        ep.mark_healthy({})
-        assert ep.mark_down() is True
-        assert ep.mark_down() is False
-        assert ep.base_url is None
-
     def test_garbage_telemetry_is_zero_wait(self):
-        ep = ReplicaEndpoint(0, "r0")
-        ep.set_base_url("http://x")
+        ep = ReplicaEndpoint("r0")
+        ep.register("http://x", 1)
         ep.mark_healthy({"est_wait_seconds": "not-a-number"})
         assert ep.est_wait_seconds() == 0.0
 
     def test_est_wait_for_kind_adds_kind_service_time(self):
-        ep = ReplicaEndpoint(0, "r0")
-        ep.set_base_url("http://x")
+        ep = ReplicaEndpoint("r0")
+        ep.register("http://x", 1)
         ep.mark_healthy({
             "est_wait_seconds": 2.0, "avg_job_seconds": 5.0,
             "avg_job_seconds_by_kind": {"simulate:analytic": 0.004},
@@ -307,13 +306,85 @@ class TestReplicaEndpoint:
         assert ep.est_wait_seconds_for("simulate") == pytest.approx(7.0)
 
     def test_est_wait_for_kind_tolerates_garbage(self):
-        ep = ReplicaEndpoint(0, "r0")
-        ep.set_base_url("http://x")
+        ep = ReplicaEndpoint("r0")
+        ep.register("http://x", 1)
         ep.mark_healthy({
             "est_wait_seconds": 1.0,
             "avg_job_seconds_by_kind": {"simulate": "oops"},
         })
         assert ep.est_wait_seconds_for("simulate") == 1.0
+
+
+# -- the router monitor ------------------------------------------------------
+
+def _readyz(est_wait, avg_by_kind):
+    """A replica's ``/readyz`` body: the queue snapshot at the top level."""
+    return {
+        "ready": True, "replica_id": "r?", "draining": False, "running": 1,
+        "queue_depth": 3, "queue_capacity": 32, "workers": 1,
+        "avg_job_seconds": 1.0, "avg_job_seconds_by_kind": avg_by_kind,
+        "est_wait_seconds": est_wait,
+    }
+
+
+class TestRouterMonitor:
+    def test_tick_stores_readyz_telemetry_for_load_routing(self, monkeypatch):
+        """The monitor hands the whole ``/readyz`` body to the endpoint, so
+        least-wait routing sees each replica's backlog."""
+        bodies = {
+            "http://busy": _readyz(9.0, {"simulate": 2.0}),
+            "http://idle": _readyz(0.1, {"simulate": 2.0}),
+        }
+        monkeypatch.setattr(
+            router_mod, "http_json",
+            lambda method, url, body=None, timeout=None:
+                (200, dict(bodies[url[:-len("/readyz")]])))
+        core = RouterCore([])
+        core.register_replica("r0", "http://busy", 1)
+        core.register_replica("r1", "http://idle", 1)
+        RouterMonitor(core).tick()
+        busy, idle = core.endpoints()
+        assert busy.est_wait_seconds_for("simulate") == pytest.approx(11.0)
+        assert idle.est_wait_seconds_for("simulate") == pytest.approx(2.1)
+        chaos = dict(_payload(), fault={"spec": "kill:*:*"})
+        assert [ep.replica_id for ep in core.candidates_for(chaos)] == \
+            ["r1", "r0"]
+
+    def test_same_epoch_heartbeat_keeps_a_demoted_replica_out(
+            self, monkeypatch):
+        """Only a successful probe (or a restart) returns a replica the
+        monitor demoted to rotation; its heartbeat does not."""
+        answer = {"up": False}
+
+        def fake(method, url, body=None, timeout=None):
+            if not answer["up"]:
+                raise ConnectionError("refused")
+            return 200, _readyz(0.0, {})
+
+        monkeypatch.setattr(router_mod, "http_json", fake)
+        core = RouterCore([])
+        core.register_replica("r0", "http://h:1", 7)
+        monitor = RouterMonitor(core, down_after=3)
+        for _ in range(3):
+            monitor.tick()
+        (endpoint,) = core.endpoints()
+        assert not endpoint.routable
+        status, body = core.register_replica("r0", "http://h:1", 7)
+        assert status == 200 and body["rejoined"] is False
+        assert not endpoint.routable
+        answer["up"] = True
+        monitor.tick()
+        assert endpoint.routable
+
+    def test_parked_replica_stays_out_of_rotation(self):
+        core = RouterCore([])
+        core.register_replica("r0", "http://h:1", 7)
+        endpoint = core.endpoint("r0")
+        endpoint.mark_parked()
+        endpoint.mark_healthy({})
+        core.register_replica("r0", "http://h:1", 7)
+        assert not endpoint.routable
+        assert endpoint.snapshot()["parked"] is True
 
 
 # -- request generator -------------------------------------------------------
@@ -425,7 +496,11 @@ class TestBenchSchema:
 class TestLiveFleet:
     def test_fleet_end_to_end(self, tmp_path):
         """Boot a real 2-replica fleet, push a small closed-loop workload
-        through the router, and check the fleet snapshot accounting."""
+        through the router, check the fleet snapshot accounting, then
+        SIGKILL r0 and watch it rejoin with a higher epoch."""
+        import threading
+
+        from repro.service.backoff import poll_until
         from repro.service.fleet import Fleet, FleetConfig
         from repro.service.loadgen import Workload
 
@@ -436,6 +511,22 @@ class TestLiveFleet:
         )
         with Fleet(config) as fleet:
             assert fleet.wait_routable(2, timeout=60.0)
+
+            def members():
+                status, body = router_mod.http_json(
+                    "GET", f"{fleet.router_url}/fleet")
+                assert status == 200
+                return {r["replica_id"]: r for r in body["replicas"]}
+
+            assert poll_until(
+                lambda: all(r["telemetry"] for r in members().values()),
+                timeout=30.0)
+            before = members()
+            assert set(before) == {"r0", "r1"}
+            for replica in before.values():
+                assert replica["epoch"] > 0
+                assert "est_wait_seconds" in replica["telemetry"]
+
             engine = ReqGenEngine(seed=99, key_diversity=4, scale="tiny")
             workload = Workload(fleet.router_url, engine, job_deadline=30.0)
             report = workload.run_closed(clients=2, max_requests=6)
@@ -446,6 +537,25 @@ class TestLiveFleet:
             assert snap["routable"] == 2
             assert snap["jobs_tracked"] >= 6
             assert snap["counters"]["routed"] >= 6
+
+            engine = ReqGenEngine(seed=100, key_diversity=6, scale="tiny")
+            workload = Workload(fleet.router_url, engine, job_deadline=30.0)
+            holder = {}
+            thread = threading.Thread(
+                target=lambda: holder.update(report=workload.run_closed(
+                    clients=2, max_requests=6)),
+                daemon=True)
+            thread.start()
+            poll_until(lambda: workload.progress() >= 1, timeout=30.0)
+            fleet.kill_replica(0)
+            thread.join(60.0)
+            doc = holder["report"].to_dict()
+            assert doc["completed"] == 6
+            assert doc["failed"] == 0 and doc["lost"] == 0
+            assert poll_until(
+                lambda: members()["r0"]["epoch"] > before["r0"]["epoch"]
+                and fleet.routable("r0"), timeout=60.0)
+            assert members()["r0"]["restarts"] == 1
 
 
 # -- counter lock discipline (regression: interprocedural analyzer) ---------
@@ -505,13 +615,9 @@ class TestRouterCounterLockDiscipline:
         assert counters.unlocked_writes == []
 
     def test_spill_and_shed_counters_under_lock(self, monkeypatch):
-        endpoints = []
-        for slot in range(2):
-            ep = ReplicaEndpoint(slot, f"r{slot}")
-            ep.set_base_url(f"http://fake-{slot}")
-            ep.mark_healthy({"est_wait_seconds": 0.0})
-            endpoints.append(ep)
-        core = RouterCore(endpoints)
+        core = RouterCore([])
+        for index in range(2):
+            core.register_replica(f"r{index}", f"http://fake-{index}", 1)
         counters = self._instrument(core)
         monkeypatch.setattr(
             router_mod, "http_json",
@@ -524,10 +630,8 @@ class TestRouterCounterLockDiscipline:
         assert counters.unlocked_writes == []
 
     def test_unreachable_replica_spill_under_lock(self, monkeypatch):
-        ep = ReplicaEndpoint(0, "r0")
-        ep.set_base_url("http://fake-0")
-        ep.mark_healthy({"est_wait_seconds": 0.0})
-        core = RouterCore([ep])
+        core = RouterCore([])
+        core.register_replica("r0", "http://fake-0", 1)
         counters = self._instrument(core)
 
         def unreachable(method, url, body=None, timeout=None):

@@ -215,7 +215,7 @@ class TestTerminalEviction:
     def _settle(self, core, job_id, result=7):
         from repro.service.router import _JobRecord
 
-        record = _JobRecord({"kind": "simulate"}, -1, "r0")
+        record = _JobRecord({"kind": "simulate"}, "r0")
         with core._jobs_lock:
             core._jobs[job_id] = record
         core._settle(job_id, record, _terminal(result))
@@ -254,7 +254,7 @@ class TestTerminalEviction:
         from repro.service.router import _JobRecord
 
         with core._jobs_lock:
-            core._jobs["pending"] = _JobRecord({"kind": "simulate"}, -1, "r0")
+            core._jobs["pending"] = _JobRecord({"kind": "simulate"}, "r0")
         clock.advance(1_000.0)
         self._settle(core, "done")
         with core._jobs_lock:
@@ -309,7 +309,7 @@ class TestRegisterEpochs:
         store = OutcomeStore(tmp_path)
         store.record_assignment("lost", {"kind": "simulate"}, "r1")
         store.close()
-        endpoint = ReplicaEndpoint(0, "r1")
+        endpoint = ReplicaEndpoint("r1")
         core = RouterCore([endpoint], store=OutcomeStore(tmp_path))
         assert core.fleet_snapshot()["counters"]["recovered_pending"] == 1
         # Rejoin with a higher epoch; the requeue attempt runs (it will
