@@ -456,6 +456,9 @@ class RouterCore:
             try:
                 status, body = http_json("GET", f"{base}/jobs/{job_id}")
             except OSError:
+                # A refused connection marks the replica suspect, as in
+                # ``_place``: new submissions skip it until a probe passes.
+                endpoint.mark_probe_failed(threshold=1)
                 status, body = 0, {}
             if status == 200:
                 if body.get("status") in TERMINAL_STATUSES:

@@ -29,7 +29,13 @@ wrapped in a resilience layer (:mod:`repro.validation.resilience`):
 
 A same-process fallback covers ``jobs=1``, single-task runs, and platforms
 where process pools fail (pickling restrictions, missing semaphores): the
-engine degrades to a plain loop with identical results.
+engine degrades to a plain loop with identical results.  That serial loop
+owns its pipelines: a benchmark's pipeline is built on its first chunk,
+reused by its later chunks and retries, and dropped once its last chunk
+completes or is quarantined (or the loop raises), so a returned run leaves
+nothing reachable from module state and at most one benchmark's working set
+is resident at a time.  Only pool workers use the process-local memo below;
+pools are created per run, so it dies with them.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import os
 import pickle
 import time
 import uuid
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -111,8 +117,9 @@ def _chunk_id(chunk: _SweepChunk) -> Tuple[int, int]:
     return chunk.kernel_index, chunk.config_offset
 
 
-#: Per-worker-process pipeline memo, keyed by (run token, kernel index) and
+#: Pool-worker pipeline memo, keyed by (run token, kernel index) and
 #: LRU-bounded so long multi-benchmark sweeps don't hold every trace set.
+#: The serial path never touches it: it passes its own per-run store.
 _WORKER_PIPELINES: "OrderedDict[Tuple[str, int], BenchmarkPipeline]" = OrderedDict()
 _WORKER_PIPELINE_CAP = 8
 
@@ -121,11 +128,41 @@ def _chunk_cache(chunk: _SweepChunk) -> Optional[ArtifactCache]:
     return ArtifactCache(chunk.cache_dir) if chunk.use_cache else None
 
 
+def _build_chunk_pipeline(chunk: _SweepChunk) -> BenchmarkPipeline:
+    return build_pipeline(
+        chunk.kernel,
+        num_cores=chunk.num_cores,
+        max_blocks_per_core=chunk.max_blocks_per_core,
+        seed=chunk.seed,
+        scale_factor=chunk.scale_factor,
+        stride_model=chunk.stride_model,
+        cache=_chunk_cache(chunk),
+        backend=chunk.backend,
+    )
+
+
+def _worker_pipeline(chunk: _SweepChunk) -> BenchmarkPipeline:
+    """The pool worker's memoized pipeline for ``chunk``'s benchmark."""
+    memo_key = (chunk.run_token, chunk.kernel_index)
+    pipeline = _WORKER_PIPELINES.get(memo_key)
+    if pipeline is None:
+        pipeline = _build_chunk_pipeline(chunk)
+        _WORKER_PIPELINES[memo_key] = pipeline
+        while len(_WORKER_PIPELINES) > _WORKER_PIPELINE_CAP:
+            _WORKER_PIPELINES.popitem(last=False)
+    else:
+        _WORKER_PIPELINES.move_to_end(memo_key)
+    return pipeline
+
+
 def _run_chunk(
     chunk: _SweepChunk,
+    pipelines: Optional[Dict[int, BenchmarkPipeline]] = None,
 ) -> Tuple[int, int, List[RunPair], List[dict]]:
     """Worker body: build (or reuse) the pipeline, simulate the slice.
 
+    ``pipelines`` is the serial caller's per-run store, keyed by kernel
+    index; a pool worker passes none and uses the process-local memo.
     Returns ``(kernel_index, config_offset, pairs, analytic_fallbacks)``;
     the fallback matrix is empty except for ``analytic``-mode chunks with
     configs outside the reuse model.  Any exception is re-raised as a
@@ -135,24 +172,13 @@ def _run_chunk(
     """
     try:
         maybe_inject_worker_fault(chunk.kernel_index, chunk.config_offset)
-        memo_key = (chunk.run_token, chunk.kernel_index)
-        pipeline = _WORKER_PIPELINES.get(memo_key)
-        if pipeline is None:
-            pipeline = build_pipeline(
-                chunk.kernel,
-                num_cores=chunk.num_cores,
-                max_blocks_per_core=chunk.max_blocks_per_core,
-                seed=chunk.seed,
-                scale_factor=chunk.scale_factor,
-                stride_model=chunk.stride_model,
-                cache=_chunk_cache(chunk),
-                backend=chunk.backend,
-            )
-            _WORKER_PIPELINES[memo_key] = pipeline
-            while len(_WORKER_PIPELINES) > _WORKER_PIPELINE_CAP:
-                _WORKER_PIPELINES.popitem(last=False)
+        if pipelines is None:
+            pipeline = _worker_pipeline(chunk)
         else:
-            _WORKER_PIPELINES.move_to_end(memo_key)
+            pipeline = pipelines.get(chunk.kernel_index)
+            if pipeline is None:
+                pipeline = _build_chunk_pipeline(chunk)
+                pipelines[chunk.kernel_index] = pipeline
         fallbacks: List[dict] = []
         if chunk.sim_mode == "analytic":
             # O(histogram) predictions; out-of-model configs replay with
@@ -419,11 +445,11 @@ class SweepRunner:
             time.sleep(min(self.retry_backoff * (2 ** round_index), 2.0))
 
     def _run_chunk_inprocess(
-        self, chunk: _SweepChunk
+        self, chunk: _SweepChunk, pipelines: Dict[int, BenchmarkPipeline],
     ) -> Tuple[List[RunPair], List[dict]]:
         if self.fault_injector is not None:
             self.fault_injector(chunk)
-        _, _, pairs, fallbacks = _run_chunk(chunk)
+        _, _, pairs, fallbacks = _run_chunk(chunk, pipelines)
         return pairs, fallbacks
 
     def _execute_serial(
@@ -432,21 +458,36 @@ class SweepRunner:
         on_done: Callable[[_SweepChunk, List[RunPair], List[dict]], None],
         attempts: Dict[Tuple[int, int], int],
     ) -> List[ChunkFailure]:
-        """In-process execution with the same retry/quarantine semantics."""
+        """In-process execution with the same retry/quarantine semantics.
+
+        The loop owns its pipelines: a benchmark's is built on its first
+        chunk, reused by its later chunks and retries, and dropped once its
+        last chunk completes or is quarantined — and on any exit, so none
+        outlives the call.
+        """
         failures: List[ChunkFailure] = []
-        for chunk in chunks:
-            while True:
-                try:
-                    on_done(chunk, *self._run_chunk_inprocess(chunk))
-                    break
-                except Exception as exc:
-                    cid = _chunk_id(chunk)
-                    attempts[cid] = attempts.get(cid, 0) + 1
-                    if attempts[cid] > self.retries:
-                        failures.append(self._chunk_failure(chunk, exc,
-                                                            attempts[cid]))
+        remaining = Counter(chunk.kernel_index for chunk in chunks)
+        pipelines: Dict[int, BenchmarkPipeline] = {}
+        try:
+            for chunk in chunks:
+                while True:
+                    try:
+                        on_done(chunk,
+                                *self._run_chunk_inprocess(chunk, pipelines))
                         break
-                    self._backoff(attempts[cid] - 1)
+                    except Exception as exc:
+                        cid = _chunk_id(chunk)
+                        attempts[cid] = attempts.get(cid, 0) + 1
+                        if attempts[cid] > self.retries:
+                            failures.append(self._chunk_failure(
+                                chunk, exc, attempts[cid]))
+                            break
+                        self._backoff(attempts[cid] - 1)
+                remaining[chunk.kernel_index] -= 1
+                if not remaining[chunk.kernel_index]:
+                    pipelines.pop(chunk.kernel_index, None)
+        finally:
+            pipelines.clear()
         return failures
 
     def _chunk_failure(

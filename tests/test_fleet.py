@@ -225,6 +225,24 @@ class TestLookupReassign:
                          if job_id in r.jobs)
         assert new_owner != owner  # prefers a different replica
 
+    def test_refused_lookup_marks_replica_unroutable(self, monkeypatch):
+        fleet = FakeFleet(2, monkeypatch)
+        r0, r1 = fleet.endpoints
+        payload = next(
+            p for p in (_payload(cores=i) for i in range(64))
+            if fleet.core.candidates_for(p)[0] is r0)
+        _status, body = fleet.core.submit(payload)
+        assert body["replica"] == "r0"
+        fleet.replicas[0].down = True  # killed: every request is refused
+        status, job = fleet.core.lookup(body["job_id"])
+        assert (status, job["reassigned"]) == (200, True)
+        assert not r0.routable
+        # r0's key now goes straight to r1, without a refused POST first.
+        spilled = fleet.core.fleet_snapshot()["counters"]["spilled"]
+        status, body = fleet.core.submit(dict(payload))
+        assert (status, body["replica"]) == (202, "r1")
+        assert fleet.core.fleet_snapshot()["counters"]["spilled"] == spilled
+
     def test_reassign_replica_moves_only_nonterminal(self, fleet3):
         _s, settled = fleet3.core.submit(_payload(cores=101))
         fleet3.core.lookup(settled["job_id"])  # settle it (terminal cached)
