@@ -13,12 +13,12 @@ influences the artifact (kernel fingerprint, generation seed, scale factor,
 stride model, core count, residency bound, profiling granularity — and, for
 result pairs, the full simulator configuration).  Any input change produces
 a different key, so the cache never needs invalidation, only garbage
-collection.  Every entry additionally embeds a checksum over its payload; a
-corrupted, truncated, or checksum-failing entry is *quarantined* (moved to
-``quarantine/`` for post-mortem) and treated as a miss, so the artifact is
-rebuilt from source rather than crashing the sweep or poisoning it with a
-silently-wrong value.  Writes are atomic (temp file + rename) so concurrent
-sweep workers can share one cache directory.
+collection.  Entries are read, written and quarantined by the one
+:class:`~repro.core.store.ContentStore`: each embeds a checksum over its
+payload, writes are atomic so concurrent sweep workers can share one cache
+directory, and a corrupt entry is moved to ``quarantine/`` and rebuilt from
+source rather than crashing the sweep or serving a silently-wrong value
+(a transient read error is only a miss).
 
 The cache directory resolves, in order: an explicit ``cache_dir`` argument,
 the ``GMAP_CACHE_DIR`` environment variable, ``~/.cache/gmap``.
@@ -28,23 +28,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import gzip
 import os
 import pickle
-import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.backend import numpy_available
-from repro.core.integrity import (
-    CorruptArtifactError,
-    integrity_events,
-    payload_checksum,
-    quarantine_file,
-    verify_payload,
-)
+from repro.core.integrity import CorruptArtifactError, integrity_events
 from repro.core.profile import GmapProfile
+from repro.core.store import ContentStore
 from repro.gpu.executor import CoreAssignment, WarpTrace
 from repro.memsim.config import SimConfig
 from repro.memsim.stats import CacheStats, DramStats, SimResult
@@ -187,41 +179,29 @@ def sim_result_from_payload(data: dict) -> SimResult:
     )
 
 
-@dataclass
-class CacheCounters:
-    """Hit/miss accounting, surfaced by the bench harness and ``--jobs`` runs."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    errors: int = 0
-    quarantined: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "hits": self.hits, "misses": self.misses,
-            "stores": self.stores, "errors": self.errors,
-            "quarantined": self.quarantined,
-        }
-
-
 class ArtifactCache:
     """Content-addressed cache over pipeline artifacts and result pairs.
 
-    Two entry kinds live under distinct subdirectories:
+    Three entry kinds live under distinct subdirectories of one
+    :class:`~repro.core.store.ContentStore` (:attr:`content`):
 
     * ``pipeline/`` — profile + original/proxy warp traces of one
-      ``build_pipeline`` invocation;
+      ``build_pipeline`` invocation: a binary columnar ``.npz`` container
+      when NumPy is present, gzipped JSON otherwise;
+    * ``sdprofile/`` — one model's stack-distance profile of one kernel;
     * ``pair/`` — the original+proxy :class:`SimResult` of one
       (pipeline, configuration) sweep point.
 
-    Both are gzipped JSON, fanned out by the first two key characters so
-    directories stay small at scale.
+    :attr:`counters` are the store's hit/miss/store/error/quarantine
+    counts.
     """
 
     def __init__(self, cache_dir: Optional[PathLike] = None) -> None:
         self.root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-        self.counters = CacheCounters()
+        self.content = ContentStore(
+            self.root, CACHE_SCHEMA_VERSION,
+            on_quarantine=lambda: integrity_events.record("cache_rebuild"))
+        self.counters = self.content.counters
 
     # -- keys ---------------------------------------------------------------
 
@@ -264,66 +244,6 @@ class ArtifactCache:
             "track_scheduling": track_scheduling,
         })
 
-    # -- raw entry IO -------------------------------------------------------
-
-    def _path(self, kind: str, key: str) -> Path:
-        return self.root / kind / key[:2] / f"{key}.json.gz"
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a damaged entry aside so it is rebuilt, not re-tripped-over."""
-        integrity_events.record("cache_rebuild")
-        quarantine_file(path, self.root / "quarantine")
-        self.counters.quarantined += 1
-
-    def _load(self, kind: str, key: str) -> Optional[dict]:
-        path = self._path(kind, key)
-        try:
-            with gzip.open(path, "rt", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            if payload.get("schema") != CACHE_SCHEMA_VERSION:
-                self.counters.misses += 1
-                return None
-        except FileNotFoundError:
-            self.counters.misses += 1
-            return None
-        except Exception:
-            # Corrupted/truncated entry: quarantine, treat as a miss.
-            self.counters.errors += 1
-            self._quarantine(path)
-            return None
-        if not verify_payload(payload):
-            # Well-formed JSON whose content was tampered with or bit-rotted
-            # — the dangerous case: without the checksum it would be served.
-            self.counters.errors += 1
-            self._quarantine(path)
-            return None
-        self.counters.hits += 1
-        return payload
-
-    def _store(self, kind: str, key: str, payload: dict) -> None:
-        path = self._path(kind, key)
-        payload = dict(payload, schema=CACHE_SCHEMA_VERSION)
-        payload["checksum"] = payload_checksum(payload)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as raw:
-                    with gzip.open(raw, "wt", encoding="utf-8") as fh:
-                        json.dump(payload, fh)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            # A read-only or full cache directory must never fail the sweep.
-            self.counters.errors += 1
-            return
-        self.counters.stores += 1
-
     # -- pipeline artifacts -------------------------------------------------
     #
     # Pipeline entries hold the bulky artifacts (two full warp-trace sets),
@@ -331,70 +251,42 @@ class ArtifactCache:
     # (:mod:`repro.memsim.arrays`) instead of per-record JSON — loading one
     # is a few array reads, which is what lets cold parallel workers fetch
     # a pipeline another worker built without re-paying a parse.  Without
-    # NumPy the legacy gzipped-JSON layout is used; both paths share the
-    # schema version and the quarantine-on-corruption behaviour.
-
-    def _pipeline_npz_path(self, key: str) -> Path:
-        return self.root / "pipeline" / key[:2] / f"{key}.npz"
+    # NumPy the gzipped-JSON layout is used; both go through the store's
+    # read rule and share the schema version.
 
     def pipeline_entry_path(self, key: str) -> Path:
         """On-disk location of a pipeline entry in the active format."""
-        if numpy_available():
-            return self._pipeline_npz_path(key)
-        return self._path("pipeline", key)
+        return self.content.path(
+            "pipeline", key, "npz" if numpy_available() else "json.gz")
 
-    def _load_pipeline_npz(self, key: str):
+    @staticmethod
+    def _decode_pipeline_npz(path: Path):
         from repro.memsim import arrays as columnar
 
-        path = self._pipeline_npz_path(key)
-        if not path.exists():
-            self.counters.misses += 1
-            return None
-        try:
-            columns, header = columnar.load_columns(
-                path, columnar.FORMAT_PIPELINE
-            )
-        except CorruptArtifactError:
-            self.counters.errors += 1
-            self._quarantine(path)
-            return None
-        except Exception:
-            self.counters.errors += 1
-            return None
+        columns, header = columnar.load_columns(path, columnar.FORMAT_PIPELINE)
         if header.get("cache_schema") != CACHE_SCHEMA_VERSION:
-            self.counters.misses += 1
-            return None
-        try:
-            profile = GmapProfile.from_dict(
-                json.loads(bytes(columns["profile_json"].tobytes()).decode())
-            )
-            original = columnar.unpack_assignments(columns, "orig_")
-            proxy = columnar.unpack_assignments(columns, "proxy_")
-            meta = header.get("meta", {})
-        except Exception:
-            self.counters.errors += 1
-            return None
-        self.counters.hits += 1
-        return profile, original, proxy, meta
+            raise CorruptArtifactError(
+                f"{path}: cache schema {header.get('cache_schema')!r}")
+        profile = GmapProfile.from_dict(
+            json.loads(bytes(columns["profile_json"].tobytes()).decode())
+        )
+        original = columnar.unpack_assignments(columns, "orig_")
+        proxy = columnar.unpack_assignments(columns, "proxy_")
+        return profile, original, proxy, header.get("meta", {})
 
     def load_pipeline(
         self, key: str
     ) -> Optional[Tuple[GmapProfile, List[CoreAssignment], List[CoreAssignment], dict]]:
         """Returns (profile, original, proxy, meta) or None on miss."""
+        path = self.pipeline_entry_path(key)
         if numpy_available():
-            return self._load_pipeline_npz(key)
-        payload = self._load("pipeline", key)
-        if payload is None:
-            return None
-        try:
-            profile = GmapProfile.from_dict(payload["profile"])
-            original = assignments_from_payload(payload["original"])
-            proxy = assignments_from_payload(payload["proxy"])
-            meta = payload["meta"]
-        except Exception:
-            self.counters.errors += 1
-            return None
-        return profile, original, proxy, meta
+            return self.content.read(path, self._decode_pipeline_npz)
+        return self.content.load(path, lambda payload: (
+            GmapProfile.from_dict(payload["profile"]),
+            assignments_from_payload(payload["original"]),
+            assignments_from_payload(payload["proxy"]),
+            payload["meta"],
+        ))
 
     def store_pipeline(
         self,
@@ -404,39 +296,28 @@ class ArtifactCache:
         proxy: List[CoreAssignment],
         meta: dict,
     ) -> None:
-        if numpy_available():
-            import numpy as np
-
-            from repro.memsim import arrays as columnar
-
-            columns = columnar.pack_assignments(original, "orig_")
-            columns.update(columnar.pack_assignments(proxy, "proxy_"))
-            columns["profile_json"] = np.frombuffer(
-                json.dumps(profile.to_dict()).encode("utf-8"), dtype=np.uint8
-            )
-            try:
-                columnar.save_columns(
-                    self._pipeline_npz_path(key),
-                    columns,
-                    columnar.FORMAT_PIPELINE,
-                    extra_meta={
-                        "cache_schema": CACHE_SCHEMA_VERSION,
-                        "meta": meta,
-                    },
-                )
-            except OSError:
-                # A read-only or full cache directory must never fail the
-                # sweep (mirrors ``_store``).
-                self.counters.errors += 1
-                return
-            self.counters.stores += 1
+        path = self.pipeline_entry_path(key)
+        if not numpy_available():
+            self.content.save(path, {
+                "profile": profile.to_dict(),
+                "original": assignments_to_payload(original),
+                "proxy": assignments_to_payload(proxy),
+                "meta": meta,
+            })
             return
-        self._store("pipeline", key, {
-            "profile": profile.to_dict(),
-            "original": assignments_to_payload(original),
-            "proxy": assignments_to_payload(proxy),
-            "meta": meta,
-        })
+        import numpy as np
+
+        from repro.memsim import arrays as columnar
+
+        columns = columnar.pack_assignments(original, "orig_")
+        columns.update(columnar.pack_assignments(proxy, "proxy_"))
+        columns["profile_json"] = np.frombuffer(
+            json.dumps(profile.to_dict()).encode("utf-8"), dtype=np.uint8
+        )
+        self.content.write(path, lambda fh: columnar.write_columns(
+            fh, columns, columnar.FORMAT_PIPELINE,
+            extra_meta={"cache_schema": CACHE_SCHEMA_VERSION, "meta": meta},
+        ))
 
     # -- stack-distance profiles --------------------------------------------
     #
@@ -480,21 +361,17 @@ class ArtifactCache:
         """
         from repro.analytical.profile_model import StackDistanceProfile
 
-        payload = self._load("sdprofile", key)
-        if payload is None:
-            return None
-        try:
-            profile = StackDistanceProfile.from_dict(payload["profile"])
-            extra = dict(payload.get("extra") or {})
-        except Exception:
-            self.counters.errors += 1
-            return None
-        return profile, extra
+        return self.content.load(
+            self.content.path("sdprofile", key),
+            lambda payload: (
+                StackDistanceProfile.from_dict(payload["profile"]),
+                dict(payload.get("extra") or {}),
+            ))
 
     def store_sd_profile(
         self, key: str, profile, extra: Optional[Dict[str, Any]] = None
     ) -> None:
-        self._store("sdprofile", key, {
+        self.content.save(self.content.path("sdprofile", key), {
             "profile": profile.to_dict(),
             "extra": extra or {},
         })
@@ -502,20 +379,13 @@ class ArtifactCache:
     # -- simulation result pairs --------------------------------------------
 
     def load_pair(self, key: str) -> Optional[Tuple[SimResult, SimResult]]:
-        payload = self._load("pair", key)
-        if payload is None:
-            return None
-        try:
-            return (
-                sim_result_from_payload(payload["original"]),
-                sim_result_from_payload(payload["proxy"]),
-            )
-        except Exception:
-            self.counters.errors += 1
-            return None
+        return self.content.load(self.content.path("pair", key), lambda payload: (
+            sim_result_from_payload(payload["original"]),
+            sim_result_from_payload(payload["proxy"]),
+        ))
 
     def store_pair(self, key: str, original: SimResult, proxy: SimResult) -> None:
-        self._store("pair", key, {
+        self.content.save(self.content.path("pair", key), {
             "original": sim_result_to_payload(original),
             "proxy": sim_result_to_payload(proxy),
         })

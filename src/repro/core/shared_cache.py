@@ -27,11 +27,12 @@ Two fleet problems are solved here:
     next waiter takes it over (counted as ``shared_cache_lease_takeover``
     in the integrity ledger).
 
-* **poison containment** — every entry embeds a SHA-256 checksum
-  (:mod:`repro.core.integrity`).  A poisoned/truncated/bit-rotted entry is
-  *quarantined* (moved to ``quarantine/`` for post-mortem) and rebuilt
-  from source, never served.  The chaos harness drives this path
-  deterministically through the ``GMAP_FAULT_INJECT`` corrupt hook.
+* **poison containment** — entries go through the one content store
+  (:mod:`repro.core.store`), so each embeds a SHA-256 checksum and a
+  poisoned/truncated/bit-rotted entry is *quarantined* (moved to
+  ``quarantine/`` for post-mortem) and rebuilt from source, never served.
+  The chaos harness drives this path deterministically through the
+  ``GMAP_FAULT_INJECT`` corrupt hook.
 
 Every observation is recorded in the process-wide
 :data:`~repro.core.integrity.integrity_events` ledger under
@@ -50,14 +51,10 @@ and that degradation is announced once per process through the
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import json
-import os
-import tempfile
 import threading
 import time
-import zlib
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
@@ -68,13 +65,9 @@ except ImportError:  # pragma: no cover
     fcntl = None  # type: ignore[assignment]
     _HAVE_FCNTL = False
 
-from repro.core.integrity import (
-    integrity_events,
-    payload_checksum,
-    quarantine_file,
-    verify_payload,
-)
+from repro.core.integrity import integrity_events
 from repro.core.lease import ACQUIRED_TAKEOVER, LeaseFile, LeaseHeartbeat
+from repro.core.store import ContentStore
 
 PathLike = Union[str, Path]
 
@@ -159,9 +152,11 @@ def job_key(kind: str, params: Dict[str, Any], backend: Optional[str]) -> str:
 
 
 class SharedResultCache:
-    """Content-addressed job-result store with fcntl single-flight.
+    """Content-addressed job-result store with single-flight coalescing.
 
-    Layout under ``root``::
+    Entries live in a :class:`~repro.core.store.ContentStore`
+    (:attr:`content`); the single-flight lock is an ``fcntl`` flock or a
+    lease (see ``lock_backend``).  Layout under ``root``::
 
         results/<k[:2]>/<key>.json.gz    checksummed gzipped-JSON entries
         locks/<k[:2]>/<key>.lock         per-key fcntl locks (empty files)
@@ -188,6 +183,9 @@ class SharedResultCache:
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.root = Path(root)
+        self.content = ContentStore(
+            self.root, SHARED_CACHE_SCHEMA,
+            on_quarantine=lambda: integrity_events.record(EVENT_POISONED))
         self.lock_timeout = lock_timeout
         self.poll_interval = poll_interval
         self.lock_backend = resolve_lock_backend(lock_backend)
@@ -198,7 +196,7 @@ class SharedResultCache:
     # -- paths --------------------------------------------------------------
 
     def entry_path(self, key: str) -> Path:
-        return self.root / "results" / key[:2] / f"{key}.json.gz"
+        return self.content.path("results", key)
 
     def _lock_path(self, key: str) -> Path:
         return self.root / "locks" / key[:2] / f"{key}.lock"
@@ -206,37 +204,20 @@ class SharedResultCache:
     def _lease_path(self, key: str) -> Path:
         return self.root / "locks" / key[:2] / f"{key}.lease"
 
-    # -- raw entry IO --------------------------------------------------------
+    # -- entry IO -------------------------------------------------------------
 
     def load(self, key: str) -> Optional[Dict[str, Any]]:
-        """The stored entry body, or None on miss/quarantine.
+        """The stored entry body, or None on a miss.
 
-        A present-but-poisoned entry (checksum mismatch, truncation,
-        malformed JSON) is quarantined and reported as a miss — the caller
-        rebuilds; the poison is never served.  A *transient* read failure
-        (fd exhaustion, permissions, a flaky network filesystem) is only a
-        miss: quarantining on those would destroy valid shared entries
-        every time the box came under pressure.
+        Reads follow the :class:`~repro.core.store.ContentStore` rule: a
+        poisoned entry (checksum mismatch, truncation, malformed JSON) is
+        quarantined and rebuilt by the caller, never served; a *transient*
+        read failure (fd exhaustion, permissions, a flaky network
+        filesystem) is only a miss, so valid shared entries survive the
+        box coming under pressure.
         """
-        path = self.entry_path(key)
-        try:
-            with gzip.open(path, "rt", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except FileNotFoundError:
-            return None
-        except (gzip.BadGzipFile, EOFError, ValueError, zlib.error):
-            # Unreadable *content*: truncated/garbled gzip, bad JSON (and
-            # UnicodeDecodeError, a ValueError subclass).
-            self._poisoned(path)
-            return None
-        except OSError:
-            return None
-        if (not isinstance(payload, dict)
-                or payload.get("schema") != SHARED_CACHE_SCHEMA
-                or not verify_payload(payload)):
-            self._poisoned(path)
-            return None
-        body = payload.get("body")
+        body = self.content.load(
+            self.entry_path(key), lambda payload: payload.get("body"))
         return body if isinstance(body, dict) else None
 
     def store(self, key: str, body: Dict[str, Any]) -> bool:
@@ -245,33 +226,11 @@ class SharedResultCache:
         A read-only or full shared directory must never fail the job — the
         result is still returned to the caller, just not shared.
         """
-        payload: Dict[str, Any] = {
-            "schema": SHARED_CACHE_SCHEMA, "key": key, "body": body,
-        }
-        payload["checksum"] = payload_checksum(payload)
         path = self.entry_path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as raw:
-                    with gzip.open(raw, "wt", encoding="utf-8") as fh:
-                        json.dump(payload, fh)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
+        if not self.content.save(path, {"key": key, "body": body}):
             return False
         self._maybe_inject_poison(path)
         return True
-
-    def _poisoned(self, path: Path) -> None:
-        integrity_events.record(EVENT_POISONED)
-        quarantine_file(path, self.root / "quarantine")
 
     @staticmethod
     def _maybe_inject_poison(path: Path) -> None:

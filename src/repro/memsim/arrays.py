@@ -27,15 +27,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 import zipfile
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.integrity import CorruptArtifactError
+from repro.core.store import atomic_write
 from repro.gpu.executor import WarpTrace
 from repro.gpu.instructions import AccessTuple
 
@@ -302,13 +301,13 @@ def unpack_thread_traces(
 # Container I/O
 
 
-def save_columns(
-    path: PathLike,
+def write_columns(
+    fh: BinaryIO,
     arrays: Dict[str, np.ndarray],
     fmt: str,
     extra_meta: Optional[Dict] = None,
 ) -> None:
-    """Write a columnar container atomically (tempfile + rename).
+    """Write a columnar container to an open binary file.
 
     Members are stored uncompressed (``np.savez``) so loads can memory-map
     straight out of the zip; the ``_meta`` member records the schema and a
@@ -328,21 +327,20 @@ def save_columns(
     meta_blob = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
     )
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name, suffix=".tmp"
+    np.savez(fh, **{META_MEMBER: meta_blob}, **arrays)
+
+
+def save_columns(
+    path: PathLike,
+    arrays: Dict[str, np.ndarray],
+    fmt: str,
+    extra_meta: Optional[Dict] = None,
+) -> None:
+    """Write a columnar container atomically (:func:`write_columns` into
+    :func:`~repro.core.store.atomic_write`)."""
+    atomic_write(
+        Path(path), lambda fh: write_columns(fh, arrays, fmt, extra_meta)
     )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **{META_MEMBER: meta_blob}, **arrays)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 def _read_meta(raw: np.ndarray, path: Path) -> Dict:
@@ -385,10 +383,6 @@ def _check_meta_bounded(path: Path) -> None:
                         f"bytes (limit {MAX_META_BYTES}); refusing to load"
                     )
     except zipfile.BadZipFile as exc:
-        raise CorruptArtifactError(
-            f"{path}: cannot read binary trace container: {exc}"
-        ) from exc
-    except OSError as exc:
         raise CorruptArtifactError(
             f"{path}: cannot read binary trace container: {exc}"
         ) from exc
@@ -458,7 +452,9 @@ def load_columns(
     declared column is present with its declared dtype.  ``verify=True``
     additionally recomputes the byte checksum (skipped under ``mmap`` —
     touching every page would defeat the mapping; corrupt data still fails
-    the schema checks or the text checksum of derived artifacts).
+    the schema checks or the text checksum of derived artifacts).  An
+    ``OSError`` opening or reading the file propagates unchanged: it says
+    nothing about the content.
     """
     path = Path(path)
     _check_meta_bounded(path)
@@ -470,7 +466,7 @@ def load_columns(
         try:
             with np.load(path) as payload:
                 arrays = {name: payload[name] for name in payload.files}
-        except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        except (ValueError, zipfile.BadZipFile) as exc:
             raise CorruptArtifactError(
                 f"{path}: cannot read binary trace container: {exc}"
             ) from exc

@@ -36,11 +36,9 @@ same whether it happened in a batch sweep or behind the daemon.
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,12 +50,8 @@ except ImportError:  # pragma: no cover - non-posix fallback path
     fcntl = None  # type: ignore[assignment]
 
 from repro.core.cache import default_cache_dir
-from repro.core.integrity import (
-    CorruptArtifactError,
-    payload_checksum,
-    quarantine_file,
-    verify_payload,
-)
+from repro.core.integrity import CorruptArtifactError
+from repro.core.store import ContentStore, atomic_write
 
 PathLike = Union[str, Path]
 
@@ -428,11 +422,14 @@ class RunJournal:
                                            content-checksummed
         quarantine/                        corrupt entries, moved aside
 
-    Writes are atomic (temp file + rename, like the artifact cache), so a
-    crash mid-write never leaves a half-entry: the chunk simply re-runs.
-    Entries store per-pair config fingerprints, so a stale entry from a
-    different sweep is detected and quarantined at load instead of being
-    silently reassembled into wrong results.
+    Chunk entries go through the one content store
+    (:class:`~repro.core.store.ContentStore`, :attr:`content`): writes are
+    atomic, so a crash mid-write never leaves a half-entry and the chunk
+    simply re-runs; a transient read error leaves a finished chunk in place
+    for the next ``--resume``.  Entries store their position and per-pair
+    config fingerprints, so a stale entry from a different sweep is
+    detected and quarantined at load instead of being silently reassembled
+    into wrong results.
     """
 
     def __init__(self, run_id: str, journal_dir: Optional[PathLike] = None) -> None:
@@ -441,7 +438,7 @@ class RunJournal:
         self.run_id = run_id
         self.root = Path(journal_dir if journal_dir is not None
                          else default_journal_dir()) / run_id
-        self.quarantined = 0
+        self.content = ContentStore(self.root, JOURNAL_SCHEMA_VERSION)
         self._lock_fd: Optional[int] = None
 
     # -- paths --------------------------------------------------------------
@@ -518,44 +515,19 @@ class RunJournal:
         except OSError:
             pass
 
-    # -- atomic write helper ------------------------------------------------
-
-    def _write_atomic(self, path: Path, data: bytes) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
     # -- manifest -----------------------------------------------------------
 
     def write_manifest(self, manifest: Dict[str, Any]) -> None:
-        payload = dict(manifest, schema=JOURNAL_SCHEMA_VERSION)
-        payload["checksum"] = payload_checksum(payload)
-        self._write_atomic(
-            self.manifest_path,
-            json.dumps(payload, indent=2, sort_keys=True).encode("utf-8"),
-        )
+        payload = self.content.seal(manifest)
+        atomic_write(self.manifest_path, lambda fh: fh.write(
+            json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")))
 
     def load_manifest(self) -> Optional[Dict[str, Any]]:
         try:
-            payload = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
+            return self.content.check(
+                json.loads(self.manifest_path.read_text(encoding="utf-8")))
+        except (OSError, ValueError):  # CorruptArtifactError is a ValueError
             return None
-        except (OSError, ValueError):
-            return None
-        if payload.get("schema") != JOURNAL_SCHEMA_VERSION:
-            return None
-        if not verify_payload(payload):
-            return None
-        return payload
 
     def ensure_manifest(self, manifest: Dict[str, Any], resume: bool) -> Dict[str, Any]:
         """Write (fresh run) or verify (resume) the manifest.
@@ -601,20 +573,13 @@ class RunJournal:
         conversion).  Journal IO is best-effort on the write side: an
         unwritable journal must never fail the sweep itself.
         """
-        payload = {
-            "schema": JOURNAL_SCHEMA_VERSION,
+        path = self.entry_path(kernel_index, config_offset)
+        self.content.save(path, {
             "kernel_index": kernel_index,
             "config_offset": config_offset,
             "benchmark": benchmark,
             "pairs": list(entries),
-        }
-        payload["checksum"] = payload_checksum(payload)
-        path = self.entry_path(kernel_index, config_offset)
-        try:
-            self._write_atomic(path, gzip.compress(
-                json.dumps(payload, sort_keys=True).encode("utf-8")))
-        except OSError:
-            return path
+        })
         return path
 
     def load_chunk(
@@ -627,33 +592,26 @@ class RunJournal:
 
         A corrupt, checksum-failing, or wrong-config entry is moved to
         ``quarantine/`` and reported as a miss, so the chunk recomputes from
-        source instead of poisoning the reassembled sweep.
+        source instead of poisoning the reassembled sweep.  A transient
+        read error is only a miss: the entry stays for the next resume.
 
         ``expected_config_fingerprints=None`` skips the per-entry config
         check — used by readers (the ``gmap serve`` checkpoint store) whose
         entries are self-describing requests rather than sweep results.
         """
-        path = self.entry_path(kernel_index, config_offset)
-        try:
-            payload = json.loads(gzip.decompress(path.read_bytes()))
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, EOFError):
-            self._quarantine(path)
-            return None
-        if (payload.get("schema") != JOURNAL_SCHEMA_VERSION
-                or not verify_payload(payload)
-                or payload.get("kernel_index") != kernel_index
-                or payload.get("config_offset") != config_offset):
-            self._quarantine(path)
-            return None
-        pairs = payload.get("pairs", [])
-        if expected_config_fingerprints is not None:
-            stored = [entry.get("config") for entry in pairs]
-            if stored != list(expected_config_fingerprints):
-                self._quarantine(path)
-                return None
-        return pairs
+        def decode(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
+            if (payload.get("kernel_index") != kernel_index
+                    or payload.get("config_offset") != config_offset):
+                raise CorruptArtifactError("chunk entry for another position")
+            pairs = payload.get("pairs", [])
+            if expected_config_fingerprints is not None and (
+                    [entry.get("config") for entry in pairs]
+                    != list(expected_config_fingerprints)):
+                raise CorruptArtifactError("chunk entry for other configs")
+            return pairs
+
+        return self.content.load(
+            self.entry_path(kernel_index, config_offset), decode)
 
     def discard_chunk(self, kernel_index: int, config_offset: int) -> None:
         """Remove one chunk entry (best-effort; absent entries are fine)."""
@@ -683,9 +641,10 @@ class RunJournal:
         except ValueError:
             return None
 
-    def _quarantine(self, path: Path) -> None:
-        quarantine_file(path, self.root / "quarantine")
-        self.quarantined += 1
+    @property
+    def quarantined(self) -> int:
+        """Chunk entries this journal moved to ``quarantine/``."""
+        return self.content.counters.quarantined
 
 
 def summarize_failures(failures: Sequence[ChunkFailure]) -> str:

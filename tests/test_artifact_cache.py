@@ -168,7 +168,7 @@ class TestPairCache:
         pipeline = build_pipeline(kernel, num_cores=4, cache=cache)
         cold = simulate_pair(pipeline, small_config, cache=cache)
         key = cache.pair_key(pipeline.cache_key, small_config, True)
-        cache._path("pair", key).write_bytes(b"\x00garbage")
+        cache.content.path("pair", key).write_bytes(b"\x00garbage")
         warm = simulate_pair(pipeline, small_config, cache=cache)
         assert warm.original.to_dict() == cold.original.to_dict()
 

@@ -234,12 +234,11 @@ class TestCacheIntegrity:
         from repro.core.cache import ArtifactCache
 
         cache = ArtifactCache(tmp_path / "cache")
-        key = "ab" * 32
-        cache._store("pair", key, {"value": 1})
-        assert cache._load("pair", key)["value"] == 1
-        path = cache._path("pair", key)
+        path = cache.content.path("pair", "ab" * 32)
+        cache.content.save(path, {"value": 1})
+        assert cache.content.load(path, dict)["value"] == 1
         path.write_bytes(b"\x00garbage\x00")
-        assert cache._load("pair", key) is None  # miss -> caller recomputes
+        assert cache.content.load(path, dict) is None  # miss -> caller recomputes
         assert cache.counters.quarantined == 1
         assert not path.exists()
         assert list((cache.root / "quarantine").iterdir())
@@ -251,11 +250,10 @@ class TestCacheIntegrity:
         from repro.core.cache import ArtifactCache
 
         cache = ArtifactCache(tmp_path / "cache")
-        key = "cd" * 32
-        cache._store("pair", key, {"value": 1})
-        path = cache._path("pair", key)
+        path = cache.content.path("pair", "cd" * 32)
+        cache.content.save(path, {"value": 1})
         payload = json.loads(gzip.decompress(path.read_bytes()))
         payload["value"] = 2  # bit-flip without updating the checksum
         path.write_bytes(gzip.compress(json.dumps(payload).encode()))
-        assert cache._load("pair", key) is None
+        assert cache.content.load(path, dict) is None
         assert cache.counters.quarantined == 1

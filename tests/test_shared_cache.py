@@ -300,7 +300,7 @@ class TestTransientReadErrors:
             raise PermissionError(13, "permission denied")
 
         before = integrity_events.snapshot()
-        monkeypatch.setattr("repro.core.shared_cache.gzip.open", denied)
+        monkeypatch.setattr("repro.core.store.gzip.open", denied)
         assert cache.load(key) is None  # miss, nothing more
         monkeypatch.undo()
 
