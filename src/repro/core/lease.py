@@ -24,7 +24,9 @@ The protocol has three moves, each reducible to one atomic syscall:
   corpse aside with ``os.rename(path, path + ".expired...")``.  Rename of
   a vanishing source is atomic: exactly one contender's rename succeeds,
   the rest see ``ENOENT`` and go back to polling.  The winner then
-  acquires normally.
+  acquires normally.  A contender whose last read predates a fresh lease
+  can still rename that lease aside; it then acquires in its place, so
+  the path never ends up holding a lease its owner has given up on.
 
 A holder whose lease was taken over discovers it on the next ``renew()``
 (:class:`LeaseLostError`) and must abandon the protected work — by then the
@@ -212,38 +214,17 @@ class LeaseFile:
             return True  # already buried or released; path may be free now
         except OSError:
             return False
-        ok = self._verify_burial(grave)
+        # A stale contender can still land here on a lease created after
+        # its re-read.  That lease is not linked back: its owner may
+        # already have read the path, found it empty or foreign and given
+        # up, and a restored lease would then block the key for a whole
+        # TTL with nobody building.  We create our own lease instead; an
+        # owner that had already confirmed finds out on its next renew.
         try:
             grave.unlink()
         except OSError:
             pass
-        return ok
-
-    def _verify_burial(self, grave: Path) -> bool:
-        """Confirm the renamed-away file really was an expired corpse.
-
-        The pre-rename re-read narrows but cannot close the window in
-        which another contender buries the corpse and re-creates a live
-        lease; if that is what we grabbed, hard-link it back into place
-        (best effort — the owner's heartbeat catches the residual race)
-        and report the burial as lost.
-        """
-        try:
-            body = json.loads(grave.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return True  # unreadable corpse: buried garbage, path is free
-        if not isinstance(body, dict):
-            return True
-        expires_at = body.get("expires_at")
-        live = (isinstance(expires_at, (int, float))
-                and self._clock() < expires_at)
-        if not live or body.get("owner") == self.owner_id:
-            return True
-        try:
-            os.link(grave, self.path)  # EEXIST → someone re-created; defer
-        except OSError:
-            pass
-        return False
+        return True
 
     def _create(self) -> bool:
         tmp = self._tmp_path()

@@ -7,6 +7,7 @@ takeover are exercised without sleeping.
 from __future__ import annotations
 
 import json
+import os
 import threading
 
 import pytest
@@ -191,6 +192,50 @@ class TestContention:
         assert len(survivors) == 1
         body = json.loads(survivors[0].path.read_text())
         assert body["owner"] == survivors[0].owner_id
+
+    def test_stale_burier_never_leaves_an_orphaned_lease(self, tmp_path,
+                                                         clock, monkeypatch):
+        # A contender whose checks all saw the expired corpse renames the
+        # winner's brand-new lease aside, and the winner's confirming read
+        # falls before the contender's next step.  Exactly one of the two
+        # must end up holding the lease file that is left at the path.
+        holder = _lease(tmp_path, clock, owner="holder", ttl=1.0)
+        assert holder.try_acquire() == ACQUIRED_FRESH
+        clock.advance(2.0)
+        corpse = holder.read()
+        winner = _lease(tmp_path, clock, owner="winner")
+        stale = _lease(tmp_path, clock, owner="stale")
+        stale_reads = iter([corpse, corpse])  # first read, then the re-read
+        real_read = stale.read
+        stale.read = lambda: next(stale_reads, None) or real_read()
+        renamed, winner_done = threading.Event(), threading.Event()
+        real_rename = os.rename
+
+        def rename(src, dst):
+            real_rename(src, dst)
+            if threading.current_thread() is stale_thread:
+                renamed.set()
+                assert winner_done.wait(5.0)
+
+        monkeypatch.setattr(os, "rename", rename)
+        stale_thread = threading.Thread(target=stale.try_acquire)
+        create = winner._create
+
+        def create_then_raced():
+            created = create()
+            stale_thread.start()
+            assert renamed.wait(5.0)
+            return created
+
+        winner._create = create_then_raced
+        winner.try_acquire()
+        winner_done.set()
+        stale_thread.join(5.0)
+        assert not stale_thread.is_alive()
+        holders = [lease for lease in (winner, stale) if lease.held]
+        assert len(holders) == 1
+        body = json.loads(winner.path.read_text())
+        assert body["owner"] == holders[0].owner_id
 
 
 class TestHeartbeat:
