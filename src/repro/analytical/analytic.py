@@ -2,49 +2,52 @@
 
 ``sim_mode="analytic"`` predicts Fig. 6a/6b-style size/associativity sweep
 points from LRU stack-distance histograms instead of replaying the trace
-per configuration.  Two model sources share the predictor:
+per configuration.  :meth:`AnalyticCacheModel.from_flat` keeps the
+filtered per-core record streams and scans them lazily, once per cache
+*geometry* ``(line_size, num_sets)``, into exact per-set stack-distance
+histograms — a per-set stack position is precisely the number of distinct
+intervening same-set lines, so the simulator's true-LRU hit criterion
+becomes ``position < assoc`` and every associativity at that geometry is a
+pure histogram walk.  L1 is exact (modulo a deep-stack truncation bound);
+the shared L2 sees the union of the cores' L1 *miss* streams, modelled by
+conditioning the merged full-stream histogram on the predicted L1 filter:
+cold lines pass through unconditionally (a first touch misses every
+level), reuse accesses reach the L2 with the L1 reuse-miss rate, and
+surviving set-distances deflate by the stream's survival fraction.
 
-* **Flat traces** (:meth:`AnalyticCacheModel.from_flat`) keep the filtered
-  per-core record streams and scan them lazily, once per cache *geometry*
-  ``(line_size, num_sets)``, into exact per-set stack-distance histograms —
-  a per-set stack position is precisely the number of distinct intervening
-  same-set lines, so the simulator's true-LRU hit criterion becomes
-  ``position < assoc`` and every associativity at that geometry is a pure
-  histogram walk.  L1 is exact (modulo a deep-stack truncation bound); the
-  shared L2 sees the union of the cores' L1 *miss* streams, modelled by
-  conditioning the merged full-stream histogram on the predicted L1 filter:
-  cold lines pass through unconditionally (a first touch misses every
-  level), reuse accesses reach the L2 with the L1 reuse-miss rate, and
-  surviving set-distances deflate by the stream's survival fraction.
-* **The 5-tuple alone** (:meth:`AnalyticCacheModel.from_profile`) dilates
-  each π cluster's per-unit ``P_R`` histogram to the interleaved stream —
-  the zero-trace estimator, fully associative plus the binomial
-  set-conflict correction, rough by construction.
+Most geometries are not scanned at all but read off a coarser scan
+through two exact identities (:class:`_DerivedScan`):
+
+* **Granularity.** When every record is one naturally aligned ``G``-byte
+  segment (what Algorithm 2's coalescer emits), a line of ``G / k`` bytes
+  over ``S`` sets (``k | S``) splits each segment ``L`` into the lines
+  ``kL + r``, and fine set ``k (L mod S/k) + r`` sees coarse set
+  ``L mod S/k``'s sequence under the injective relabelling
+  ``L -> kL + r``.  The fine scan is ``k`` copies of the scan at
+  ``(G, S/k)``.
+* **Sector repeats.** The L2 demand stream expanded at a finer L1 line
+  and mapped to the L2 line is the L2-line stream with each record's
+  line repeated back to back; a repeat of the most recent line sits at
+  stack position 0 and leaves every stack unchanged.
 
 What the model *cannot* capture falls back to simulation per config: the
 capability table's ``analytic`` rows (:mod:`repro.memsim.capabilities`:
 prefetchers, non-LRU replacement, write-through/no-allocate policies,
 inclusive L2, associativity beyond the tracked stack depth), and
-:meth:`AnalyticCacheModel.applicability` adds model-state reasons
-(granularities not profiled, texture/constant-space traffic).  Timing-side
-outputs (DRAM service, MSHR occupancy, stall latencies) are out of model
-scope and reported as zero — the mode predicts miss *rates*, the quantity
-the paper's Figures 6a/6b sweep.  ``cycles`` is the unit-latency clock
-span, which for flat replay is exactly the longest core trace.
+:meth:`AnalyticCacheModel.applicability` adds texture/constant-space
+traffic.  Timing-side outputs (DRAM service, MSHR occupancy, stall
+latencies) are out of model scope and reported as zero — the mode
+predicts miss *rates*, the quantity the paper's Figures 6a/6b sweep.
+``cycles`` is the unit-latency clock span, which for flat replay is
+exactly the longest core trace.
 """
 
 from __future__ import annotations
 
-import math
+from functools import cached_property
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analytical.profile_model import (
-    DEFAULT_LINE_SIZES,
-    StackDistanceProfile,
-    _conflict_probability,
-)
 from repro.core.backend import resolve_backend
-from repro.core.profile import GmapProfile
 from repro.core.reuse import set_index, set_stack_distances
 from repro.gpu.instructions import AccessTuple
 from repro.gpu.memspace import MemorySpace, region_bounds, space_of
@@ -53,7 +56,7 @@ from repro.memsim.capabilities import (
     UnsupportedConfigError,
     fallback_reasons,
 )
-from repro.memsim.config import CacheConfig, SimConfig
+from repro.memsim.config import SimConfig
 from repro.memsim.stats import CacheStats, DramStats, SimResult
 from repro.memsim.vectorized import decode_records
 
@@ -93,20 +96,58 @@ def _expand_lines(
     return out, stored
 
 
+def _sector_count(records: Sequence[AccessTuple], line_size: int) -> int:
+    """``len(_expand_lines(records, line_size)[0])`` without the stream."""
+    shift = line_size.bit_length() - 1
+    return sum(
+        ((address + (size - 1 if size > 0 else 0)) >> shift)
+        - (address >> shift) + 1
+        for _pc, address, size, _store in records
+    )
+
+
+def _record_granule(records: Sequence[AccessTuple]) -> int:
+    """The record size ``G`` if every record is a ``G``-aligned power-of-two
+    ``G``-byte segment, else 0."""
+    granule = records[0][2] if records else 0
+    if granule <= 0 or granule & (granule - 1):
+        return 0
+    for _pc, address, size, _store in records:
+        if size != granule or address & (granule - 1):
+            return 0
+    return granule
+
+
+def _sector_counts(columns, line_size: int):
+    """``(first line, sector count)`` per record of ``(n, 3)`` columns."""
+    shift = line_size.bit_length() - 1
+    address, size = columns[:, 0], columns[:, 1]
+    first = address >> shift
+    return first, ((address + np.maximum(size - 1, 0)) >> shift) - first + 1
+
+
 def _expand_lines_array(columns, line_size: int):
     """:func:`_expand_lines` over ``(address, size, store)`` columns.
 
     ``columns`` is an ``(n, 3)`` int64 array; the sector split becomes one
     ``np.repeat``, and the ever-stored lines one ``np.unique``.
     """
-    shift = line_size.bit_length() - 1
-    address, size, store = columns[:, 0], columns[:, 1], columns[:, 2] != 0
-    first = address >> shift
-    sectors = ((address + np.maximum(size - 1, 0)) >> shift) - first + 1
+    first, sectors = _sector_counts(columns, line_size)
     starts = np.repeat(np.cumsum(sectors) - sectors, sectors)
     lines = np.repeat(first, sectors) + (
         np.arange(len(starts), dtype=np.int64) - starts)
-    return lines, np.unique(lines[np.repeat(store, sectors)])
+    return lines, np.unique(lines[np.repeat(columns[:, 2] != 0, sectors)])
+
+
+def _record_granule_array(columns) -> int:
+    """:func:`_record_granule` over ``(address, size, store)`` columns."""
+    granule = int(columns[0, 1]) if len(columns) else 0
+    if granule <= 0 or granule & (granule - 1):
+        return 0
+    if np.any(columns[:, 1] != granule) or np.any(
+            columns[:, 0] & (granule - 1)):
+        return 0
+    return granule
 
 
 class _ScanSummary:
@@ -125,7 +166,8 @@ class _ScanSummary:
     stacks (how many lines, and how many stored lines, survive in the top
     ``assoc`` of each set at end of stream — :meth:`resident`).  Two
     scans produce these fields bit-identically: :class:`_SetDistanceScan`
-    (the scalar oracle) and :class:`_ArraySetDistanceScan` (``numpy``).
+    (the scalar oracle) and :class:`_ArraySetDistanceScan` (``numpy``);
+    :class:`_DerivedScan` reads them off a coarser scan of either.
     """
 
     __slots__ = (
@@ -292,6 +334,41 @@ class _ArraySetDistanceScan(_ScanSummary):
         )
 
 
+class _DerivedScan(_ScanSummary):
+    """A scan read off a coarser ``base`` scan through exact identities.
+
+    ``copies`` is the granularity identity: ``copies`` disjoint relabelled
+    copies of ``base``'s per-set sequences, so every count, the
+    histograms' and ``resident``'s included, multiplies by ``copies``.
+    ``repeats`` is the sector-repeats identity: that many back-to-back
+    re-touches of the line just accessed, each at stack position 0 and
+    leaving every stack as it was.  Only the L2 demand stream takes
+    repeats, and it stores nothing, so the stored fields take none.
+    """
+
+    __slots__ = ("_base", "_copies")
+
+    def __init__(
+        self, base: _ScanSummary, copies: int = 1, repeats: int = 0
+    ) -> None:
+        self._base = base
+        self._copies = copies
+        self.histogram = {d: n * copies for d, n in base.histogram.items()}
+        if repeats:
+            self.histogram[0] = self.histogram.get(0, 0) + repeats
+        self.stored_histogram = {
+            d: n * copies for d, n in base.stored_histogram.items()
+        }
+        self.colds = base.colds * copies
+        self.accesses = base.accesses * copies + repeats
+        self.stored_lines = base.stored_lines * copies
+
+    def resident(self, assoc: int) -> Tuple[int, int]:
+        """``(lines, stored lines)`` resident at end of stream."""
+        lines, stored = self._base.resident(assoc)
+        return lines * self._copies, stored * self._copies
+
+
 def _depth_histogram(distances) -> Dict[int, int]:
     """``{distance: count}`` of clipped distances, depth as the beyond bucket."""
     counts = np.bincount(distances)
@@ -311,51 +388,35 @@ def _misses_at(histogram: Dict[int, int], assoc: int) -> int:
 class AnalyticCacheModel:
     """One trace's reuse structure, reusable across every sweep config.
 
-    Build once (``from_flat`` for measured per-core traces, or
-    ``from_profile`` for the zero-trace 5-tuple estimator), then
-    :meth:`predict` each config in O(histogram).  Flat models scan records
-    lazily per cache geometry and memoize the resulting histograms, so a
-    whole size/associativity sweep shares a handful of scans.
+    Build once with :meth:`from_flat`, then :meth:`predict` each config in
+    O(histogram).  Records are scanned lazily per cache geometry and the
+    resulting histograms memoized, so a whole size/associativity sweep
+    shares a handful of scans.
     """
 
     def __init__(
         self,
         *,
-        core_records: Optional[Sequence[Sequence[AccessTuple]]] = None,
-        merged_records: Optional[Sequence[AccessTuple]] = None,
-        l1_profiles: Optional[Sequence[StackDistanceProfile]] = None,
-        l2_profile: Optional[StackDistanceProfile] = None,
+        core_records: Sequence[Sequence[AccessTuple]],
+        merged_records: Sequence[AccessTuple],
         shared_accesses: int = 0,
         special_accesses: int = 0,
         requests: int = 0,
-        core_cycles: Optional[Sequence[int]] = None,
-        source: str = "flat",
+        core_cycles: Sequence[int] = (),
         backend: str = "python",
     ) -> None:
         # ``python`` keeps record tuples for the scalar scan; ``numpy``
         # keeps (address, size, store) int64 column arrays.
         self.backend = backend
-        self._cores: Optional[List[Any]] = None
-        self._merged: Any = None
-        if core_records is not None:
-            self._cores = [
-                t if backend == "numpy" else list(t) for t in core_records
-            ]
-        if merged_records is not None:
-            self._merged = (
-                merged_records if backend == "numpy" else list(merged_records)
-            )
-        self.l1_profiles = list(l1_profiles) if l1_profiles is not None else None
-        self.l2_profile = l2_profile
+        numpy = backend == "numpy"
+        self._cores: List[Any] = [
+            t if numpy else list(t) for t in core_records
+        ]
+        self._merged: Any = merged_records if numpy else list(merged_records)
         self.shared_accesses = shared_accesses
         self.special_accesses = special_accesses
         self.requests = requests
-        self.core_cycles = list(core_cycles) if core_cycles is not None else []
-        self.source = source
-        if self._cores is not None:
-            self.active_cores = max(1, sum(1 for t in self._cores if len(t)))
-        else:
-            self.active_cores = max(1, len(self.l1_profiles or [()]))
+        self.core_cycles = list(core_cycles)
         # Lazy memos: expansions per line size, scans per geometry.
         self._core_lines: Dict[int, list] = {}
         self._merged_lines: Dict[int, Any] = {}
@@ -416,7 +477,6 @@ class AnalyticCacheModel:
             # so a core's trace length is its clock span — the timescale
             # the L2 bank-throughput cap is computed against.
             core_cycles=[len(trace) for trace in per_core_traces],
-            source="flat",
         )
 
     @classmethod
@@ -452,87 +512,12 @@ class AnalyticCacheModel:
             special_accesses=special,
             requests=requests,
             core_cycles=[len(trace) for trace in per_core_traces],
-            source="flat",
             backend="numpy",
         )
 
-    @classmethod
-    def from_profile(
-        cls,
-        profile: GmapProfile,
-        *,
-        num_cores: int,
-        max_blocks_per_core: int = 8,
-    ) -> "AnalyticCacheModel":
-        """Zero-trace estimator straight from the 5-tuple's ``P_R``.
-
-        Each π cluster's per-unit reuse histogram is dilated to the
-        per-core interleaved stream: with ``U`` co-resident sequencing
-        units taking round-robin turns, a per-unit stack distance ``d``
-        stretches to roughly ``(d + 1) * U - 1`` distinct lines (every
-        intervening slot carries the other units' disjoint lines).  Cold
-        fractions come from ``reuse_fraction``; cluster weights from
-        ``Q``.  Only the profile's segment granularity is available, so
-        other line sizes report as inapplicable rather than guessed.
-        """
-        if num_cores <= 0:
-            raise ValueError(f"num_cores must be positive, got {num_cores}")
-        threads = 1
-        for dim in profile.block_dim:
-            threads *= max(1, dim)
-        units_per_block = (
-            max(1, math.ceil(threads / 32))
-            if profile.unit == "warp" else threads
-        )
-        blocks = 1
-        for dim in profile.grid_dim:
-            blocks *= max(1, dim)
-        resident_blocks = max(
-            1, min(max_blocks_per_core, math.ceil(blocks / num_cores))
-        )
-        concurrency = units_per_block * resident_blocks
-        size = profile.segment_size
-        weight_scale = max(1, profile.total_transactions)
-        l1_stream = StackDistanceProfile((size,))
-        for pi in profile.pi_profiles:
-            mass = pi.probability * weight_scale
-            if mass <= 0:
-                continue
-            reuse_total = pi.reuse.total
-            reuses = mass * pi.reuse_fraction
-            colds = mass - reuses
-            l1_stream._colds[size] += int(round(colds))
-            l1_stream._counts[size] += int(round(mass))
-            l1_stream._records += int(round(mass))
-            if reuse_total == 0 or reuses <= 0:
-                continue
-            for distance, count in pi.reuse.items():
-                dilated = (distance + 1) * concurrency - 1
-                weighted = int(round(count / reuse_total * reuses))
-                if weighted:
-                    l1_stream._histograms[size].add(dilated, weighted)
-        # The shared L2 merges all cores' streams: dilate once more by the
-        # active core count (symmetric disjoint-core assumption).
-        cores = max(1, min(num_cores, blocks))
-        l2_stream = StackDistanceProfile((size,))
-        l2_stream._records = l1_stream._records * cores
-        l2_stream._counts[size] = l1_stream._counts[size] * cores
-        l2_stream._colds[size] = l1_stream._colds[size] * cores
-        for distance, count in l1_stream._histograms[size].items():
-            l2_stream._histograms[size].add(
-                (distance + 1) * cores - 1, count * cores
-            )
-        return cls(
-            l1_profiles=[l1_stream] * cores,
-            l2_profile=l2_stream,
-            requests=l1_stream._counts[size] * cores,
-            source="profile",
-        )
-
-    # -- lazy scans (flat source) --------------------------------------------
+    # -- lazy scans -----------------------------------------------------------
 
     def _lines(self, line_size: int) -> Tuple[list, Any]:
-        assert self._cores is not None and self._merged is not None
         per_core = self._core_lines.get(line_size)
         if per_core is None:
             per_core = [self._expand(t, line_size) for t in self._cores]
@@ -551,6 +536,23 @@ class AnalyticCacheModel:
             return _ArraySetDistanceScan(lines, num_sets, stored)
         return _SetDistanceScan(lines, num_sets, stored)
 
+    @cached_property
+    def _granule(self) -> int:
+        """The size ``G`` of every record if each is one ``G``-aligned
+        power-of-two segment, else 0 (one pass over the merged records)."""
+        if self.backend == "numpy":
+            return _record_granule_array(self._merged)
+        return _record_granule(self._merged)
+
+    def _copies(self, line_size: int, num_sets: int) -> int:
+        """``k`` when the scan at ``(line_size, num_sets)`` is ``k`` copies
+        of the scan at ``(k * line_size, num_sets / k)``, else 1."""
+        granule = self._granule
+        if line_size >= granule or granule % line_size:
+            return 1
+        copies = granule // line_size
+        return copies if num_sets % copies == 0 else 1
+
     def _l1_scans(
         self, line_size: int, num_sets: int
     ) -> List[_ScanSummary]:
@@ -558,11 +560,19 @@ class AnalyticCacheModel:
         key = (line_size, num_sets)
         scans = self._l1_memo.get(key)
         if scans is None:
-            per_core, _ = self._lines(line_size)
-            scans = [
-                self._scan(lines, num_sets, stored)
-                for lines, stored in per_core
-            ]
+            copies = self._copies(line_size, num_sets)
+            if copies > 1:
+                scans = [
+                    _DerivedScan(scan, copies=copies)
+                    for scan in self._l1_scans(
+                        line_size * copies, num_sets // copies)
+                ]
+            else:
+                per_core, _ = self._lines(line_size)
+                scans = [
+                    self._scan(lines, num_sets, stored)
+                    for lines, stored in per_core
+                ]
             self._l1_memo[key] = scans
         return scans
 
@@ -575,27 +585,39 @@ class AnalyticCacheModel:
         the L2 line granularity: the stream is expanded at the finer of
         the two line sizes (so a 128B record crossing two 64B L1 sectors
         contributes two L2 touches), then each sector is mapped to its
-        containing L2 line before the per-set stacks are walked.
+        containing L2 line.  Those extra touches are sector repeats of
+        the L2-line stream, so only that stream is ever scanned.
         """
         stream_line = min(l1_line, l2_line)
         key = (stream_line, l2_line, num_sets)
         scan = self._l2_memo.get(key)
         if scan is None:
-            _, merged = self._lines(stream_line)
-            shift = l2_line.bit_length() - stream_line.bit_length()
-            if self.backend == "numpy":
-                merged, stored = merged >> shift, merged[:0]
+            copies = self._copies(l2_line, num_sets)
+            if stream_line < l2_line:
+                coarse = self._l2_scan(l2_line, l2_line, num_sets)
+                scan = _DerivedScan(
+                    coarse, repeats=self._sectors(stream_line) - coarse.accesses)
+            elif copies > 1:
+                coarse_line = l2_line * copies
+                scan = _DerivedScan(
+                    self._l2_scan(coarse_line, coarse_line, num_sets // copies),
+                    copies=copies)
             else:
-                if shift:
-                    merged = [line >> shift for line in merged]
-                stored = set()
-            scan = self._l2_memo[key] = self._scan(merged, num_sets, stored)
+                _, merged = self._lines(l2_line)
+                # The L2 demand stream stores nothing.
+                stored = merged[:0] if self.backend == "numpy" else set()
+                scan = self._scan(merged, num_sets, stored)
+            self._l2_memo[key] = scan
         return scan
+
+    def _sectors(self, line_size: int) -> int:
+        """Length of the merged stream expanded at ``line_size``."""
+        if self.backend == "numpy":
+            return int(_sector_counts(self._merged, line_size)[1].sum())
+        return _sector_count(self._merged, line_size)
 
     def prepare(self, configs: Iterable[SimConfig]) -> "AnalyticCacheModel":
         """Run every scan a sweep will need (the build/warm-up step)."""
-        if self._cores is None:
-            return self
         for config in configs:
             if self.applicability(config):
                 continue
@@ -610,19 +632,10 @@ class AnalyticCacheModel:
     def applicability(self, config: SimConfig) -> List[str]:
         """Every reason ``config`` cannot be predicted by *this* model.
 
-        The capability table's ``analytic`` rows plus model-state
-        reasons: a granularity the profiles were not collected at, or
-        trace traffic that routes around the modelled L1/L2 pair.
+        The capability table's ``analytic`` rows plus the model-state
+        reason: trace traffic that routes around the modelled L1/L2 pair.
         """
         reasons = fallback_reasons(config, "analytic")
-        if self._cores is None:
-            collected = tuple((self.l2_profile or StackDistanceProfile()).line_sizes)
-            for level, cache in (("l1", config.l1), ("l2", config.l2)):
-                if cache.line_size not in collected:
-                    reasons.append(
-                        f"{level} line size {cache.line_size} not profiled "
-                        f"(collected: {list(collected)})"
-                    )
         if self.special_accesses:
             reasons.append(
                 f"{self.special_accesses} texture/constant-space accesses "
@@ -642,12 +655,6 @@ class AnalyticCacheModel:
         reasons = self.applicability(config)
         if reasons:
             raise UnsupportedConfigError(reasons)
-        if self._cores is not None:
-            return self._predict_flat(config)
-        return self._predict_profile(config)
-
-    def _predict_flat(self, config: SimConfig) -> SimResult:
-        """Exact L1 walk plus the conditioned L2 walk (flat source)."""
         l1_cfg = config.l1
         scans = self._l1_scans(l1_cfg.line_size, l1_cfg.num_sets)
         per_core: List[CacheStats] = []
@@ -759,94 +766,6 @@ class AnalyticCacheModel:
             hits=accesses - int(round(misses)),
         )
 
-    def _predict_profile(self, config: SimConfig) -> SimResult:
-        """Histogram-dilation prediction from the 5-tuple (profile source)."""
-        assert self.l1_profiles is not None and self.l2_profile is not None
-        per_core: List[CacheStats] = []
-        l1_accesses = 0
-        l1_misses = 0.0
-        for profile in self.l1_profiles[: max(1, config.num_cores)]:
-            accesses, misses = profile.expected_misses(config.l1)
-            stats = CacheStats(
-                accesses=accesses,
-                misses=int(round(misses)),
-                hits=accesses - int(round(misses)),
-            )
-            per_core.append(stats)
-            l1_accesses += accesses
-            l1_misses += misses
-        l1 = CacheStats()
-        for stats in per_core:
-            l1.merge(stats)
-        l2 = self._dilated_l2(config, l1_accesses, l1_misses)
-        return SimResult(
-            l1=l1,
-            l2=l2,
-            dram=DramStats(reads=l2.misses),
-            shared_accesses=self.shared_accesses,
-            requests_issued=self.requests,
-            cycles=0.0,
-            per_core_l1=per_core,
-        )
-
-    def _dilated_l2(
-        self, config: SimConfig, l1_accesses: int, l1_misses: float
-    ) -> CacheStats:
-        """Fully-associative + binomial L2 walk for profile-source models.
-
-        An access at merged distance ``d`` reaches the L2 with the miss
-        probability of its rescaled per-core L1 distance, and its
-        conditional L2-stream distance is ``d`` deflated by the aggregate
-        L1 miss rate.  Cold lines pass through unconditionally.
-        """
-        assert self.l2_profile is not None
-        l1_line = config.l1.line_size
-        l2_line = config.l2.line_size
-        chunks = max(1, l1_line // l2_line)
-        m1 = l1_misses / l1_accesses if l1_accesses else 0.0
-        capacity1 = config.l1.size // l1_line
-        sets1, assoc1 = config.l1.num_sets, config.l1.assoc
-        capacity2 = config.l2.size // l2_line
-        sets2, assoc2 = config.l2.num_sets, config.l2.assoc
-        colds = self.l2_profile.cold_misses(l2_line)
-        # Rescale a merged L2-granularity distance to one core's
-        # L1-granularity distance: finer lines multiply distinct-line
-        # counts, and the merged window splits across the active cores.
-        scale1 = l2_line / l1_line / self.active_cores
-        accesses = float(colds)
-        misses = float(colds)
-        for distance, count in self.l2_profile.histogram(l2_line).items():
-            reach = _histogram_miss_probability(
-                max(0, int(round(distance * scale1))),
-                capacity1, sets1, assoc1,
-            )
-            if reach <= 0.0:
-                continue
-            conditional = int(round(distance * m1))
-            weight = count * reach
-            accesses += weight
-            misses += weight * _histogram_miss_probability(
-                conditional, capacity2, sets2, assoc2
-            )
-        total = int(round(accesses * chunks))
-        misses = min(float(total), misses * chunks)
-        return CacheStats(
-            accesses=total,
-            misses=int(round(misses)),
-            hits=total - int(round(misses)),
-        )
-
-
-def _histogram_miss_probability(
-    distance: int, capacity: int, num_sets: int, assoc: int
-) -> float:
-    """Miss probability of one access at fully-associative distance ``d``."""
-    if distance >= capacity:
-        return 1.0
-    if num_sets > 1 and distance >= assoc:
-        return _conflict_probability(distance, num_sets, assoc)
-    return 0.0
-
 
 def _round_robin_records(
     per_core: Sequence[Sequence[AccessTuple]],
@@ -887,12 +806,3 @@ def _in_space(address, space: MemorySpace):
     """Mask of ``address`` entries inside ``space``'s window."""
     lo, hi = region_bounds(space)
     return (address >= lo) & (address < hi)
-
-
-def required_line_sizes(configs: Iterable[SimConfig]) -> Tuple[int, ...]:
-    """Every L1/L2 granularity a sweep's configs will ask the model for."""
-    sizes = set()
-    for config in configs:
-        sizes.add(config.l1.line_size)
-        sizes.add(config.l2.line_size)
-    return tuple(sorted(sizes)) or DEFAULT_LINE_SIZES

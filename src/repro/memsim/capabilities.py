@@ -5,9 +5,8 @@ Two fast engines sit in front of the scalar event-loop oracle: ``array``
 ``analytic`` (the O(histogram) stack-distance predictor,
 :mod:`repro.analytical.analytic`).  Each row of :data:`CAPABILITIES` is
 one configuration feature with one reason wording and the engines it
-refuses; the oracle refuses nothing.  Trace-level and model-state reasons
-(texture/constant traffic, unprofiled line sizes) are added on top by the
-engines themselves.
+refuses; the oracle refuses nothing.  Trace-level reasons
+(texture/constant traffic) are added on top by the engines themselves.
 """
 
 from __future__ import annotations

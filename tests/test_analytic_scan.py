@@ -136,7 +136,7 @@ class TestFromFlat:
         array = AnalyticCacheModel.from_flat(self.TRACES, "numpy")
         assert (array.backend, scalar.backend) == ("numpy", "python")
         for attr in ("requests", "shared_accesses", "special_accesses",
-                     "core_cycles", "active_cores"):
+                     "core_cycles", "_granule"):
             assert getattr(array, attr) == getattr(scalar, attr), attr
         for line_size in (32, 64, 128):
             per_core, merged = scalar._lines(line_size)
