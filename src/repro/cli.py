@@ -253,11 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shared-cache-dir", default=None,
                    help="fleet-shared single-flight result cache directory "
                         "(default: disabled)")
-    p.add_argument("--shared-cache-lock", choices=("fcntl", "lease"),
-                   default=None,
-                   help="single-flight lock backend for the shared cache "
-                        "(default: fcntl where available, else lease; pick "
-                        "lease on NFS-like filesystems)")
     p.add_argument("--replicas", type=int, default=None, metavar="N",
                    help="run a front-door router on --host/--port plus N "
                         "supervised local replicas that join it, instead "
@@ -754,7 +749,6 @@ def _cmd_serve(args) -> int:
             backend=args.backend,
             allow_fault_injection=args.allow_fault_injection,
             shared_cache_dir=args.shared_cache_dir,
-            shared_cache_lock=args.shared_cache_lock,
             state_dir=args.state_dir,
             bulk_capacity=args.bulk_capacity or 0,
             bulk_max_wait=(args.bulk_max_wait
@@ -777,7 +771,6 @@ def _cmd_serve(args) -> int:
         backend=args.backend,
         replica_id=args.replica_id,
         shared_cache_dir=args.shared_cache_dir,
-        shared_cache_lock=args.shared_cache_lock,
         join=args.join,
         join_interval=args.join_interval,
         bulk_capacity=args.bulk_capacity,

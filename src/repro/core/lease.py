@@ -1,12 +1,12 @@
-"""Crash-safe lease files: build ownership that survives dead holders.
+"""Crash-safe lease files: the one exclusion protocol of the codebase.
 
-The shared result cache's original single-flight lock is an ``fcntl``
-``flock``: correct on a local filesystem (the kernel releases it when the
-holder dies) but famously unreliable on NFS-like network filesystems, where
-a lock can appear held long after its owner's host vanished — or appear
-free while another host still holds it.  A fleet whose replicas share a
-cache directory over such a filesystem needs ownership semantics built
-from primitives that *are* atomic there: ``link(2)`` and ``rename(2)``.
+Both of G-MAP's exclusion points hold a lease: single flight on the
+shared result cache (:mod:`repro.core.shared_cache`) and the run
+journal's writer lock (:class:`repro.validation.resilience.RunJournal`).
+The protocol is built only from primitives that are atomic on local and
+NFS-like network filesystems alike — ``link(2)`` and ``rename(2)`` — so a
+fleet whose replicas share a directory over such a filesystem gets the
+same guarantees as one host.
 
 A lease is a small JSON file next to the protected resource:
 
@@ -20,13 +20,24 @@ The protocol has three moves, each reducible to one atomic syscall:
 * **Renew (heartbeat)** — the holder periodically rewrites the lease with a
   pushed-out ``expires_at`` via ``os.replace``.  A healthy builder's lease
   therefore never expires mid-build, however long the build runs.
-* **Takeover** — a contender that reads an *expired* lease first moves the
+* **Takeover** — a contender that reads a *dead* lease first moves the
   corpse aside with ``os.rename(path, path + ".expired...")``.  Rename of
   a vanishing source is atomic: exactly one contender's rename succeeds,
   the rest see ``ENOENT`` and go back to polling.  The winner then
   acquires normally.  A contender whose last read predates a fresh lease
   can still rename that lease aside; it then acquires in its place, so
   the path never ends up holding a lease its owner has given up on.
+
+A lease is dead once it has expired, or at once when its owner id has the
+:func:`default_owner_id` form ``host:pid:n``, names this host, and
+``os.kill(pid, 0)`` raises ``ProcessLookupError`` — the same-host crash
+handoff a kernel ``flock`` gives for free.  The rule has limits, and each
+falls back to waiting out the TTL: a live pid (or one answering
+``EPERM``), an owner on another host, an owner id of any other form, and
+a zombie its parent has not reaped yet.  Two hosts that share a hostname
+across PID namespaces are not told apart: one may then take over the
+other's lease while its holder lives, and that holder finds out on its
+next renewal.
 
 A holder whose lease was taken over discovers it on the next ``renew()``
 (:class:`LeaseLostError`) and must abandon the protected work — by then the
@@ -63,6 +74,26 @@ _OWNER_SEQ = itertools.count()
 def default_owner_id() -> str:
     """A process-unique owner id: ``host:pid:n`` (n = per-process counter)."""
     return f"{socket.gethostname()}:{os.getpid()}:{next(_OWNER_SEQ)}"
+
+
+def owner_is_dead(owner: Any) -> bool:
+    """True iff ``owner`` names a process on this host that no longer exists.
+
+    Only a :func:`default_owner_id` of this host whose pid answers
+    ``ProcessLookupError`` counts; anything else (a live or unsignalable
+    pid, another host, an opaque id) is not known to be dead.
+    """
+    parts = owner.rsplit(":", 2) if isinstance(owner, str) else ()
+    if (len(parts) != 3 or parts[0] != socket.gethostname()
+            or not parts[1].isdecimal() or not parts[2].isdecimal()):
+        return False
+    try:
+        os.kill(int(parts[1]), 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, OverflowError):
+        pass  # EPERM: alive under another user
+    return False
 
 
 class LeaseLostError(RuntimeError):
@@ -126,20 +157,22 @@ class LeaseFile:
         Returns :data:`ACQUIRED_FRESH` or :data:`ACQUIRED_TAKEOVER` on
         success, None when the lease is validly held by someone else (or a
         takeover/creation race was lost — the caller just polls again).
+        Raises ``OSError`` when the lease cannot be created at all.
         """
         took_over = False
         current = self.read()
         if current is not None:
             expires_at = current.get("expires_at")
+            owner = current.get("owner")
             live = isinstance(expires_at, (int, float)) and self._clock() < expires_at
-            if live and current.get("owner") != self.owner_id:
+            if live and owner != self.owner_id and not owner_is_dead(owner):
                 return None
-            # Expired (or our own stale corpse): move it aside.  Exactly
+            # Dead (or our own stale corpse): move it aside.  Exactly
             # one contender's rename lands; ENOENT means someone else won
             # or the holder released — either way the path may now be free.
             if not self._bury(current):
                 return None
-            took_over = current.get("owner") != self.owner_id
+            took_over = owner != self.owner_id
         if not self._create():
             return None
         confirmed = self.read()
@@ -227,16 +260,17 @@ class LeaseFile:
         return True
 
     def _create(self) -> bool:
+        # Only losing the link race is a plain miss.  Any other OSError
+        # (the lock directory is a file, read-only or full) propagates:
+        # polling cannot fix it, and the caller must know.
         tmp = self._tmp_path()
+        tmp.parent.mkdir(parents=True, exist_ok=True)
         try:
-            tmp.parent.mkdir(parents=True, exist_ok=True)
             tmp.write_text(
                 json.dumps(self._body(), sort_keys=True), encoding="utf-8"
             )
             os.link(tmp, self.path)
         except FileExistsError:
-            return False
-        except OSError:
             return False
         finally:
             try:
@@ -254,11 +288,11 @@ class LeaseFile:
 class LeaseHeartbeat:
     """Background renewal of a held lease every ``ttl / 3`` seconds.
 
-    Started by the build-side of the shared cache's single-flight path:
-    however long the build runs, a live builder's lease never expires.  If
-    a renewal discovers the lease was taken over (the builder stalled past
-    its TTL and a peer moved on), :attr:`lost` is set and the heartbeat
-    stops — the builder's caller checks it before publishing.
+    Started by every lease holder (a shared-cache builder, a journal
+    writer): however long the holder works, a live holder's lease never
+    expires.  If a renewal discovers the lease was taken over (the holder
+    stalled past its TTL and a peer moved on), :attr:`lost` is set and the
+    heartbeat stops — a journal writer checks it before every write.
     """
 
     def __init__(self, lease: LeaseFile, *, interval: Optional[float] = None) -> None:

@@ -11,21 +11,16 @@ Two fleet problems are solved here:
 
 * **request coalescing** — identical pipeline keys in flight anywhere in
   the fleet collapse to one worker execution.  The builder of a key holds
-  a per-key build lock for the duration of the build; concurrent
-  submitters (same replica or siblings) block on the lock and then read
-  the stored entry instead of re-executing.  Two lock backends exist:
-
-  - ``fcntl`` — a kernel ``flock``, released implicitly when the builder
-    dies, so a SIGKILLed builder hands off to the next waiter with no
-    janitor process.  Correct on local filesystems; unreliable on
-    NFS-like network mounts where ``flock`` lies.
-  - ``lease`` — the :mod:`repro.core.lease` protocol (owner id + TTL +
-    heartbeat renewal + atomic rename takeover), built entirely from
-    ``link``/``rename``, which *are* atomic on network filesystems.  A
-    live builder's heartbeat keeps its lease fresh however long the
-    build runs; a dead builder's lease expires after one TTL and the
-    next waiter takes it over (counted as ``shared_cache_lease_takeover``
-    in the integrity ledger).
+  a per-key build lease (:mod:`repro.core.lease`: owner id + TTL +
+  heartbeat renewal + atomic rename takeover, built entirely from
+  ``link``/``rename``, which are atomic on network filesystems too) for
+  the duration of the build; concurrent submitters (same replica or
+  siblings) poll the lease and then read the stored entry instead of
+  re-executing.  A live builder's heartbeat keeps its lease fresh however
+  long the build runs.  A builder SIGKILLed on this host is seen dead at
+  once and the next waiter takes its lease over; a silent builder on
+  another host is taken over after one TTL.  Either takeover counts as
+  ``shared_cache_lease_takeover`` in the integrity ledger.
 
 * **poison containment** — entries go through the one content store
   (:mod:`repro.core.store`), so each embeds a SHA-256 checksum and a
@@ -40,13 +35,11 @@ Every observation is recorded in the process-wide
 / ``shared_cache_poisoned``, which is how job outcomes (and the thundering
 -herd chaos scenario) count executions without any new protocol surface.
 
-``fcntl`` is POSIX-only; where it is missing the default backend is
-``lease``, so coalescing survives.  Only when *no* lock backend can engage
-at all (lock-directory IO failure, or ``fcntl`` explicitly requested on a
-platform without it) does the tier degrade to a plain shared cache — still
-content-addressed and checksummed, just without cross-process coalescing —
-and that degradation is announced once per process through the
-``shared_cache_unlocked`` integrity event rather than happening silently.
+When the lease cannot engage at all (lock-directory IO failure), the tier
+degrades to a plain shared cache — still content-addressed and
+checksummed, just without cross-process coalescing — and that degradation
+is announced once per process through the ``shared_cache_unlocked``
+integrity event rather than happening silently.
 """
 
 from __future__ import annotations
@@ -57,13 +50,6 @@ import threading
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple, Union
-
-try:  # pragma: no cover - exercised only where fcntl is missing
-    import fcntl
-    _HAVE_FCNTL = True
-except ImportError:  # pragma: no cover
-    fcntl = None  # type: ignore[assignment]
-    _HAVE_FCNTL = False
 
 from repro.core.integrity import integrity_events
 from repro.core.lease import ACQUIRED_TAKEOVER, LeaseFile, LeaseHeartbeat
@@ -88,15 +74,10 @@ EVENT_BY_STATUS = {
     STATUS_UNCACHED: "shared_cache_uncached",
 }
 EVENT_POISONED = "shared_cache_poisoned"
-#: Build ran uncoalesced because no cross-process lock could be engaged.
+#: Build ran uncoalesced because the build lease could not be engaged.
 EVENT_UNLOCKED = "shared_cache_unlocked"
-#: A lease-backed waiter took over a dead builder's expired lease.
+#: A waiter took over a dead builder's lease.
 EVENT_LEASE_TAKEOVER = "shared_cache_lease_takeover"
-
-#: Lock backends for single-flight coalescing.
-LOCK_FCNTL = "fcntl"
-LOCK_LEASE = "lease"
-LOCK_BACKENDS = (LOCK_FCNTL, LOCK_LEASE)
 
 #: One ``shared_cache_unlocked`` event per process, however many builds
 #: degrade — the ledger flags the condition, counters elsewhere size it.
@@ -107,23 +88,6 @@ def _note_unlocked() -> None:
     if not _unlocked_reported.is_set():
         _unlocked_reported.set()
         integrity_events.record(EVENT_UNLOCKED)
-
-
-def resolve_lock_backend(requested: Optional[str] = None) -> str:
-    """The effective lock backend: explicit choice, else fcntl-when-present.
-
-    Platforms without ``fcntl`` default to the lease protocol so single
-    flight still works; asking for ``fcntl`` there is honoured literally
-    and degrades (with the ``shared_cache_unlocked`` event) at lock time.
-    """
-    if requested:
-        if requested not in LOCK_BACKENDS:
-            raise ValueError(
-                f"unknown shared-cache lock backend {requested!r}; "
-                f"expected one of {LOCK_BACKENDS}"
-            )
-        return requested
-    return LOCK_FCNTL if _HAVE_FCNTL else LOCK_LEASE
 
 
 class _HeldLease:
@@ -155,19 +119,17 @@ class SharedResultCache:
     """Content-addressed job-result store with single-flight coalescing.
 
     Entries live in a :class:`~repro.core.store.ContentStore`
-    (:attr:`content`); the single-flight lock is an ``fcntl`` flock or a
-    lease (see ``lock_backend``).  Layout under ``root``::
+    (:attr:`content`); the single-flight lock is a per-key lease.  Layout
+    under ``root``::
 
         results/<k[:2]>/<key>.json.gz    checksummed gzipped-JSON entries
-        locks/<k[:2]>/<key>.lock         per-key fcntl locks (empty files)
-        locks/<k[:2]>/<key>.lease        per-key lease files (lease backend)
+        locks/<k[:2]>/<key>.lease        per-key build leases
         quarantine/                      poisoned entries, moved aside
 
-    ``lock_backend`` picks the single-flight mechanism (``fcntl`` or
-    ``lease``; default: fcntl where the module exists, lease elsewhere).
-    ``lease_ttl`` is how long a *silent* builder holds a lease before
-    waiters may take over — live builders heartbeat, so it bounds crash
-    handoff latency, not build duration.
+    ``lease_ttl`` is how long a *silent* builder on another host holds a
+    lease before waiters may take over — live builders heartbeat, and a
+    dead builder on this host is taken over at once, so it bounds
+    cross-host crash handoff latency, not build duration.
 
     ``clock`` is injectable for deterministic tests (monotonic seconds).
     """
@@ -178,7 +140,6 @@ class SharedResultCache:
         *,
         lock_timeout: float = 300.0,
         poll_interval: float = 0.05,
-        lock_backend: Optional[str] = None,
         lease_ttl: float = 30.0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -188,7 +149,6 @@ class SharedResultCache:
             on_quarantine=lambda: integrity_events.record(EVENT_POISONED))
         self.lock_timeout = lock_timeout
         self.poll_interval = poll_interval
-        self.lock_backend = resolve_lock_backend(lock_backend)
         self.lease_ttl = lease_ttl
         self._clock = clock
         self._pause = threading.Event()  # never set: interruptible waits
@@ -197,9 +157,6 @@ class SharedResultCache:
 
     def entry_path(self, key: str) -> Path:
         return self.content.path("results", key)
-
-    def _lock_path(self, key: str) -> Path:
-        return self.root / "locks" / key[:2] / f"{key}.lock"
 
     def _lease_path(self, key: str) -> Path:
         return self.root / "locks" / key[:2] / f"{key}.lease"
@@ -267,7 +224,8 @@ class SharedResultCache:
             return body, STATUS_HIT
         handle = self._acquire(key)
         if handle is None:
-            # Could not lock (timeout or no fcntl): build uncoalesced.
+            # Could not lock (timeout or lock-dir IO failure): build
+            # uncoalesced.
             return self._build_and_store(key, build, cacheable)
         try:
             # Another process may have built the entry while we waited on
@@ -301,45 +259,18 @@ class SharedResultCache:
 
     # -- locking -------------------------------------------------------------
 
-    def _acquire(self, key: str):
-        """A held lock handle, or None when no lock could be engaged.
+    def _acquire(self, key: str) -> Optional[_HeldLease]:
+        """A held build lease, or None when none could be engaged.
 
         Non-blocking attempts in a bounded polling loop rather than one
         blocking wait: the loop observes ``lock_timeout``, so a wedged
         builder degrades this caller to an uncoalesced build instead of
         hanging it forever (its own job deadline is the only other
         backstop).  ``None`` for any reason *other* than lock contention
-        (missing fcntl, lock-directory IO failure) additionally fires the
-        once-per-process ``shared_cache_unlocked`` event — coalescing is
-        off and operators should know.
+        (lock-directory IO failure) additionally fires the once-per-process
+        ``shared_cache_unlocked`` event — coalescing is off and operators
+        should know.
         """
-        if self.lock_backend == LOCK_LEASE:
-            return self._acquire_lease(key)
-        return self._acquire_fcntl(key)
-
-    def _acquire_fcntl(self, key: str):
-        if not _HAVE_FCNTL:
-            _note_unlocked()
-            return None
-        path = self._lock_path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            handle = open(path, "a+b")
-        except OSError:
-            _note_unlocked()
-            return None
-        deadline = self._clock() + self.lock_timeout
-        while True:
-            try:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-                return handle
-            except OSError:
-                if self._clock() >= deadline:
-                    handle.close()
-                    return None
-                self._pause.wait(self.poll_interval)
-
-    def _acquire_lease(self, key: str) -> Optional[_HeldLease]:
         lease = LeaseFile(self._lease_path(key), ttl=self.lease_ttl)
         deadline = self._clock() + self.lock_timeout
         failures = 0
@@ -363,14 +294,6 @@ class SharedResultCache:
             self._pause.wait(self.poll_interval)
 
     @staticmethod
-    def _release(handle) -> None:
-        if isinstance(handle, _HeldLease):
-            handle.heartbeat.stop()
-            handle.lease.release()
-            return
-        try:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-        except OSError:
-            pass
-        finally:
-            handle.close()
+    def _release(handle: _HeldLease) -> None:
+        handle.heartbeat.stop()
+        handle.lease.release()

@@ -836,20 +836,24 @@ def _crash_with_lease(root: str, key: str, ttl: float) -> None:
 
     from repro.core.shared_cache import SharedResultCache
 
-    cache = SharedResultCache(root, lock_backend="lease", lease_ttl=ttl)
+    cache = SharedResultCache(root, lease_ttl=ttl)
     cache._acquire(key)
     os._exit(1)
 
 
 def scenario_lease_expiry(tmp: Path, rng: random.Random,
                           smoke: bool) -> ScenarioResult:
-    """A builder SIGKILLed while holding a lease must not wedge the key:
-    the next builder takes the expired lease over (one takeover event)
-    and the build runs exactly once."""
+    """A builder that dies holding a lease must not wedge the key.
+
+    A builder SIGKILLed on this host is seen dead and taken over at once,
+    well inside its 30 s TTL.  A silent builder on another host (a planted
+    ``otherhost:1:0`` lease) is taken over only after its TTL.  Each key
+    shows one takeover event and exactly one build."""
     import multiprocessing
     import os
 
     from repro.core.integrity import integrity_events
+    from repro.core.lease import LeaseFile
     from repro.core.shared_cache import (
         EVENT_LEASE_TAKEOVER,
         SharedResultCache,
@@ -858,14 +862,42 @@ def scenario_lease_expiry(tmp: Path, rng: random.Random,
 
     result = ScenarioResult("lease_expiry")
     root = tmp / f"lease-cache-{rng.randrange(1 << 30)}"
-    key = "f" * 64
-    ttl = 1.0
-    cache = SharedResultCache(root, lock_backend="lease", lease_ttl=ttl,
-                              lock_timeout=WAIT_LIMIT)
-    lease_path = cache._lease_path(key)
+    dead_key, foreign_key = "d" * 64, "f" * 64
+    dead_ttl, foreign_ttl = 30.0, 1.0
+    cache = SharedResultCache(root, lock_timeout=WAIT_LIMIT)
+
+    def _take_over(key: str) -> float:
+        marker_dir = root / f"markers-{key[0]}"
+        marker_dir.mkdir(parents=True, exist_ok=True)
+
+        def _build() -> Dict[str, Any]:
+            # O_CREAT|O_EXCL marker: a second concurrent build would raise.
+            fd = os.open(marker_dir / f"build-{os.getpid()}",
+                         os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            os.close(fd)
+            return {"value": 42}
+
+        before = integrity_events.snapshot()
+        started = time.monotonic()
+        body, status = cache.single_flight(key, _build)
+        waited = time.monotonic() - started
+        delta = integrity_events.delta(before)
+        if status != STATUS_BUILT or body != {"value": 42}:
+            result.violations.append(
+                f"takeover build did not run: status {status!r}, body {body}")
+        if delta.get(EVENT_LEASE_TAKEOVER) != 1:
+            result.violations.append(
+                f"expected one {EVENT_LEASE_TAKEOVER} event: {delta}")
+        markers = list(marker_dir.glob("build-*"))
+        if len(markers) != 1:
+            result.violations.append(
+                f"expected exactly 1 build, found {len(markers)} markers")
+        return waited
+
+    lease_path = cache._lease_path(dead_key)
     ctx = multiprocessing.get_context("fork")
     child = ctx.Process(target=_crash_with_lease,
-                        args=(str(root), key, ttl))
+                        args=(str(root), dead_key, dead_ttl))
     child.start()
     child.join(WAIT_LIMIT)
     if child.exitcode != 1 or not lease_path.exists():
@@ -873,38 +905,27 @@ def scenario_lease_expiry(tmp: Path, rng: random.Random,
             f"child did not die holding the lease (exit {child.exitcode}, "
             f"lease present: {lease_path.exists()})")
         return result
+    dead_wait = _take_over(dead_key)
+    if dead_wait > 5.0:
+        result.violations.append(
+            f"dead same-host builder taken over after {dead_wait:.1f}s, "
+            f"not at once ({dead_ttl}s TTL)")
 
-    marker_dir = root / "markers"
-    marker_dir.mkdir(parents=True, exist_ok=True)
-
-    def _build() -> Dict[str, Any]:
-        # O_CREAT|O_EXCL marker: a second concurrent build would raise.
-        fd = os.open(marker_dir / f"build-{os.getpid()}",
-                     os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        os.close(fd)
-        return {"value": 42}
-
-    before = integrity_events.snapshot()
-    started = time.monotonic()
-    body, status = cache.single_flight(key, _build)
-    waited = time.monotonic() - started
-    delta = integrity_events.delta(before)
-    if status != STATUS_BUILT or body != {"value": 42}:
+    LeaseFile(cache._lease_path(foreign_key), owner_id="otherhost:1:0",
+              ttl=foreign_ttl).try_acquire()
+    foreign_wait = _take_over(foreign_key)
+    if foreign_wait < 0.9 * foreign_ttl:
         result.violations.append(
-            f"takeover build did not run: status {status!r}, body {body}")
-    if not delta.get(EVENT_LEASE_TAKEOVER):
+            f"foreign lease taken over after {foreign_wait:.2f}s, "
+            f"before its {foreign_ttl}s TTL")
+    if foreign_wait > 10 * foreign_ttl + 5.0:
         result.violations.append(
-            f"no {EVENT_LEASE_TAKEOVER} event recorded: {delta}")
-    markers = list(marker_dir.glob("build-*"))
-    if len(markers) != 1:
-        result.violations.append(
-            f"expected exactly 1 build, found {len(markers)} markers")
-    if waited > 10 * ttl + 5.0:
-        result.violations.append(
-            f"takeover took {waited:.1f}s for a {ttl}s lease TTL")
+            f"takeover took {foreign_wait:.1f}s for a {foreign_ttl}s TTL")
     if not result.violations:
         result.notes.append(
-            f"expired lease taken over in {waited:.2f}s, built once")
+            f"dead builder taken over in {dead_wait:.2f}s, foreign lease "
+            f"after {foreign_wait:.2f}s ({foreign_ttl}s TTL), each built "
+            f"once")
     return result
 
 

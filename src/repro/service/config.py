@@ -68,11 +68,6 @@ class ServiceConfig:
     #: Directory of the fleet-shared single-flight result cache
     #: (:mod:`repro.core.shared_cache`); None disables the tier.
     shared_cache_dir: Optional[str] = None
-    #: Single-flight lock backend for the shared cache: ``fcntl``,
-    #: ``lease``, or None (auto: fcntl where available, else lease).
-    #: Lease is the right choice when ``shared_cache_dir`` is on an
-    #: NFS-like filesystem where ``flock`` is unreliable.
-    shared_cache_lock: Optional[str] = None
     #: Router URL to register with (``gmap serve --join``); None runs the
     #: replica standalone.  Registration repeats every ``join_interval``
     #: seconds as a heartbeat, so a restarted router re-learns us.
@@ -99,10 +94,6 @@ class ServiceConfig:
             raise ValueError(
                 f"isolation must be one of {ISOLATION_MODES}, "
                 f"got {self.isolation!r}")
-        if self.shared_cache_lock not in (None, "fcntl", "lease"):
-            raise ValueError(
-                f"shared_cache_lock must be 'fcntl' or 'lease', "
-                f"got {self.shared_cache_lock!r}")
         if self.bulk_capacity < 0:
             raise ValueError(
                 f"bulk_capacity must be >= 0, got {self.bulk_capacity}")

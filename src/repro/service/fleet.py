@@ -70,9 +70,6 @@ class FleetConfig:
     #: Fleet-shared single-flight cache root (created under a tempdir
     #: when unset — the tier is what makes reassignment dedupe-safe).
     shared_cache_dir: Optional[str] = None
-    #: Shared-cache lock backend forwarded to every replica
-    #: (``fcntl``/``lease``/None = auto).
-    shared_cache_lock: Optional[str] = None
     #: Durable router state directory (outcome store); None keeps the
     #: router's job table memory-only.
     state_dir: Optional[str] = None
@@ -145,8 +142,6 @@ class ReplicaProcess:
             argv += ["--backend", cfg.backend]
         if cfg.allow_fault_injection:
             argv += ["--allow-fault-injection"]
-        if cfg.shared_cache_lock:
-            argv += ["--shared-cache-lock", cfg.shared_cache_lock]
         if cfg.bulk_capacity:
             argv += ["--bulk-capacity", str(cfg.bulk_capacity)]
         if cfg.bulk_max_wait != 30.0:

@@ -278,8 +278,7 @@ def _shareable(kind: str, params: Dict[str, Any]) -> bool:
 
 def execute_job(request: Dict[str, Any],
                 effective_backend: Optional[str],
-                shared_cache_dir: Optional[str] = None,
-                shared_cache_lock: Optional[str] = None) -> Dict[str, Any]:
+                shared_cache_dir: Optional[str] = None) -> Dict[str, Any]:
     """Run one job to a well-typed outcome dict. Never raises for expected
     failures; unexpected exceptions propagate (the supervisor types them).
 
@@ -287,13 +286,11 @@ def execute_job(request: Dict[str, Any],
     "degraded_reasons", "integrity_events"}``.  With ``shared_cache_dir``
     set the execution runs through the fleet-shared single-flight cache
     (:mod:`repro.core.shared_cache`): identical pipeline keys in flight
-    anywhere in the fleet collapse to one build.  ``shared_cache_lock``
-    picks that cache's lock backend (``fcntl``/``lease``/None = auto).
+    anywhere in the fleet collapse to one build.
     """
     fault = request.get("fault")
     if not fault:
-        return _execute(request, effective_backend, shared_cache_dir,
-                        shared_cache_lock)
+        return _execute(request, effective_backend, shared_cache_dir)
     # Arm the chaos directive, then fire any immediate worker fault
     # (crash/hang) exactly as the sweep engine's workers would.  Disarm in
     # all cases: under thread isolation the environment is the server's,
@@ -303,16 +300,14 @@ def execute_job(request: Dict[str, Any],
     resilience.arm_fault(fault.get("spec"), fault.get("state"))
     try:
         maybe_inject_worker_fault(0, 0)
-        return _execute(request, effective_backend, shared_cache_dir,
-                        shared_cache_lock)
+        return _execute(request, effective_backend, shared_cache_dir)
     finally:
         resilience.arm_fault(None, None)
 
 
 def _execute(request: Dict[str, Any],
              effective_backend: Optional[str],
-             shared_cache_dir: Optional[str] = None,
-             shared_cache_lock: Optional[str] = None) -> Dict[str, Any]:
+             shared_cache_dir: Optional[str] = None) -> Dict[str, Any]:
     kind = request["kind"]
     params = dict(request.get("params") or {})
     handler = _HANDLERS.get(kind)
@@ -336,8 +331,7 @@ def _execute(request: Dict[str, Any],
         if shared_cache_dir and _shareable(kind, params):
             from repro.core.shared_cache import SharedResultCache, job_key
 
-            cache = SharedResultCache(shared_cache_dir,
-                                      lock_backend=shared_cache_lock)
+            cache = SharedResultCache(shared_cache_dir)
             key = job_key(kind, params, effective_backend)
             body, _status = cache.single_flight(
                 key, _run, cacheable=_clean_body)

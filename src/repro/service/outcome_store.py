@@ -42,17 +42,15 @@ disagreement is noise to be ignored, not state to be merged).
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
-import socket
 import threading
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, TextIO, Tuple, Union
 
 from repro.core.integrity import integrity_events, payload_checksum, verify_payload
-from repro.core.lease import LeaseFile
+from repro.core.lease import LeaseFile, default_owner_id
 
 PathLike = Union[str, Path]
 
@@ -60,8 +58,6 @@ OUTCOME_SCHEMA = 1
 
 #: Integrity-ledger event for a log line that failed its checksum.
 EVENT_CORRUPT_RECORD = "outcome_store_corrupt_record"
-
-_WRITER_SEQ = itertools.count()
 
 
 class StoredJob:
@@ -123,9 +119,9 @@ class OutcomeStore:
         self.snapshot_path = self.root / "outcomes.snap"
         self.compact_threshold = compact_threshold
         self.stale_log_seconds = stale_log_seconds
-        self.writer_id = (
-            f"{socket.gethostname()}-{os.getpid()}-{next(_WRITER_SEQ)}"
-        )
+        # A lease owner id, so a compaction lease left by a SIGKILLed
+        # router on this host is taken over at once.
+        self.writer_id = default_owner_id()
         self._clock = clock
         self._lock = threading.Lock()
         self._handle: Optional[TextIO] = None
@@ -331,7 +327,10 @@ class OutcomeStore:
             ttl=30.0,
             clock=self._clock,
         )
-        if not lease.try_acquire():
+        try:
+            if not lease.try_acquire():
+                return False
+        except OSError:
             return False
         try:
             # Re-fold from disk so a peer's records survive the fold.

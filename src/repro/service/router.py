@@ -16,10 +16,10 @@ the single-replica server cannot:
   When the monitor declares a replica down, or the replica re-registers
   after a restart, the router resubmits that replica's non-terminal jobs
   (same ``job_id``) to a healthy one.  The shared cache's single flight
-  (an ``fcntl`` lock or a lease file, see ``--shared-cache-lock``) makes
-  the resubmission safe: if the dead replica already built the artifact
-  the resubmitted job is a cache hit, and a mid-build death releases the
-  build lock (with the process, or when its lease expires), so exactly
+  (a per-key lease file, :mod:`repro.core.lease`) makes the resubmission
+  safe: if the dead replica already built the artifact the resubmitted
+  job is a cache hit, and a mid-build death frees the build lease (at
+  once on the same host, after one TTL from another host), so exactly
   one live builder proceeds.
 
 The router holds *no* job results of its own beyond a bounded in-memory

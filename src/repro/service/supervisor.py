@@ -54,13 +54,11 @@ from repro.validation.resilience import (
 
 def _worker_main(conn: Connection, request: Dict[str, Any],
                  effective_backend: Optional[str],
-                 shared_cache_dir: Optional[str] = None,
-                 shared_cache_lock: Optional[str] = None) -> None:
+                 shared_cache_dir: Optional[str] = None) -> None:
     """Worker process entry point: run the job, ship the outcome dict."""
     try:
         payload = execute_job(request, effective_backend,
-                              shared_cache_dir=shared_cache_dir,
-                              shared_cache_lock=shared_cache_lock)
+                              shared_cache_dir=shared_cache_dir)
     except BaseException as exc:  # ship the traceback, don't lose it
         payload = {
             "ok": False,
@@ -216,8 +214,7 @@ class Supervisor:
         proc = self._ctx.Process(
             target=_worker_main,
             args=(child_conn, request.to_dict(), backend,
-                  self._config.shared_cache_dir,
-                  self._config.shared_cache_lock),
+                  self._config.shared_cache_dir),
             daemon=True,
         )
         proc.start()
@@ -259,8 +256,7 @@ class Supervisor:
         try:
             return execute_job(
                 request.to_dict(), backend,
-                shared_cache_dir=self._config.shared_cache_dir,
-                shared_cache_lock=self._config.shared_cache_lock)
+                shared_cache_dir=self._config.shared_cache_dir)
         except SystemExit as exc:
             return {
                 "ok": False,

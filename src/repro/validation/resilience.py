@@ -42,15 +42,11 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Union
-
-try:  # POSIX advisory locking; absent on some platforms.
-    import fcntl
-except ImportError:  # pragma: no cover - non-posix fallback path
-    fcntl = None  # type: ignore[assignment]
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.core.cache import default_cache_dir
 from repro.core.integrity import CorruptArtifactError
+from repro.core.lease import LeaseFile, LeaseHeartbeat
 from repro.core.store import ContentStore, atomic_write
 
 PathLike = Union[str, Path]
@@ -372,43 +368,9 @@ class JournalLockedError(RuntimeError):
 
     Two concurrent writers interleaving chunk entries (or two ``--resume``
     runs of the same run-id racing each other) would corrupt the journal's
-    completed-set; the lock makes the second run fail fast instead.
+    completed-set; the lock makes the second run fail fast instead, and a
+    writer whose lock was taken over stops writing.
     """
-
-
-#: Journal writer-lock fds currently held by this process.  ``flock``
-#: locks live on the *open file description*, which fork shares with the
-#: child — a fork-pool worker or serve worker that inherits the fd keeps
-#: the journal locked even after the parent is SIGKILLed, wedging every
-#: subsequent run of the same id until the worker exits.  Closing the
-#: inherited copies immediately after fork confines the lock's lifetime
-#: to the parent process, preserving the "kernel releases on death"
-#: contract acquire_lock() documents.
-_LIVE_LOCK_FDS: Set[int] = set()
-_AT_FORK_REGISTERED = False
-
-
-def _close_inherited_lock_fds() -> None:
-    """After-fork (child) hook: drop journal lock fds inherited from the
-    parent.  The parent's own fds still hold the flock."""
-    for fd in list(_LIVE_LOCK_FDS):
-        try:
-            os.close(fd)
-        except OSError:
-            pass
-    _LIVE_LOCK_FDS.clear()
-
-
-def _register_lock_fd(fd: int) -> None:
-    global _AT_FORK_REGISTERED
-    if not _AT_FORK_REGISTERED and hasattr(os, "register_at_fork"):
-        os.register_at_fork(after_in_child=_close_inherited_lock_fds)
-        _AT_FORK_REGISTERED = True
-    _LIVE_LOCK_FDS.add(fd)
-
-
-def _unregister_lock_fd(fd: int) -> None:
-    _LIVE_LOCK_FDS.discard(fd)
 
 
 class RunJournal:
@@ -418,6 +380,7 @@ class RunJournal:
 
         manifest.json                      sweep identity (fingerprints, seed,
                                            chunk size) — verified on resume
+        lock                               the writer's lease file
         chunk-KKKK-OOOOOO.json.gz          one completed chunk's result pairs,
                                            content-checksummed
         quarantine/                        corrupt entries, moved aside
@@ -439,7 +402,8 @@ class RunJournal:
         self.root = Path(journal_dir if journal_dir is not None
                          else default_journal_dir()) / run_id
         self.content = ContentStore(self.root, JOURNAL_SCHEMA_VERSION)
-        self._lock_fd: Optional[int] = None
+        self._lease = LeaseFile(self.lock_path, ttl=30.0)
+        self._heartbeat: Optional[LeaseHeartbeat] = None
 
     # -- paths --------------------------------------------------------------
 
@@ -459,61 +423,32 @@ class RunJournal:
     def acquire_lock(self) -> None:
         """Take the run's exclusive writer lock, or fail fast.
 
-        Uses an ``fcntl.flock`` on ``<root>/lock`` where available — the
-        kernel releases it when the holder dies, so a crashed run never
-        wedges its journal.  Platforms without ``fcntl`` fall back to
-        ``O_EXCL`` lock-file creation (released in :meth:`release_lock`).
+        The lock is a :mod:`repro.core.lease` lease on ``<root>/lock``,
+        renewed by a heartbeat thread while held.  A holder that died on
+        this host is taken over at once; a silent holder on another host
+        after the 30 s TTL.  A forked child holds nothing: the lease names
+        the parent, and the heartbeat thread does not survive the fork.
         Re-acquiring a lock this object already holds is a no-op; a lock
         held by anyone else raises :class:`JournalLockedError`.
         """
-        if self._lock_fd is not None:
+        if self._heartbeat is not None:
             return
         self.root.mkdir(parents=True, exist_ok=True)
-        if fcntl is not None:
-            fd = os.open(self.lock_path, os.O_CREAT | os.O_RDWR, 0o644)
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            except OSError:
-                os.close(fd)
-                raise JournalLockedError(
-                    f"journal {self.run_id!r} is locked by another live "
-                    f"run (lock file {self.lock_path}); wait for it to "
-                    f"finish or use a different --run-id"
-                ) from None
-            os.truncate(fd, 0)
-            os.write(fd, f"{os.getpid()}\n".encode("ascii"))
-            self._lock_fd = fd
-            _register_lock_fd(fd)
-            return
-        try:  # pragma: no cover - non-posix fallback path
-            fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:  # pragma: no cover - non-posix fallback path
+        if self._lease.try_acquire() is None:
             raise JournalLockedError(
-                f"journal {self.run_id!r} is locked (lock file "
-                f"{self.lock_path} exists); remove it if the previous run "
-                f"is dead"
-            ) from None
-        os.write(fd, f"{os.getpid()}\n".encode("ascii"))
-        self._lock_fd = fd
-        _register_lock_fd(fd)
+                f"journal {self.run_id!r} is locked by another live "
+                f"run (lock file {self.lock_path}); wait for it to "
+                f"finish or use a different --run-id"
+            )
+        self._heartbeat = LeaseHeartbeat(self._lease).start()
 
     def release_lock(self) -> None:
         """Drop the writer lock taken by :meth:`acquire_lock` (idempotent)."""
-        if self._lock_fd is None:
+        if self._heartbeat is None:
             return
-        fd, self._lock_fd = self._lock_fd, None
-        _unregister_lock_fd(fd)
-        try:
-            if fcntl is not None:
-                fcntl.flock(fd, fcntl.LOCK_UN)
-            else:  # pragma: no cover - non-posix fallback path
-                self.lock_path.unlink(missing_ok=True)
-        except OSError:
-            pass
-        try:
-            os.close(fd)
-        except OSError:
-            pass
+        heartbeat, self._heartbeat = self._heartbeat, None
+        heartbeat.stop()
+        self._lease.release()
 
     # -- manifest -----------------------------------------------------------
 
@@ -571,8 +506,15 @@ class RunJournal:
         ``entries`` is a list of ``{"config": fingerprint, "original":
         payload, "proxy": payload}`` dicts (see the sweep engine for the
         conversion).  Journal IO is best-effort on the write side: an
-        unwritable journal must never fail the sweep itself.
+        unwritable journal must never fail the sweep itself.  A writer whose
+        lock was taken over raises :class:`JournalLockedError` instead: the
+        journal has a new owner.
         """
+        if self._heartbeat is not None and self._heartbeat.lost.is_set():
+            raise JournalLockedError(
+                f"journal {self.run_id!r} lock was taken over by another "
+                f"run; this writer stops"
+            )
         path = self.entry_path(kernel_index, config_offset)
         self.content.save(path, {
             "kernel_index": kernel_index,

@@ -410,10 +410,20 @@ class TestCli:
     def test_no_baseline_reports_accepted_findings(self, capsys):
         # Ignoring the baseline must re-surface the documented deliberate
         # patterns — proves the clean run is baseline-driven, not blind.
+        from pathlib import Path
+
+        import repro.analysis
+
         assert main(["check", "--lint-only", "--concurrency",
                      "--no-baseline"]) == 1
         out = capsys.readouterr().out
-        assert "lock-discipline" in out
+        baseline = json.loads(
+            (Path(repro.analysis.__file__).parent
+             / "concurrency_baseline.json").read_text(encoding="utf-8"))
+        rules = {entry["key"].split("|")[0] for entry in baseline["entries"]}
+        assert rules
+        for rule in rules:
+            assert rule in out
 
     def test_sarif_format_end_to_end(self, tmp_path, capsys):
         scratch = tmp_path / "scratch.py"

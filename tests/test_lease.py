@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import threading
 
 import pytest
@@ -19,6 +20,7 @@ from repro.core.lease import (
     LeaseHeartbeat,
     LeaseLostError,
     default_owner_id,
+    owner_is_dead,
 )
 
 
@@ -91,6 +93,59 @@ class TestAcquire:
         lease.path.parent.mkdir(parents=True, exist_ok=True)
         lease.path.write_text(json.dumps([1, 2, 3]), encoding="utf-8")
         assert lease.try_acquire() == ACQUIRED_TAKEOVER
+
+
+def _reaped_pid() -> int:
+    """The pid of a child that has exited and been reaped: no such process."""
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0)
+    os.waitpid(pid, 0)
+    return pid
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="requires os.fork")
+class TestDeadOwner:
+    """A same-host owner whose pid is gone is dead now; every other owner
+    keeps the TTL rules."""
+
+    def test_dead_same_host_owner_taken_over_before_expiry(
+            self, tmp_path, clock):
+        dead = f"{socket.gethostname()}:{_reaped_pid()}:0"
+        assert owner_is_dead(dead)
+        holder = _lease(tmp_path, clock, owner=dead, ttl=30.0)
+        assert holder.try_acquire() == ACQUIRED_FRESH
+        contender = _lease(tmp_path, clock, owner="contender")
+        assert contender.try_acquire() == ACQUIRED_TAKEOVER
+        assert json.loads(contender.path.read_text())["owner"] == "contender"
+
+    def test_foreign_host_owner_waits_for_expiry(self, tmp_path, clock):
+        foreign = f"not-{socket.gethostname()}:{_reaped_pid()}:0"
+        assert not owner_is_dead(foreign)
+        holder = _lease(tmp_path, clock, owner=foreign, ttl=30.0)
+        assert holder.try_acquire() == ACQUIRED_FRESH
+        contender = _lease(tmp_path, clock, owner="contender")
+        clock.advance(29.0)
+        assert contender.try_acquire() is None
+        clock.advance(2.0)
+        assert contender.try_acquire() == ACQUIRED_TAKEOVER
+
+    def test_live_same_process_owner_waits_for_expiry(self, tmp_path, clock):
+        live = default_owner_id()  # this very process: alive
+        assert not owner_is_dead(live)
+        holder = _lease(tmp_path, clock, owner=live, ttl=30.0)
+        assert holder.try_acquire() == ACQUIRED_FRESH
+        contender = _lease(tmp_path, clock, owner="contender")
+        clock.advance(29.0)
+        assert contender.try_acquire() is None
+        clock.advance(2.0)
+        assert contender.try_acquire() == ACQUIRED_TAKEOVER
+
+    @pytest.mark.parametrize("owner", [
+        "?", "", "owner-a", "host-1234-0", ":1:0", "h:x:0", None, 7,
+    ])
+    def test_other_owner_forms_are_not_dead(self, owner):
+        assert not owner_is_dead(owner)
 
 
 class TestRenewRelease:

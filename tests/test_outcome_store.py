@@ -9,6 +9,7 @@ and the ``--join`` epoch handshake.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -155,6 +156,36 @@ class TestOutcomeStore:
         assert me.compact(force=True)
         assert not peer_log.exists()
         assert OutcomeStore(tmp_path).jobs()["peer-job"].terminal is not None
+        me.close()
+
+    def test_log_of_older_writer_name_still_folds(self, tmp_path):
+        old = OutcomeStore(tmp_path)
+        old.record_terminal("old-job", {"status": "completed"})
+        old.close()
+        # Writer logs were once named host-pid-n.log.
+        old._own_log_path().rename(old.log_dir / "somehost-123-0.log")
+        assert OutcomeStore(tmp_path).jobs()["old-job"].terminal is not None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="requires os.fork")
+    def test_dead_router_compaction_lease_taken_over(self, tmp_path):
+        """A router SIGKILLed mid-compaction leaves a lease named by its
+        writer id; the next compaction on this host takes it over at once
+        instead of waiting out the 30 s TTL."""
+        from repro.core.lease import LeaseFile
+
+        pid = os.fork()
+        if pid == 0:  # the router that dies holding the compaction lease
+            try:
+                store = OutcomeStore(tmp_path)
+                LeaseFile(store.root / "compact.lease",
+                          owner_id=store.writer_id, ttl=30.0).try_acquire()
+            finally:
+                os._exit(0)
+        os.waitpid(pid, 0)
+        me = OutcomeStore(tmp_path)
+        assert (me.root / "compact.lease").exists()
+        me.record_terminal("j", {"status": "completed"})
+        assert me.compact(force=True)
         me.close()
 
     def test_lookup_refresh_sees_peer_writes(self, tmp_path):

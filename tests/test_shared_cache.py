@@ -1,8 +1,8 @@
 """Tests for the fleet-shared single-flight result cache.
 
 The cross-process tests fork real children: single-flight coalescing and
-crash-released locks are kernel behaviours (``flock`` ownership dies with
-the process), so in-process fakes would prove nothing.
+the takeover of a dead builder's lease depend on real process ids and
+real process death, so in-process fakes would prove nothing.
 """
 
 import multiprocessing
@@ -136,9 +136,8 @@ class TestSingleFlight:
 
 # -- single flight, across processes ----------------------------------------
 
-def _coalesce_child(root, key, marker_dir, queue, backend):
-    cache = SharedResultCache(root, poll_interval=0.01,
-                              lock_backend=backend, lease_ttl=5.0)
+def _coalesce_child(root, key, marker_dir, queue):
+    cache = SharedResultCache(root, poll_interval=0.01, lease_ttl=5.0)
 
     def build():
         # A unique file per executed build: the cross-process execution
@@ -153,22 +152,18 @@ def _coalesce_child(root, key, marker_dir, queue, backend):
     queue.put((os.getpid(), status, body))
 
 
-def _crash_holding_lock(root, key, backend, lease_ttl):
-    cache = SharedResultCache(root, lock_backend=backend,
-                              lease_ttl=lease_ttl)
+def _crash_holding_lock(root, key):
+    cache = SharedResultCache(root)  # default 30 s lease TTL
     handle = cache._acquire(key)
     assert handle is not None
-    os._exit(1)  # die without releasing: recovery is the backend's job
+    os._exit(1)  # die without releasing: recovery is the lease's job
 
 
-@pytest.mark.parametrize("backend", ["fcntl", "lease"])
 class TestCrossProcess:
-    """Both single-flight lock backends must satisfy the same contract:
-    one build per key across processes, and no wedged keys after a
-    builder dies (the kernel drops an flock; a lease expires and is
-    taken over)."""
+    """Single flight across processes: one build per key, and no wedged
+    key after a builder dies (its lease is taken over at once)."""
 
-    def test_two_processes_one_build(self, tmp_path, backend):
+    def test_two_processes_one_build(self, tmp_path):
         """Same key from two processes: one build, both get the artifact."""
         root = tmp_path / "cache"
         marker_dir = tmp_path / "markers"
@@ -177,8 +172,7 @@ class TestCrossProcess:
         queue = _CTX.Queue()
         children = [
             _CTX.Process(target=_coalesce_child,
-                         args=(str(root), key, str(marker_dir), queue,
-                               backend))
+                         args=(str(root), key, str(marker_dir), queue))
             for _ in range(2)
         ]
         for child in children:
@@ -194,47 +188,45 @@ class TestCrossProcess:
         bodies = [body for _pid, _status, body in results]
         assert bodies[0] == bodies[1] == {"result": {"value": 99}}
 
-    def test_killed_builder_releases_lock(self, tmp_path, backend):
-        """A builder dying mid-build must not wedge the key: an flock
-        dies with the process; a lease expires (its heartbeat died too)
-        and the next caller takes it over."""
+    def test_killed_builder_releases_lock(self, tmp_path):
+        """A builder dying mid-build must not wedge the key: its lease
+        names a pid that no longer exists on this host, so the next
+        caller takes it over at once instead of waiting out the TTL."""
         root = tmp_path / "cache"
         key = job_key("simulate", {"crash": 1}, None)
-        lease_ttl = 0.5
         child = _CTX.Process(target=_crash_holding_lock,
-                             args=(str(root), key, backend, lease_ttl))
+                             args=(str(root), key))
         child.start()
         child.join(10)
         assert child.exitcode == 1
         before = integrity_events.snapshot()
-        cache = SharedResultCache(root, lock_timeout=30.0,
-                                  lock_backend=backend, lease_ttl=lease_ttl)
+        cache = SharedResultCache(root, lock_timeout=60.0)
         started = time.monotonic()
         body, status = cache.single_flight(key, lambda: {"result": 5})
         assert status == STATUS_BUILT
-        # Well under lock_timeout: the lock was recovered (kernel release
-        # or lease takeover), not waited out.
+        # Far under the 30 s TTL: the dead owner was seen dead, not
+        # waited out.
         assert time.monotonic() - started < 5.0
-        if backend == "lease":
-            delta = integrity_events.delta(before)
-            assert delta.get("shared_cache_lease_takeover") == 1
+        delta = integrity_events.delta(before)
+        assert delta.get("shared_cache_lease_takeover") == 1
 
 
 # -- degraded locking telemetry ---------------------------------------------
 
 class TestUnlockedTelemetry:
-    def test_unlocked_event_fires_once_per_process(self, tmp_path,
-                                                   monkeypatch):
-        """Builds that degrade to uncoalesced (no engageable lock) flag
+    def test_unlocked_event_fires_once_per_process(self, tmp_path):
+        """Builds that degrade to uncoalesced (no engageable lease) flag
         the condition on the integrity ledger exactly once per process,
         however many keys degrade."""
         from repro.core import shared_cache as sc
 
         was_set = sc._unlocked_reported.is_set()
         sc._unlocked_reported.clear()
-        monkeypatch.setattr(sc, "_HAVE_FCNTL", False)
+        # A regular file where the locks/ tree should be: every lease
+        # creation hits OSError, which polling cannot fix.
+        (tmp_path / "locks").write_text("not a directory")
         try:
-            cache = SharedResultCache(tmp_path, lock_backend="fcntl")
+            cache = SharedResultCache(tmp_path, lock_timeout=5.0)
             before = integrity_events.snapshot()
             for n in range(3):
                 key = job_key("simulate", {"unlocked": n}, None)

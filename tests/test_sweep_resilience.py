@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import gzip
 import os
+import time
 
 import pytest
 
@@ -442,7 +443,7 @@ class TestJournalLock:
         b.release_lock()
 
     def test_lock_released_when_holder_process_dies(self, tmp_path):
-        """flock is kernel-held: a dead holder never wedges the journal."""
+        """A dead holder's lease names a gone pid: taken over at once."""
         import subprocess
         import sys
 
@@ -455,7 +456,48 @@ class TestJournalLock:
         subprocess.run([sys.executable, "-c", script], check=True,
                        env=dict(os.environ, PYTHONPATH="src"),
                        cwd=os.path.dirname(os.path.dirname(__file__)) or ".")
+        started = time.monotonic()
         RunJournal("lock4", tmp_path).acquire_lock()  # not wedged
+        assert time.monotonic() - started < 5.0  # not a 30 s TTL wait
+
+    def test_lock_file_of_older_format_does_not_wedge(self, tmp_path):
+        """A ``lock`` file holding a bare pid (the pre-lease format) reads
+        as an expired corpse and is taken over."""
+        journal = RunJournal("lock5", tmp_path)
+        journal.root.mkdir(parents=True)
+        journal.lock_path.write_text(f"{os.getpid()}\n")
+        journal.acquire_lock()
+        journal.release_lock()
+
+    def test_record_chunk_raises_after_takeover(self, tmp_path):
+        """A writer displaced from its lease must stop writing."""
+        from repro.validation.resilience import JournalLockedError
+
+        from repro.core.lease import LeaseFile
+
+        def journal(clock):
+            # A short TTL makes the heartbeat beat every 0.1 s.
+            journal = RunJournal("lock6", tmp_path)
+            journal._lease = LeaseFile(journal.lock_path, ttl=0.3,
+                                       clock=clock)
+            return journal
+
+        holder = journal(lambda: 1_000.0)
+        # The successor's clock reads past every expiry the holder's
+        # heartbeat writes, so it takes the live holder's lease over.
+        successor = journal(lambda: 1_100.0)
+        holder.acquire_lock()
+        try:
+            holder.record_chunk(0, 0, "vectoradd", [])
+            successor.acquire_lock()
+            assert holder._heartbeat.lost.wait(5.0)
+            with pytest.raises(JournalLockedError, match="taken over"):
+                holder.record_chunk(0, 1, "vectoradd", [])
+            successor.record_chunk(0, 1, "vectoradd", [])
+        finally:
+            holder.release_lock()
+            successor.release_lock()
+        assert not successor.lock_path.exists()
 
     def test_journaled_sweep_refuses_locked_journal(self, tmp_path):
         """The user-facing guarantee: a second ``--resume`` of a live run
@@ -486,48 +528,38 @@ class TestJournalLock:
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="requires os.fork")
 class TestJournalLockForkSafety:
-    """Regression: a forked child inheriting the journal lock fd kept the
-    flock alive after the parent died, wedging every later ``--resume``
-    until the child also exited.  The ``os.register_at_fork`` hook closes
-    inherited lock fds in the child, restoring kernel release-on-death."""
+    """A forked pool or serve worker must not keep the journal locked after
+    its parent dies: the lease names the parent's pid, and the child holds
+    no lock of its own."""
 
-    def test_child_closes_inherited_lock_fd(self, tmp_path):
-        from repro.validation import resilience
+    def test_dead_parent_with_live_child_does_not_wedge(self, tmp_path):
+        import signal
+        import subprocess
+        import sys
 
-        journal = RunJournal("forklock", tmp_path)
-        journal.acquire_lock()
-        fd = journal._lock_fd
-        assert fd is not None
-        assert fd in resilience._LIVE_LOCK_FDS
-        read_end, write_end = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # child: report whether the hook closed the lock fd
-            os.close(read_end)
-            try:
-                os.fstat(fd)
-                os.write(write_end, b"open")
-            except OSError:
-                os.write(write_end, b"closed")
-            finally:
-                os.close(write_end)
-                os._exit(0)
-        os.close(write_end)
+        pid_file = tmp_path / "child.pid"
+        script = (
+            "import os, time\n"
+            "from repro.validation.resilience import RunJournal\n"
+            f"j = RunJournal('forklock', {str(tmp_path)!r})\n"
+            "j.acquire_lock()\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    time.sleep(60)\n"
+            "    os._exit(0)\n"
+            f"open({str(pid_file)!r}, 'w').write(str(pid))\n"
+            "os._exit(0)\n"  # the parent dies without release_lock()
+        )
+        subprocess.run([sys.executable, "-c", script], check=True,
+                       env=dict(os.environ, PYTHONPATH="src"),
+                       cwd=os.path.dirname(os.path.dirname(__file__)) or ".")
+        child = int(pid_file.read_text())
         try:
-            verdict = os.read(read_end, 16)
-            _, status = os.waitpid(pid, 0)
-        finally:
-            os.close(read_end)
+            os.kill(child, 0)  # the forked child is still alive
+            started = time.monotonic()
+            journal = RunJournal("forklock", tmp_path)
+            journal.acquire_lock()
+            assert time.monotonic() - started < 5.0
             journal.release_lock()
-        assert status == 0
-        assert verdict == b"closed"
-
-    def test_release_unregisters_fd(self, tmp_path):
-        from repro.validation import resilience
-
-        journal = RunJournal("forklock2", tmp_path)
-        journal.acquire_lock()
-        fd = journal._lock_fd
-        journal.release_lock()
-        assert fd not in resilience._LIVE_LOCK_FDS
-        # A later fork must not try to close the now-recycled fd number.
-        RunJournal("forklock2", tmp_path).acquire_lock()
+        finally:
+            os.kill(child, signal.SIGKILL)
