@@ -136,8 +136,8 @@ class TestSingleFlight:
 
 # -- single flight, across processes ----------------------------------------
 
-def _coalesce_child(root, key, marker_dir, queue):
-    cache = SharedResultCache(root, poll_interval=0.01, lease_ttl=5.0)
+def _coalesce_child(root, key, marker_dir, queue, lease_ttl):
+    cache = SharedResultCache(root, poll_interval=0.01, lease_ttl=lease_ttl)
 
     def build():
         # A unique file per executed build: the cross-process execution
@@ -152,8 +152,8 @@ def _coalesce_child(root, key, marker_dir, queue):
     queue.put((os.getpid(), status, body))
 
 
-def _crash_holding_lock(root, key):
-    cache = SharedResultCache(root)  # default 30 s lease TTL
+def _crash_holding_lock(root, key, lease_ttl):
+    cache = SharedResultCache(root, lease_ttl=lease_ttl)
     handle = cache._acquire(key)
     assert handle is not None
     os._exit(1)  # die without releasing: recovery is the lease's job
@@ -161,9 +161,13 @@ def _crash_holding_lock(root, key):
 
 class TestCrossProcess:
     """Single flight across processes: one build per key, and no wedged
-    key after a builder dies (its lease is taken over at once)."""
+    key after a builder dies (its lease is taken over at once).
 
-    def test_two_processes_one_build(self, tmp_path):
+    Each test takes its lease TTL as a parameter with the id ``lease``,
+    the one single-flight protocol, so the test ids name it."""
+
+    @pytest.mark.parametrize("lease_ttl", [pytest.param(5.0, id="lease")])
+    def test_two_processes_one_build(self, tmp_path, lease_ttl):
         """Same key from two processes: one build, both get the artifact."""
         root = tmp_path / "cache"
         marker_dir = tmp_path / "markers"
@@ -172,7 +176,8 @@ class TestCrossProcess:
         queue = _CTX.Queue()
         children = [
             _CTX.Process(target=_coalesce_child,
-                         args=(str(root), key, str(marker_dir), queue))
+                         args=(str(root), key, str(marker_dir), queue,
+                               lease_ttl))
             for _ in range(2)
         ]
         for child in children:
@@ -188,25 +193,27 @@ class TestCrossProcess:
         bodies = [body for _pid, _status, body in results]
         assert bodies[0] == bodies[1] == {"result": {"value": 99}}
 
-    def test_killed_builder_releases_lock(self, tmp_path):
+    @pytest.mark.parametrize("lease_ttl", [pytest.param(30.0, id="lease")])
+    def test_killed_builder_releases_lock(self, tmp_path, lease_ttl):
         """A builder dying mid-build must not wedge the key: its lease
         names a pid that no longer exists on this host, so the next
         caller takes it over at once instead of waiting out the TTL."""
         root = tmp_path / "cache"
         key = job_key("simulate", {"crash": 1}, None)
         child = _CTX.Process(target=_crash_holding_lock,
-                             args=(str(root), key))
+                             args=(str(root), key, lease_ttl))
         child.start()
         child.join(10)
         assert child.exitcode == 1
         before = integrity_events.snapshot()
-        cache = SharedResultCache(root, lock_timeout=60.0)
+        cache = SharedResultCache(root, lock_timeout=2 * lease_ttl,
+                                  lease_ttl=lease_ttl)
         started = time.monotonic()
         body, status = cache.single_flight(key, lambda: {"result": 5})
         assert status == STATUS_BUILT
-        # Far under the 30 s TTL: the dead owner was seen dead, not
-        # waited out.
-        assert time.monotonic() - started < 5.0
+        # Far under the TTL: the dead owner was seen dead, not waited
+        # out.
+        assert time.monotonic() - started < lease_ttl / 6
         delta = integrity_events.delta(before)
         assert delta.get("shared_cache_lease_takeover") == 1
 
