@@ -14,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 from repro import PAPER_BASELINE, GmapProfiler, ProxyGenerator, execute_kernel, simulate
-from repro.gpu.executor import build_warp_traces
+from repro.gpu.executor import kernel_warp_traces
 from repro.io.profile_io import load_profile, save_profile
 from repro.workloads import suite
 
@@ -57,7 +57,7 @@ def main() -> None:
         # Prove no addresses leaked: the two streams share no cache lines.
         original_lines = {
             a >> 7
-            for t in build_warp_traces(secret_app)
+            for t in kernel_warp_traces(secret_app)
             for _, a, _, _ in t.transactions
         }
         clone_lines = set()

@@ -27,7 +27,7 @@ from repro.analytical.profile_model import (
     StackDistanceProfile,
     round_robin_interleave,
 )
-from repro.gpu.executor import build_warp_traces
+from repro.gpu.executor import kernel_warp_traces
 from repro.gpu.hierarchy import assign_blocks_to_cores, resident_waves
 from repro.gpu.instructions import SYNC_PC
 from repro.memsim.config import CacheConfig
@@ -88,7 +88,7 @@ class NugterenL1Model:
                     self._merged: List[int] = []
                     return
         first_wave = resident_waves(blocks, max_blocks_per_core)[0]
-        warp_traces = build_warp_traces(kernel)
+        warp_traces = kernel_warp_traces(kernel)
         streams: List[List[int]] = []
         for block in first_wave:
             for warp in launch.warps_in_block(block):

@@ -24,7 +24,7 @@ from repro.analytical.profile_model import (
     StackDistanceProfile,
     round_robin_interleave,
 )
-from repro.gpu.executor import build_warp_traces
+from repro.gpu.executor import kernel_warp_traces
 from repro.gpu.instructions import SYNC_PC
 from repro.memsim.config import CacheConfig
 from repro.workloads.base import KernelModel
@@ -59,7 +59,7 @@ class TangL1Model:
             if hit is not None:
                 self.profile = hit[0]
                 return
-        warp_traces = build_warp_traces(kernel)
+        warp_traces = kernel_warp_traces(kernel)
         streams: List[List[int]] = []
         for warp in launch.warps_in_block(block):
             trace = warp_traces[warp]

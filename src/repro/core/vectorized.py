@@ -16,7 +16,9 @@ form:
   :func:`build_warp_traces_fast`) — per-warp ``np.unique`` over cache-line
   ids for divergence-free warps, bit-exact against
   :func:`~repro.gpu.executor.lockstep_warp_trace`, with a scalar fallback
-  for divergent / shared-memory / multi-segment warps;
+  for divergent / shared-memory / multi-segment warps.  Affine kernels
+  reach it as one threads × records array (:func:`regular_thread_array`),
+  never as per-thread tuples;
 * **generation** (:func:`generate_units`) — Algorithm 1 with batched
   ``searchsorted`` sampling over precomputed histogram CDFs from one seeded
   ``np.random.default_rng``.  The RNG stream necessarily differs from the
@@ -30,7 +32,7 @@ Import this module only behind :func:`repro.core.backend.resolve_backend`
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,6 +44,13 @@ from repro.gpu.executor import WarpTrace, lockstep_warp_trace
 from repro.gpu.hierarchy import LaunchConfig
 from repro.gpu.instructions import SYNC_PC, AccessTuple
 from repro.gpu.memspace import SHARED_BASE, SHARED_SIZE, region_bounds, space_of
+
+if TYPE_CHECKING:
+    from repro.workloads.base import RegularKernel
+
+#: What the array front end takes: one access sequence per thread (or
+#: lane), or one uniform ``(threads, records, 4)`` int64 array.
+ThreadStreams = Union[Sequence[Sequence[AccessTuple]], np.ndarray]
 
 # --------------------------------------------------------------------------
 # Histogram CDFs and batched sampling
@@ -389,34 +398,79 @@ def vectorized_reuse_stats(
 # Vectorized coalescing (Fermi front end fast path)
 
 
+def regular_thread_array(kernel: "RegularKernel") -> Optional[np.ndarray]:
+    """Every thread program of an affine kernel as one int64 array.
+
+    Row ``tid`` of the ``(threads, records, 4)`` result is
+    ``kernel.trace_thread(tid)`` record for record: each record is
+    ``tid * inter_stride + offset`` with the per-record ``offset`` (array
+    base, ``(j % reuse_period) * intra_stride`` and ``phase``) computed once
+    for all threads, and ``sync_every`` adds SYNC rows.  Kernels with
+    ``divergent_instrs`` give ``None``: their threads differ in length.
+    """
+    if kernel.divergent_instrs:
+        return None
+    instrs = kernel.instrs
+
+    def column(field: str) -> np.ndarray:
+        return np.array([getattr(i, field) for i in instrs], dtype=np.int64)
+
+    j = np.arange(kernel.iters, dtype=np.int64)[:, None]
+    # (iterations, slots) tables, one slot per instruction.
+    issued = j % column("every") == 0
+    offset = (
+        np.array([kernel.layout.base(i.array) for i in instrs], dtype=np.int64)
+        + column("phase")
+        + (j % column("reuse_period")) * column("intra_stride")
+    )
+    fields = np.stack([column("pc"), column("inter_stride"), column("size"),
+                       column("is_store")], axis=1)
+    if kernel.sync_every:  # a barrier slot closes every sync_every-th iteration
+        issued = np.hstack([issued, (j + 1) % kernel.sync_every == 0])
+        offset = np.hstack([offset, np.zeros_like(j)])
+        fields = np.vstack([fields, [SYNC_PC, 0, 0, 0]])
+    rows, slots = np.nonzero(issued)  # iteration-major, program order
+    records = fields[slots]  # column 1 holds inter_stride until replaced
+    tids = np.arange(kernel.total_threads, dtype=np.int64)[:, None]
+    threads = np.empty((len(tids),) + records.shape, dtype=np.int64)
+    threads[:] = records
+    threads[:, :, 1] = tids * records[:, 1] + offset[rows, slots]
+    return threads
+
+
 def lockstep_warp_trace_fast(
-    lane_streams: Sequence[Sequence[AccessTuple]],
+    lane_streams: ThreadStreams,
     coalescer: CoalescingModel,
     warp_id: int = 0,
     block: int = 0,
 ) -> Optional[WarpTrace]:
     """Vectorized lockstep+coalesce for divergence-free warps.
 
-    Returns ``None`` when the warp needs the scalar path: ragged or
-    divergent lane streams (the min-PC reconvergence walk), shared-memory
-    accesses (bank-conflict serialisation, not coalescing), or lane
-    accesses spanning multiple segments.  For eligible warps the output is
-    bit-exact with :func:`~repro.gpu.executor.lockstep_warp_trace`: with
-    identical per-lane PC sequences every instruction issues with all lanes
-    active, and ``np.unique`` yields the same ascending-segment transaction
-    order as the scalar ``sorted(segments.items())``.
+    ``lane_streams`` is either one access sequence per lane or a uniform
+    ``(lanes, records, 4)`` int64 array, used as is.  Returns ``None`` when
+    the warp needs the scalar path: ragged or divergent lane streams (the
+    min-PC reconvergence walk), shared-memory accesses (bank-conflict
+    serialisation, not coalescing), or lane accesses spanning multiple
+    segments.  For eligible warps the output is bit-exact with
+    :func:`~repro.gpu.executor.lockstep_warp_trace`: with identical
+    per-lane PC sequences every instruction issues with all lanes active,
+    and ``np.unique`` yields the same ascending-segment transaction order
+    as the scalar ``sorted(segments.items())``.
     """
-    if not lane_streams:
+    if len(lane_streams) == 0:
         return WarpTrace(warp_id=warp_id, block=block)
-    length = len(lane_streams[0])
-    if any(len(s) != length for s in lane_streams):
-        return None
-    if length == 0:
-        return WarpTrace(warp_id=warp_id, block=block)
-    try:
-        arr = np.asarray(lane_streams, dtype=np.int64)
-    except (ValueError, TypeError):
-        return None
+    if isinstance(lane_streams, np.ndarray):
+        arr = lane_streams
+    else:
+        length = len(lane_streams[0])
+        if any(len(s) != length for s in lane_streams):
+            return None
+        if length == 0:
+            return WarpTrace(warp_id=warp_id, block=block)
+        try:
+            arr = np.asarray(lane_streams, dtype=np.int64)
+        except (ValueError, TypeError):
+            return None
     if arr.ndim != 3 or arr.shape[2] != 4:
         return None
     pcs = arr[:, :, 0]
@@ -445,7 +499,7 @@ def lockstep_warp_trace_fast(
             return None  # an access straddles segments
 
     trace = WarpTrace(warp_id=warp_id, block=block)
-    n_lanes = len(lane_streams)
+    n_lanes = arr.shape[0]
     n_mem_rows = int(mem.sum())
     trace.active_lanes = n_lanes * n_mem_rows
     if n_mem_rows:
@@ -477,24 +531,34 @@ def lockstep_warp_trace_fast(
 
 def build_warp_traces_fast(
     launch: LaunchConfig,
-    thread_traces: Sequence[Sequence[AccessTuple]],
+    thread_traces: ThreadStreams,
     coalescer: CoalescingModel,
 ) -> List[WarpTrace]:
     """Fermi front end over all warps, vectorized where eligible.
 
-    Uniform (divergence-free, global-memory) warps — the overwhelmingly
-    common case — take the array fast path; anything else falls back to the
-    scalar :func:`lockstep_warp_trace` per warp, so the result is always
-    bit-exact with the scalar front end.
+    ``thread_traces`` is either one access sequence per thread or a
+    uniform ``(threads, records, 4)`` int64 array (see
+    :func:`regular_thread_array`), of which each warp takes its contiguous
+    lane slice as a view.  Uniform (divergence-free, global-memory) warps
+    — the overwhelmingly common case — take the array fast path; any other
+    warp falls back to the scalar :func:`lockstep_warp_trace` on its own
+    lanes, so the result is always bit-exact with the scalar front end.
     """
+    is_array = isinstance(thread_traces, np.ndarray)
     warp_traces = []
     for warp in launch.iter_warps():
-        lanes = [thread_traces[tid] for tid in launch.threads_in_warp(warp)]
+        tids = launch.threads_in_warp(warp)
+        if is_array:
+            lanes = thread_traces[tids[0]:tids[-1] + 1]
+        else:
+            lanes = [thread_traces[tid] for tid in tids]
         block = launch.block_of_warp(warp)
         trace = lockstep_warp_trace_fast(
             lanes, coalescer, warp_id=warp, block=block
         )
         if trace is None:
+            if is_array:
+                lanes = [list(map(tuple, lane)) for lane in lanes.tolist()]
             trace = lockstep_warp_trace(
                 lanes, coalescer, warp_id=warp, block=block
             )

@@ -4,7 +4,11 @@ This is the reproduction's stand-in for the paper's instrumented CUDA-sim
 front end.  It runs a :class:`~repro.workloads.base.KernelModel` under the
 Fermi execution model:
 
-1. every thread's program is materialised (:func:`collect_thread_traces`);
+1. every thread's program is executed: on the ``numpy`` backend an affine
+   kernel gives all of them at once as one ``(threads, records, 4)`` array
+   (:meth:`~repro.workloads.base.KernelModel.thread_array`); any other
+   kernel, and every kernel on the ``python`` backend, is materialised
+   thread by thread (:func:`collect_thread_traces`);
 2. threads are grouped into warps (CUDA guide G.1 via
    :class:`~repro.gpu.hierarchy.LaunchConfig`) and each warp's lane accesses
    are executed in lockstep with structured-divergence masking and coalesced
@@ -161,14 +165,15 @@ def lockstep_warp_trace(
 
 
 def build_warp_traces(
-    kernel: KernelModel,
-    thread_traces: Optional[List[List[AccessTuple]]] = None,
+    launch: LaunchConfig,
+    thread_traces: Sequence[Sequence[AccessTuple]],
     coalescer: Optional[CoalescingModel] = None,
 ) -> List[WarpTrace]:
-    """Coalesced transaction stream of every warp of a kernel, by warp id."""
-    launch = kernel.launch
-    if thread_traces is None:
-        thread_traces = collect_thread_traces(kernel)
+    """Coalesced transaction stream of every warp of a launch, by warp id.
+
+    The scalar walk: :func:`lockstep_warp_trace` over each warp's lanes of
+    ``thread_traces`` (one access sequence per thread of ``launch``).
+    """
     if coalescer is None:
         coalescer = CoalescingModel()
     warp_traces = []
@@ -190,17 +195,23 @@ def kernel_warp_traces(
     """Execute a kernel's threads and coalesce every warp, by warp id.
 
     ``backend="numpy"`` takes the array builder
-    (:func:`~repro.core.vectorized.build_warp_traces_fast`), which is
-    bit-exact with the scalar walk the ``python`` backend runs.
+    (:func:`~repro.core.vectorized.build_warp_traces_fast`), fed the
+    kernel's :meth:`~repro.workloads.base.KernelModel.thread_array` when it
+    has one and its materialised threads otherwise; it is bit-exact with
+    the scalar walk the ``python`` backend runs.
     """
-    thread_traces = collect_thread_traces(kernel)
     if coalescer is None:
         coalescer = CoalescingModel()
     if resolve_backend(backend) == "numpy":
         from repro.core.vectorized import build_warp_traces_fast
 
-        return build_warp_traces_fast(kernel.launch, thread_traces, coalescer)
-    return build_warp_traces(kernel, thread_traces, coalescer)
+        threads = kernel.thread_array()
+        if threads is None:
+            threads = collect_thread_traces(kernel)
+        return build_warp_traces_fast(kernel.launch, threads, coalescer)
+    return build_warp_traces(
+        kernel.launch, collect_thread_traces(kernel), coalescer
+    )
 
 
 def assign_warps_to_cores(

@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.core.backend import numpy_available, resolve_backend
 from repro.core.coalescing import CoalescingModel
 from repro.core.integrity import CorruptArtifactError, text_checksum
-from repro.gpu.executor import WarpTrace, lockstep_warp_trace
+from repro.gpu.executor import WarpTrace, build_warp_traces
 from repro.gpu.hierarchy import LaunchConfig
 from repro.gpu.instructions import AccessTuple, pack, sync_marker
 
@@ -99,6 +99,29 @@ def save_thread_traces(
         path.write_text(payload, encoding="utf-8")
 
 
+def _load_thread_columns(path: Path, mmap: bool) -> Tuple[Dict, LaunchConfig]:
+    """``(columns, launch)`` of a ``.npz`` thread container."""
+    _require_numpy(path)
+    from repro.memsim import arrays
+
+    columns, meta = arrays.load_columns(path, arrays.FORMAT_THREAD, mmap=mmap)
+    try:
+        launch = LaunchConfig(
+            grid_dim=int(meta["grid"]), block_dim=int(meta["block"])
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptArtifactError(
+            f"{path}: container header lacks a valid launch geometry"
+        ) from exc
+    threads = len(columns["thread_start"]) - 1
+    if threads != launch.total_threads:
+        raise CorruptArtifactError(
+            f"{path}: container holds {threads} threads, header "
+            f"launch implies {launch.total_threads}"
+        )
+    return columns, launch
+
+
 def load_thread_traces(
     path: PathLike, mmap: bool = False
 ) -> Tuple[List[List[AccessTuple]], LaunchConfig]:
@@ -109,27 +132,10 @@ def load_thread_traces(
     """
     path = Path(path)
     if path.suffix == ".npz":
-        _require_numpy(path)
         from repro.memsim import arrays
 
-        columns, meta = arrays.load_columns(
-            path, arrays.FORMAT_THREAD, mmap=mmap
-        )
-        try:
-            launch = LaunchConfig(
-                grid_dim=int(meta["grid"]), block_dim=int(meta["block"])
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptArtifactError(
-                f"{path}: container header lacks a valid launch geometry"
-            ) from exc
-        traces = arrays.unpack_thread_traces(columns)
-        if len(traces) != launch.total_threads:
-            raise CorruptArtifactError(
-                f"{path}: container holds {len(traces)} threads, header "
-                f"launch implies {launch.total_threads}"
-            )
-        return traces, launch
+        columns, launch = _load_thread_columns(path, mmap)
+        return arrays.unpack_thread_traces(columns), launch
     if path.suffix == ".gz":
         with gzip.open(path, "rt", encoding="utf-8") as fh:
             text = fh.read()
@@ -205,21 +211,23 @@ def warp_traces_from_thread_file(
     ``backend`` selects the front-end implementation
     (:mod:`repro.core.backend`): the ``numpy`` backend coalesces
     divergence-free warps with one vectorized pass per warp and falls back
-    to the scalar lockstep walk elsewhere — output is bit-identical.
+    to the scalar lockstep walk elsewhere — output is bit-identical.  A
+    ``.npz`` container whose threads all hold the same number of records
+    reaches it as one ``(threads, records, 4)`` array, never as tuples.
     """
-    thread_traces, launch = load_thread_traces(path, mmap=mmap)
+    path = Path(path)
     coalescer = CoalescingModel(segment_size)
-    if resolve_backend(backend) == "numpy":
-        from repro.core.vectorized import build_warp_traces_fast
+    if resolve_backend(backend) != "numpy":
+        thread_traces, launch = load_thread_traces(path, mmap=mmap)
+        return build_warp_traces(launch, thread_traces, coalescer), launch
+    from repro.core.vectorized import build_warp_traces_fast
+    from repro.memsim import arrays
 
-        return build_warp_traces_fast(launch, thread_traces, coalescer), launch
-    warp_traces = []
-    for warp in launch.iter_warps():
-        lanes = [thread_traces[tid] for tid in launch.threads_in_warp(warp)]
-        warp_traces.append(
-            lockstep_warp_trace(
-                lanes, coalescer, warp_id=warp,
-                block=launch.block_of_warp(warp),
-            )
-        )
-    return warp_traces, launch
+    if path.suffix == ".npz":
+        columns, launch = _load_thread_columns(path, mmap)
+        threads = arrays.uniform_thread_array(columns)
+        if threads is None:
+            threads = arrays.unpack_thread_traces(columns)
+    else:
+        threads, launch = load_thread_traces(path)
+    return build_warp_traces_fast(launch, threads, coalescer), launch

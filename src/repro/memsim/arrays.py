@@ -281,6 +281,10 @@ def pack_thread_traces(
     }
 
 
+#: The per-access thread columns, in ``AccessTuple`` field order.
+_ACCESS_COLUMNS = ("acc_pc", "acc_address", "acc_size", "acc_store")
+
+
 def unpack_thread_traces(
     arrays: Dict[str, np.ndarray],
 ) -> List[List[AccessTuple]]:
@@ -295,6 +299,30 @@ def unpack_thread_traces(
     )
     start = arrays["thread_start"].tolist()
     return [rows[start[i]:start[i + 1]] for i in range(len(start) - 1)]
+
+
+def uniform_thread_array(
+    arrays: Dict[str, np.ndarray],
+) -> Optional[np.ndarray]:
+    """The thread columns as one ``(threads, records, 4)`` int64 array.
+
+    ``None`` when threads hold different numbers of records (or the
+    offsets do not tile the columns): such a container is only read as
+    per-thread streams (:func:`unpack_thread_traces`).
+    """
+    start = arrays["thread_start"]
+    counts = np.diff(start)
+    if (
+        len(counts) == 0
+        or (counts != counts[0]).any()
+        or start[0] != 0
+        or any(len(arrays[name]) != start[-1] for name in _ACCESS_COLUMNS)
+    ):
+        return None
+    threads = np.empty((len(counts), int(counts[0]), 4), dtype=np.int64)
+    for column, name in enumerate(_ACCESS_COLUMNS):
+        threads[:, :, column] = arrays[name].reshape(threads.shape[:2])
+    return threads
 
 
 # --------------------------------------------------------------------------

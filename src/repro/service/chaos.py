@@ -258,13 +258,13 @@ def scenario_corrupt_artifact(tmp: Path, rng: random.Random,
                               smoke: bool) -> ScenarioResult:
     """A bit-flipped input artifact must fail typed, never crash or hang."""
     result = ScenarioResult("corrupt_artifact")
-    from repro.gpu.executor import build_warp_traces
+    from repro.gpu.executor import kernel_warp_traces
     from repro.io.trace_io import save_warp_traces
     from repro.workloads import suite
 
     trace_path = tmp / "chaos-input.trace.npz"
     kernel = suite.make("vectoradd", scale="tiny")
-    save_warp_traces(build_warp_traces(kernel), trace_path)
+    save_warp_traces(kernel_warp_traces(kernel), trace_path)
     blob = bytearray(trace_path.read_bytes())
     for _ in range(32):  # flip bytes across the middle of the container
         index = rng.randrange(len(blob) // 4, len(blob) - 1)

@@ -17,11 +17,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.gpu import memspace
 from repro.gpu.hierarchy import LaunchConfig
 from repro.gpu.instructions import AccessTuple, pack, sync_marker
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Alignment of array allocations, matching a GDDR row-ish granularity so
 #: distinct arrays never share cache lines.
@@ -96,6 +99,17 @@ class KernelModel(ABC):
     def trace_thread(self, tid: int) -> List[AccessTuple]:
         """Materialised per-thread trace."""
         return list(self.thread_program(tid))
+
+    def thread_array(self) -> Optional[np.ndarray]:
+        """Every thread's program as one ``(threads, records, 4)`` int64
+        array, or ``None`` when the kernel has no such form.
+
+        Row ``tid`` equals :meth:`trace_thread` record for record.  Only
+        kernels whose threads all run the same affine program have one
+        (:class:`RegularKernel`); it needs NumPy, so only the ``numpy``
+        front end asks for it.
+        """
+        return None
 
     def static_pcs(self) -> List[int]:
         """Distinct static instruction PCs, discovered from thread 0.
@@ -222,6 +236,15 @@ class RegularKernel(KernelModel):
                         )
             if self.sync_every and (j + 1) % self.sync_every == 0:
                 yield sync_marker()  # __syncthreads() at the iteration end
+
+    def thread_array(self) -> Optional[np.ndarray]:
+        """The array form of :meth:`thread_program` (``None`` when
+        ``divergent_instrs`` make threads differ in length)."""
+        if type(self).thread_program is not RegularKernel.thread_program:
+            return None  # a subclass's own program has no closed form here
+        from repro.core.vectorized import regular_thread_array
+
+        return regular_thread_array(self)
 
     def static_pcs(self) -> List[int]:
         pcs = [i.pc for i in self.instrs] + [i.pc for i in self.divergent_instrs]

@@ -11,6 +11,7 @@ from repro.gpu.executor import (
     build_warp_traces,
     collect_thread_traces,
     execute_kernel,
+    kernel_warp_traces,
     lockstep_warp_trace,
 )
 from repro.gpu.hierarchy import LaunchConfig
@@ -59,26 +60,28 @@ class TestLockstepWarpTrace:
 
     def test_transaction_counts_match_instructions(self):
         kernel = suite.make("kmeans", "tiny")
-        for trace in build_warp_traces(kernel)[:4]:
+        for trace in kernel_warp_traces(kernel)[:4]:
             assert sum(n for _, n in trace.instructions) == len(trace.transactions)
 
 
 class TestBuildWarpTraces:
     def test_one_trace_per_warp(self, tiny_vectoradd):
-        traces = build_warp_traces(tiny_vectoradd)
+        traces = build_warp_traces(
+            tiny_vectoradd.launch, collect_thread_traces(tiny_vectoradd))
         assert len(traces) == tiny_vectoradd.launch.total_warps
         assert [t.warp_id for t in traces] == list(range(len(traces)))
 
     def test_blocks_annotated(self, tiny_vectoradd):
         launch = tiny_vectoradd.launch
-        traces = build_warp_traces(tiny_vectoradd)
+        traces = build_warp_traces(
+            launch, collect_thread_traces(tiny_vectoradd))
         for trace in traces:
             assert trace.block == launch.block_of_warp(trace.warp_id)
 
     def test_reuses_precollected_thread_traces(self, tiny_vectoradd):
         threads = collect_thread_traces(tiny_vectoradd)
-        a = build_warp_traces(tiny_vectoradd, threads)
-        b = build_warp_traces(tiny_vectoradd)
+        a = build_warp_traces(tiny_vectoradd.launch, threads)
+        b = kernel_warp_traces(tiny_vectoradd)
         assert [t.transactions for t in a] == [t.transactions for t in b]
 
 
@@ -130,7 +133,7 @@ class TestExecuteKernel:
         assignments = execute_kernel(tiny_kmeans, num_cores=4)
         assert len(assignments) == 4
         total_txns = sum(a.transaction_count for a in assignments)
-        traces = build_warp_traces(tiny_kmeans)
+        traces = kernel_warp_traces(tiny_kmeans)
         assert total_txns == sum(len(t) for t in traces)
 
     def test_more_cores_than_blocks(self, tiny_kmeans):

@@ -3,8 +3,8 @@
 ``build_pipeline`` executes each kernel once and hands the executed warp
 traces to the profiler.  These tests hold it to the path it replaced —
 ``GmapProfiler(backend=b).profile(kernel)`` followed by a second, scalar
-``execute_kernel`` — artifact for artifact, and guard that the kernel's
-threads are materialised only once.
+``execute_kernel`` — artifact for artifact, and guard that no thread of
+the kernel is materialised twice.
 """
 
 from __future__ import annotations
@@ -101,9 +101,9 @@ def test_non_coalescing_profiler_refuses_warp_traces():
         GmapProfiler(coalescing=False).profile(kernel, warp_traces=warps)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pipeline_materialises_each_thread_once(monkeypatch, backend):
-    kernel = suite.make("kmeans", scale="tiny")
+def _materialised_threads(monkeypatch, name, backend):
+    """The tids whose ``trace_thread`` a pipeline over ``name`` called."""
+    kernel = suite.make(name, scale="tiny")
     calls = []
     trace_thread = KernelModel.trace_thread
 
@@ -113,7 +113,23 @@ def test_pipeline_materialises_each_thread_once(monkeypatch, backend):
 
     monkeypatch.setattr(KernelModel, "trace_thread", counting)
     _pipeline(kernel, backend)
-    assert len(calls) == kernel.launch.total_threads
+    return kernel, calls
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_pipeline_materialises_each_thread_once(monkeypatch, backend):
+    """No thread is ever materialised twice.  On ``numpy`` an affine kernel
+    is not materialised at all: its threads come as one array."""
+    kernel, calls = _materialised_threads(monkeypatch, "kmeans", backend)
+    if backend == "numpy":
+        assert calls == []
+    else:
+        assert sorted(calls) == list(kernel.launch.iter_threads())
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy backend needs NumPy")
+def test_irregular_kernel_materialises_each_thread_once_on_numpy(monkeypatch):
+    kernel, calls = _materialised_threads(monkeypatch, "bfs", "numpy")
     assert sorted(calls) == list(kernel.launch.iter_threads())
 
 

@@ -10,7 +10,7 @@ from repro.core.distributions import Histogram, hellinger_distance
 from repro.core.generator import ProxyGenerator, generate_unit_trace
 from repro.core.profile import GmapProfile, InstructionStats, PiProfileStats
 from repro.core.profiler import GmapProfiler
-from repro.gpu.executor import build_warp_traces
+from repro.gpu.executor import kernel_warp_traces
 from repro.workloads import suite
 
 
@@ -141,7 +141,7 @@ class TestProxyGenerator:
 
     def test_clone_size_matches_original(self, tiny_kmeans, kmeans_profile):
         clone = ProxyGenerator(kmeans_profile, seed=5).generate_warp_traces()
-        original = build_warp_traces(tiny_kmeans)
+        original = kernel_warp_traces(tiny_kmeans)
         clone_total = sum(len(t) for t in clone)
         orig_total = sum(len(t) for t in original)
         assert abs(clone_total - orig_total) / orig_total < 0.05
@@ -311,7 +311,7 @@ class TestStatisticalFidelity:
         hidden = kmeans_profile.obfuscated()
         clone = ProxyGenerator(hidden, seed=13).generate_warp_traces()
         original_lines = {
-            a >> 7 for t in build_warp_traces(tiny_kmeans) for _, a, _, _ in t.transactions
+            a >> 7 for t in kernel_warp_traces(tiny_kmeans) for _, a, _, _ in t.transactions
         }
         clone_lines = {
             a >> 7 for t in clone for _, a, _, _ in t.transactions

@@ -203,13 +203,13 @@ class TestWorkingSetFidelity:
     ])
     def test_clone_working_set_curve(self, name):
         from repro.core.generator import ProxyGenerator
-        from repro.gpu.executor import build_warp_traces
+        from repro.gpu.executor import kernel_warp_traces
         from repro.validation.metrics import working_set_distance
 
         kernel = suite.make(name, "tiny")
         profile = GmapProfiler().profile(kernel)
         original = [
-            a for t in build_warp_traces(kernel)
+            a for t in kernel_warp_traces(kernel)
             for pc, a, _, _ in t.transactions if pc >= 0
         ]
         clone_traces = ProxyGenerator(profile, seed=21).generate_warp_traces()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.profiler import GmapProfiler
-from repro.gpu.executor import WarpTrace, build_warp_traces
+from repro.gpu.executor import WarpTrace, kernel_warp_traces
 from repro.io.profile_io import load_profile, save_profile
 from repro.io.trace_io import load_warp_traces, save_warp_traces
 
@@ -111,7 +111,7 @@ class TestTraceIO:
     def test_kernel_round_trip_preserves_profile(self, tiny_kmeans, tmp_path):
         """Profiling reloaded traces gives identical statistics."""
         from repro.core.profiler import unit_streams_from_warp_traces
-        traces = build_warp_traces(tiny_kmeans)
+        traces = kernel_warp_traces(tiny_kmeans)
         path = tmp_path / "kmeans.trace"
         save_warp_traces(traces, path)
         reloaded = load_warp_traces(path)

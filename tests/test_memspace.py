@@ -7,7 +7,7 @@ import pytest
 from repro.core.generator import ProxyGenerator
 from repro.core.profiler import GmapProfiler
 from repro.gpu import memspace
-from repro.gpu.executor import build_warp_traces, execute_kernel
+from repro.gpu.executor import execute_kernel, kernel_warp_traces
 from repro.gpu.memspace import (
     MemorySpace,
     bank_conflict_degree,
@@ -86,7 +86,7 @@ class TestFrontEndSerialisation:
     def test_conflicted_instruction_replays(self):
         """matmul's column reads of sB produce one record per conflict wave."""
         kernel = suite.make("matmul_shared", "tiny")
-        traces = build_warp_traces(kernel)
+        traces = kernel_warp_traces(kernel)
         # sA staging stores (0xA20): unit-stride words -> degree 1.
         degrees = {}
         for pc, n in traces[0].instructions:
@@ -97,7 +97,7 @@ class TestFrontEndSerialisation:
 
     def test_shared_transactions_stay_in_space(self):
         kernel = suite.make("histogram_shared", "tiny")
-        traces = build_warp_traces(kernel)
+        traces = kernel_warp_traces(kernel)
         shared_txns = [
             a for t in traces for pc, a, _, _ in t.transactions
             if pc in (0xC18, 0xC20)

@@ -139,9 +139,9 @@ class TestWorkingSetCurve:
 
     def test_clone_curve_close_on_pipeline(self, kmeans_profile, tiny_kmeans):
         from repro.core.generator import ProxyGenerator
-        from repro.gpu.executor import build_warp_traces
+        from repro.gpu.executor import kernel_warp_traces
         from repro.validation.metrics import working_set_distance
-        orig = [a for t in build_warp_traces(tiny_kmeans)
+        orig = [a for t in kernel_warp_traces(tiny_kmeans)
                 for pc, a, _, _ in t.transactions if pc >= 0]
         clone_traces = ProxyGenerator(kmeans_profile, seed=6).generate_warp_traces()
         clone = [a for t in clone_traces

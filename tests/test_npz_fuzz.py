@@ -39,12 +39,12 @@ TYPED_ERRORS = (CorruptArtifactError, ValueError)
 @pytest.fixture(scope="module")
 def container(tmp_path_factory):
     """A small, valid warp-trace container plus its pristine bytes."""
-    from repro.gpu.executor import build_warp_traces
+    from repro.gpu.executor import kernel_warp_traces
     from repro.workloads import suite
 
     path = tmp_path_factory.mktemp("npz-fuzz") / "fuzz.trace.npz"
     kernel = suite.make("vectoradd", scale="tiny")
-    save_warp_traces(build_warp_traces(kernel), path)
+    save_warp_traces(kernel_warp_traces(kernel), path)
     return path, path.read_bytes()
 
 

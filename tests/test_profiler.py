@@ -10,7 +10,7 @@ from repro.core.profiler import (
     UnitStream,
     unit_streams_from_warp_traces,
 )
-from repro.gpu.executor import WarpTrace, build_warp_traces
+from repro.gpu.executor import WarpTrace, kernel_warp_traces
 from repro.workloads import suite
 
 
@@ -39,7 +39,7 @@ class TestWarpGranularityProfile:
         assert kmeans_profile.q == [1.0]
 
     def test_pi_sequence_matches_instruction_order(self, tiny_kmeans, kmeans_profile):
-        traces = build_warp_traces(tiny_kmeans)
+        traces = kernel_warp_traces(tiny_kmeans)
         expected = tuple(pc for pc, _ in traces[0].instructions)
         assert kmeans_profile.pi_profiles[0].sequence == expected
 
@@ -79,7 +79,7 @@ class TestWarpGranularityProfile:
         assert reuse_class(profile.pi_profiles[0].reuse_fraction) == "low"
 
     def test_total_transactions(self, tiny_kmeans, kmeans_profile):
-        traces = build_warp_traces(tiny_kmeans)
+        traces = kernel_warp_traces(tiny_kmeans)
         assert kmeans_profile.total_transactions == sum(len(t) for t in traces)
 
     def test_occupancy_full_without_divergence(self, kmeans_profile):

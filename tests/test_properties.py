@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.core.generator import ProxyGenerator
 from repro.core.miniaturize import miniaturize_profile
 from repro.core.profiler import GmapProfiler
-from repro.gpu.executor import build_warp_traces
+from repro.gpu.executor import kernel_warp_traces
 from repro.gpu.hierarchy import LaunchConfig
 from repro.gpu.instructions import SYNC_PC
 from repro.workloads.base import Layout, RegularKernel, StridedInstr
@@ -58,7 +58,7 @@ def test_clone_matches_original_size_and_structure(kernel, seed):
     """For any affine kernel: same warp count, same π skeleton, and a
     transaction count within 10%."""
     profile = GmapProfiler().profile(kernel)
-    original = build_warp_traces(kernel)
+    original = kernel_warp_traces(kernel)
     clone = ProxyGenerator(profile, seed=seed).generate_warp_traces()
 
     assert len(clone) == len(original)

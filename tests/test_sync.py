@@ -15,8 +15,8 @@ from repro.core.generator import ProxyGenerator
 from repro.core.coalescing import CoalescingModel
 from repro.core.profiler import GmapProfiler
 from repro.gpu.executor import (
-    build_warp_traces,
     execute_kernel,
+    kernel_warp_traces,
     lockstep_warp_trace,
 )
 from repro.gpu.hierarchy import LaunchConfig
@@ -107,7 +107,7 @@ class TestGenerationWithBarriers:
         kernel = make_sync_kernel()
         profile = GmapProfiler().profile(kernel)
         clone_traces = ProxyGenerator(profile, seed=1).generate_warp_traces()
-        original_traces = build_warp_traces(kernel)
+        original_traces = kernel_warp_traces(kernel)
         clone_syncs = sum(
             1 for t in clone_traces for pc, _ in t.instructions if pc == SYNC_PC
         )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.profiler import GmapProfiler, unit_streams_from_warp_traces
-from repro.gpu.executor import build_warp_traces, collect_thread_traces
+from repro.gpu.executor import collect_thread_traces, kernel_warp_traces
 from repro.io.thread_trace_io import (
     load_thread_traces,
     save_thread_traces,
@@ -82,7 +82,7 @@ class TestFrontEndIntegration:
             collect_thread_traces(tiny_kmeans), tiny_kmeans.launch, path
         )
         imported, _ = warp_traces_from_thread_file(path)
-        native = build_warp_traces(tiny_kmeans)
+        native = kernel_warp_traces(tiny_kmeans)
         assert [t.transactions for t in imported] == \
             [t.transactions for t in native]
         assert [t.instructions for t in imported] == \

@@ -26,8 +26,8 @@ from repro.core.integrity import CorruptArtifactError
 from repro.core.profiler import GmapProfiler
 from repro.gpu.executor import (
     assign_warps_to_cores,
-    build_warp_traces,
     collect_thread_traces,
+    kernel_warp_traces,
 )
 from repro.io.thread_trace_io import (
     load_thread_traces,
@@ -35,6 +35,7 @@ from repro.io.thread_trace_io import (
     warp_traces_from_thread_file,
 )
 from repro.io.trace_io import load_warp_traces, save_warp_traces
+from repro.memsim import arrays
 from repro.memsim.simulator import SimtSimulator
 from repro.validation.parallel import SweepRunner
 from repro.workloads import suite
@@ -85,6 +86,26 @@ class TestProfileBitExact:
                                                mmap=True)
         assert _trace_tuples(fast) == _trace_tuples(scalar)
 
+    @pytest.mark.parametrize("name, uniform", [
+        ("kmeans", True), ("bfs", False)])
+    def test_front_end_identical_small_container(self, name, uniform,
+                                                 tmp_path):
+        """A container whose threads hold equal record counts reaches the
+        array front end as one array; a ragged one as per-thread streams.
+        Both coalesce to the scalar walk's warps."""
+        kernel = suite.make(name, scale="small")
+        path = tmp_path / "k.ttrace.npz"
+        save_thread_traces(collect_thread_traces(kernel), kernel.launch, path)
+        columns, _ = arrays.load_columns(path, arrays.FORMAT_THREAD)
+        threads = arrays.uniform_thread_array(columns)
+        assert (threads is not None) == uniform
+        if uniform:
+            assert np.array_equal(threads, kernel.thread_array())
+        scalar, _ = warp_traces_from_thread_file(path, backend="python")
+        fast, _ = warp_traces_from_thread_file(path, backend="numpy",
+                                               mmap=True)
+        assert _trace_tuples(fast) == _trace_tuples(scalar)
+
 
 class TestProxyStatisticalEquivalence:
     """Generation draws different RNG streams per backend; the proxies must
@@ -116,7 +137,7 @@ class TestProxyStatisticalEquivalence:
 
 class TestBinaryTraceFormat:
     def test_warp_trace_roundtrip(self, kernel, tmp_path):
-        traces = build_warp_traces(kernel)
+        traces = kernel_warp_traces(kernel)
         path = tmp_path / "k.trace.npz"
         save_warp_traces(traces, path)
         for mmap in (False, True):
@@ -141,7 +162,7 @@ class TestBinaryTraceFormat:
         assert load_thread_traces(text)[0] == load_thread_traces(binary)[0]
 
     def test_corruption_raises(self, kernel, tmp_path):
-        traces = build_warp_traces(kernel)
+        traces = kernel_warp_traces(kernel)
         path = tmp_path / "k.trace.npz"
         save_warp_traces(traces, path)
         raw = bytearray(path.read_bytes())
@@ -154,7 +175,7 @@ class TestBinaryTraceFormat:
         from repro.analysis import verify_trace_file
 
         path = tmp_path / "k.trace.npz"
-        save_warp_traces(build_warp_traces(kernel), path)
+        save_warp_traces(kernel_warp_traces(kernel), path)
         assert verify_trace_file(path) == []
 
         # Rewrite one column without refreshing the checksum.

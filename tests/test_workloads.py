@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.coalescing import CoalescingModel
-from repro.gpu.executor import build_warp_traces
+from repro.gpu.executor import kernel_warp_traces
 from repro.gpu.hierarchy import LaunchConfig
 from repro.workloads import suite
 from repro.workloads.base import (
@@ -229,7 +229,7 @@ class TestWorkloadBehaviour:
     def test_vectoradd_coalesces_perfectly(self):
         """Figure 4: unit-stride warps produce one transaction per instr."""
         kernel = suite.make("vectoradd", "tiny")
-        traces = build_warp_traces(kernel)
+        traces = kernel_warp_traces(kernel)
         w0 = traces[0]
         assert all(n == 1 for _, n in w0.instructions)
 
@@ -280,9 +280,9 @@ class TestWorkloadBehaviour:
 
     def test_transpose_store_anticoalesced(self):
         """The transposed store scatters its lanes a column apart."""
-        from repro.gpu.executor import build_warp_traces
+        from repro.gpu.executor import kernel_warp_traces
         kernel = suite.make("transpose", "tiny")
-        trace = build_warp_traces(kernel)[0]
+        trace = kernel_warp_traces(kernel)[0]
         store_degrees = [n for pc, n in trace.instructions if pc == 0xF18]
         load_degrees = [n for pc, n in trace.instructions if pc == 0xF10]
         assert all(n == 32 for n in store_degrees)
