@@ -642,6 +642,7 @@ def _memsim_determinism_lines() -> Tuple[bool, List[str]]:
     """Replay one fixed trace twice per backend; any drift means the memsim
     engine has picked up hidden state (the array backend must match the
     python oracle bit-for-bit on supported configs)."""
+    from repro.core.backend import numpy_available
     from repro.memsim.config import PAPER_BASELINE
     from repro.memsim.simulator import simulate_flat_trace
 
@@ -652,14 +653,13 @@ def _memsim_determinism_lines() -> Tuple[bool, List[str]]:
     reference: Any = None
     for backend in ("python", "numpy"):
         label = f"memsim-determinism:{backend}"
-        try:
-            runs = [
-                simulate_flat_trace(traces, config, backend=backend).to_dict()
-                for _ in range(2)
-            ]
-        except ImportError:
-            lines.append(f"verify {label:<23} SKIPPED (no {backend})")
+        if backend == "numpy" and not numpy_available():
+            lines.append(f"verify {label:<23} SKIPPED (no numpy)")
             continue
+        runs = [
+            simulate_flat_trace(traces, config, backend=backend).to_dict()
+            for _ in range(2)
+        ]
         stable = runs[0] == runs[1]
         ok &= stable
         lines.append(

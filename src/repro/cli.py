@@ -238,9 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "$GMAP_JOURNAL_DIR or <cache-dir>/journal)")
     p.add_argument("--no-journal", action="store_true",
                    help="disable drain checkpointing / restart resume")
-    p.add_argument("--isolation", choices=("process", "thread"), default=None,
-                   help="worker isolation (default: process; thread has no "
-                        "crash isolation and is for constrained platforms)")
     p.add_argument("--allow-fault-injection", action="store_true",
                    help="accept chaos fault directives on requests "
                         "(test harness only; never in production)")
@@ -745,7 +742,6 @@ def _cmd_serve(args) -> int:
             queue_capacity=args.queue_capacity or 32,
             job_timeout=args.job_timeout or 120.0,
             retries=args.retries if args.retries is not None else 1,
-            isolation=args.isolation,
             backend=args.backend,
             allow_fault_injection=args.allow_fault_injection,
             shared_cache_dir=args.shared_cache_dir,
@@ -766,7 +762,6 @@ def _cmd_serve(args) -> int:
         retries=args.retries, drain_timeout=args.drain_timeout,
         run_id=args.run_id, journal_dir=args.journal_dir,
         journal=False if args.no_journal else None,
-        isolation=args.isolation,
         allow_fault_injection=args.allow_fault_injection or None,
         backend=args.backend,
         replica_id=args.replica_id,

@@ -59,7 +59,6 @@ def _fleet_config(replicas: int, smoke: bool) -> FleetConfig:
         workers=1 if smoke else 2,
         queue_capacity=4 if smoke else 16,
         job_timeout=60.0,
-        isolation="thread" if smoke else None,
         health_interval=0.2,
         restart_base=0.1,
         boot_timeout=60.0,

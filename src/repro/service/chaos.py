@@ -1,9 +1,10 @@
 """Chaos harness for ``gmap serve``: inject faults, assert survival.
 
 Boots a real service (HTTP listener included) per scenario, injects the
-fault families of the PR 2 harness — worker kills, hangs, corrupt
-artifacts — plus service-specific abuse (queue floods, drain mid-flight),
-and asserts the acceptance invariants:
+sweep engine's fault families — worker kills, hangs, corrupt artifacts,
+one :data:`FAULT_CASES` row each — plus service-specific abuse (queue
+floods, drain mid-flight, fleet and lease faults), and asserts the
+acceptance invariants:
 
 * the server process never crashes;
 * every submission terminates with a well-typed outcome: completed,
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import tempfile
@@ -28,9 +30,10 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
 if TYPE_CHECKING:
     from repro.service.fleet import FleetConfig
@@ -115,24 +118,6 @@ def _submit(base: str, payload: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
     return _request(base + "/jobs", body=payload, method="POST")
 
 
-def _wait_terminal(base: str, job_id: str,
-                   timeout: float) -> Optional[Dict[str, Any]]:
-    """Poll one job until a terminal status, or None on deadline."""
-    terminal: List[Dict[str, Any]] = []
-
-    def _settled() -> bool:
-        status, payload = _request(f"{base}/jobs/{job_id}")
-        if status == 200 and payload.get("status") in (
-                "completed", "failed", "rejected"):
-            terminal.append(payload)
-            return True
-        return False
-
-    if poll_until(_settled, timeout=min(timeout, WAIT_LIMIT)):
-        return terminal[0]
-    return None
-
-
 def _sim_job(fault: Optional[Dict[str, str]] = None) -> Dict[str, Any]:
     job: Dict[str, Any] = {
         "kind": "simulate",
@@ -154,144 +139,158 @@ def _config(tmp: Path, **overrides: Any) -> ServiceConfig:
     return ServiceConfig(**defaults)
 
 
-# -- scenarios --------------------------------------------------------------
+def _await(result: ScenarioResult, base: str, job_id: str, what: str,
+           expect: Tuple[str, ...] = ("completed",),
+           timeout: float = WAIT_LIMIT) -> Optional[Dict[str, Any]]:
+    """Poll a job to its terminal outcome; None (and a violation) if it
+    never settles or settles outside ``expect``."""
+    terminal: List[Dict[str, Any]] = []
 
-def scenario_worker_kill_retries(tmp: Path, rng: random.Random,
-                                 smoke: bool) -> ScenarioResult:
-    """A once-fault kills the first worker; the retry must succeed."""
-    result = ScenarioResult("worker_kill_retries")
-    state = tmp / f"kill-state-{rng.randrange(1 << 30)}"
-    server = _LiveServer(_config(tmp, run_id="kill-once"))
-    try:
-        fault = {"spec": "crash:*:*", "state": str(state)}
-        status, accepted = _submit(server.base, _sim_job(fault))
-        if status != 202:
-            result.violations.append(f"submit returned HTTP {status}")
-            return result
-        outcome = _wait_terminal(server.base, accepted["job_id"], WAIT_LIMIT)
-        if outcome is None:
-            result.violations.append("job never reached a terminal status")
-        elif outcome["status"] != "completed":
-            result.violations.append(
-                f"expected completed after retry, got {outcome}")
-        elif outcome.get("attempts", 0) < 2:
-            result.violations.append(
-                f"expected >= 2 attempts, got {outcome.get('attempts')}")
-        else:
-            result.notes.append(
-                f"recovered in {outcome['attempts']} attempts")
-    finally:
-        server.shutdown()
-    return result
+    def _settled() -> bool:
+        status, payload = _request(f"{base}/jobs/{job_id}")
+        if status == 200 and payload.get("status") in (
+                "completed", "failed", "rejected"):
+            terminal.append(payload)
+            return True
+        return False
+
+    if not poll_until(_settled, timeout=min(timeout, WAIT_LIMIT)):
+        result.violations.append(
+            f"{what} {job_id} never reached a terminal status")
+        return None
+    outcome = terminal[0]
+    if outcome["status"] not in expect:
+        result.violations.append(
+            f"{what} {job_id} ended {outcome['status']}, expected "
+            f"{'/'.join(expect)}: {outcome}")
+        return None
+    return outcome
 
 
-def scenario_worker_kill_exhausts(tmp: Path, rng: random.Random,
-                                  smoke: bool) -> ScenarioResult:
-    """An always-crash fault must yield a typed worker_crash failure —
-    and leave the server able to run the next (clean) job."""
-    result = ScenarioResult("worker_kill_exhausts")
-    server = _LiveServer(_config(tmp, run_id="kill-always", retries=1))
-    try:
-        fault = {"spec": "crash:*:*:always"}
-        status, accepted = _submit(server.base, _sim_job(fault))
-        if status != 202:
-            result.violations.append(f"submit returned HTTP {status}")
-            return result
-        outcome = _wait_terminal(server.base, accepted["job_id"], WAIT_LIMIT)
-        if outcome is None:
-            result.violations.append("crashing job never terminated")
-        elif (outcome["status"] != "failed"
-              or outcome.get("error_kind") != "worker_crash"):
-            result.violations.append(
-                f"expected typed worker_crash failure, got {outcome}")
-        elif outcome.get("attempts") != 2:
-            result.violations.append(
-                f"expected exactly 2 attempts, got {outcome.get('attempts')}")
-        status, accepted = _submit(server.base, _sim_job())
-        if status != 202:
-            result.violations.append(
-                f"server refused a clean job after crashes: HTTP {status}")
-        else:
-            outcome = _wait_terminal(
-                server.base, accepted["job_id"], WAIT_LIMIT)
-            if outcome is None or outcome["status"] != "completed":
-                result.violations.append(
-                    f"clean job after crashes did not complete: {outcome}")
-    finally:
-        server.shutdown()
-    return result
+def _run_job(result: ScenarioResult, base: str, payload: Dict[str, Any],
+             what: str, expect: Tuple[str, ...] = ("completed",),
+             timeout: float = WAIT_LIMIT) -> Optional[Dict[str, Any]]:
+    """Submit, require 202, wait terminal: the outcome, or None after
+    recording the violation."""
+    status, accepted = _submit(base, payload)
+    if status != 202:
+        result.violations.append(f"{what}: submit returned HTTP {status}")
+        return None
+    return _await(result, base, accepted["job_id"], what, expect, timeout)
 
 
-def scenario_hang_deadline(tmp: Path, rng: random.Random,
-                           smoke: bool) -> ScenarioResult:
-    """A hung worker must be killed at the deadline and typed ``timeout``."""
-    result = ScenarioResult("hang_deadline")
-    server = _LiveServer(_config(
-        tmp, run_id="hang", job_timeout=1.5, retries=0))
-    try:
-        fault = {"spec": "hang:*:*:always:30"}
-        started = time.monotonic()
-        status, accepted = _submit(server.base, _sim_job(fault))
-        if status != 202:
-            result.violations.append(f"submit returned HTTP {status}")
-            return result
-        outcome = _wait_terminal(server.base, accepted["job_id"], 20.0)
-        elapsed = time.monotonic() - started
-        if outcome is None:
-            result.violations.append("hung job never terminated")
-        elif (outcome["status"] != "failed"
-              or outcome.get("error_kind") != "timeout"):
-            result.violations.append(
-                f"expected typed timeout failure, got {outcome}")
-        elif elapsed > 15.0:
-            result.violations.append(
-                f"deadline enforcement took {elapsed:.1f}s for a 1.5s "
-                f"job_timeout")
-        else:
-            result.notes.append(f"deadline enforced in {elapsed:.1f}s")
-    finally:
-        server.shutdown()
-    return result
+# -- single-server fault table ----------------------------------------------
+
+@dataclass(frozen=True)
+class FaultCase:
+    """One single-server fault scenario as data: the server overrides, the
+    faulty job, and the typed outcome that proves the server survived.
+
+    The job must end in ``status`` (with an ``error_kinds`` kind and
+    exactly ``attempts`` attempts, where given) within ``deadline``
+    seconds of its submission; a clean job must then still complete.
+    """
+
+    name: str
+    doc: str
+    job: Callable[[Path, random.Random], Dict[str, Any]]
+    overrides: Dict[str, Any] = field(default_factory=dict)
+    status: str = "failed"
+    error_kinds: Tuple[str, ...] = ()
+    attempts: Optional[int] = None
+    deadline: float = WAIT_LIMIT
 
 
-def scenario_corrupt_artifact(tmp: Path, rng: random.Random,
-                              smoke: bool) -> ScenarioResult:
-    """A bit-flipped input artifact must fail typed, never crash or hang."""
-    result = ScenarioResult("corrupt_artifact")
+def _corrupt_trace_job(tmp: Path, rng: random.Random) -> Dict[str, Any]:
+    """A profile job over a bit-flipped trace: the ``.npz`` container
+    where NumPy is importable, else the checksummed text trace."""
+    from repro.core.backend import numpy_available
     from repro.gpu.executor import kernel_warp_traces
     from repro.io.trace_io import save_warp_traces
     from repro.workloads import suite
 
-    trace_path = tmp / "chaos-input.trace.npz"
+    suffix = ".trace.npz" if numpy_available() else ".trace"
+    trace_path = tmp / f"chaos-input{suffix}"
     kernel = suite.make("vectoradd", scale="tiny")
     save_warp_traces(kernel_warp_traces(kernel), trace_path)
     blob = bytearray(trace_path.read_bytes())
-    for _ in range(32):  # flip bytes across the middle of the container
+    for _ in range(32):  # flip bytes across the middle of the file
         index = rng.randrange(len(blob) // 4, len(blob) - 1)
         blob[index] ^= 0xFF
     trace_path.write_bytes(bytes(blob))
+    return {"kind": "profile", "params": {"benchmark": str(trace_path)}}
 
-    server = _LiveServer(_config(tmp, run_id="corrupt", retries=0))
+
+FAULT_CASES = (
+    FaultCase(
+        "worker_kill_retries",
+        "A once-fault kills the first worker; the retry must succeed.",
+        lambda tmp, rng: _sim_job({
+            "spec": "crash:*:*",
+            "state": str(tmp / f"kill-state-{rng.randrange(1 << 30)}")}),
+        status="completed", attempts=2),
+    FaultCase(
+        "worker_kill_exhausts",
+        "An always-crash fault must yield a typed worker_crash failure.",
+        lambda tmp, rng: _sim_job({"spec": "crash:*:*:always"}),
+        overrides={"retries": 1}, error_kinds=("worker_crash",),
+        attempts=2),
+    FaultCase(
+        "hang_deadline",
+        "A hung worker must be killed at the deadline and typed timeout.",
+        lambda tmp, rng: _sim_job({"spec": "hang:*:*:always:30"}),
+        overrides={"job_timeout": 1.5, "retries": 0},
+        error_kinds=("timeout",), deadline=15.0),
+    FaultCase(
+        "corrupt_artifact",
+        "A bit-flipped input artifact must fail typed, never crash or hang.",
+        _corrupt_trace_job, overrides={"retries": 0},
+        error_kinds=("corrupt_artifact", "simulation_error",
+                     "invalid_request")),
+)
+
+
+def _run_fault_case(case: FaultCase, tmp: Path,
+                    rng: random.Random) -> ScenarioResult:
+    result = ScenarioResult(case.name)
+    job = case.job(tmp, rng)
+    server = _LiveServer(_config(tmp, run_id=case.name, **case.overrides))
     try:
-        status, accepted = _submit(server.base, {
-            "kind": "profile", "params": {"benchmark": str(trace_path)},
-        })
-        if status != 202:
-            result.violations.append(f"submit returned HTTP {status}")
-            return result
-        outcome = _wait_terminal(server.base, accepted["job_id"], WAIT_LIMIT)
-        if outcome is None:
-            result.violations.append("corrupt-input job never terminated")
-        elif outcome["status"] != "failed" or outcome.get("error_kind") not in (
-                "corrupt_artifact", "simulation_error", "invalid_request"):
-            result.violations.append(
-                f"expected a typed failure for corrupt input, got {outcome}")
-        else:
-            result.notes.append(f"typed as {outcome.get('error_kind')}")
+        started = time.monotonic()
+        outcome = _run_job(result, server.base, job, "faulty job",
+                           expect=(case.status,), timeout=case.deadline)
+        elapsed = time.monotonic() - started
+        if outcome is not None:
+            kind = outcome.get("error_kind")
+            if case.error_kinds and kind not in case.error_kinds:
+                result.violations.append(
+                    f"expected error kind in {case.error_kinds}, got "
+                    f"{outcome}")
+            if case.attempts is not None \
+                    and outcome.get("attempts") != case.attempts:
+                result.violations.append(
+                    f"expected exactly {case.attempts} attempts, got "
+                    f"{outcome.get('attempts')}")
+            result.notes.append(
+                f"{outcome['status']} ({kind or 'no error'}) after "
+                f"{outcome.get('attempts')} attempt(s) in {elapsed:.1f}s")
+        _run_job(result, server.base, _sim_job(), "clean job after the fault")
     finally:
         server.shutdown()
     return result
 
+
+def _fault_scenario(case: FaultCase) -> Callable[..., ScenarioResult]:
+    def scenario(tmp: Path, rng: random.Random,
+                 smoke: bool) -> ScenarioResult:
+        return _run_fault_case(case, tmp, rng)
+
+    scenario.__name__ = scenario.__qualname__ = f"scenario_{case.name}"
+    scenario.__doc__ = case.doc
+    return scenario
+
+
+# -- scenarios --------------------------------------------------------------
 
 def scenario_queue_flood(tmp: Path, rng: random.Random,
                          smoke: bool) -> ScenarioResult:
@@ -329,13 +328,8 @@ def scenario_queue_flood(tmp: Path, rng: random.Random,
             result.violations.append(
                 f"queue depth reached {max_depth} > capacity {capacity}")
         for job_id in accepted_ids:
-            outcome = _wait_terminal(server.base, job_id, WAIT_LIMIT)
-            if outcome is None:
-                result.violations.append(
-                    f"accepted job {job_id} never terminated")
-            elif outcome["status"] not in ("completed", "failed"):
-                result.violations.append(
-                    f"accepted job {job_id} ended untyped: {outcome}")
+            _await(result, server.base, job_id, "accepted job",
+                   expect=("completed", "failed"))
         result.notes.append(
             f"{len(accepted_ids)} accepted, {shed} shed, "
             f"max depth {max_depth}")
@@ -395,13 +389,7 @@ def scenario_drain_resume(tmp: Path, rng: random.Random,
                 f"checkpointed {checkpointed} jobs but resumed "
                 f"{second.resumed}")
         for job_id in pending:
-            outcome = _wait_terminal(second.base, job_id, WAIT_LIMIT)
-            if outcome is None:
-                result.violations.append(
-                    f"job {job_id} lost across drain/restart")
-            elif outcome["status"] != "completed":
-                result.violations.append(
-                    f"resumed job {job_id} did not complete: {outcome}")
+            _await(result, second.base, job_id, "resumed job")
     finally:
         second.shutdown()
     return result
@@ -414,7 +402,7 @@ def _fleet_config(smoke: bool, **overrides: Any) -> "FleetConfig":
 
     defaults = dict(
         replicas=2, workers=1 if smoke else 2, queue_capacity=16,
-        job_timeout=30.0, isolation="thread", health_interval=0.2,
+        job_timeout=30.0, health_interval=0.2,
         restart_base=0.1, boot_timeout=WAIT_LIMIT,
     )
     defaults.update(overrides)
@@ -483,16 +471,8 @@ def scenario_router_partition(tmp: Path, rng: random.Random,
                 "monitor never declared the paused replica down")
             return result
         for _ in range(4 if smoke else 8):
-            status, accepted = _submit(fleet.router_url, _sim_job())
-            if status != 202:
-                result.violations.append(
-                    f"submit during partition returned HTTP {status}")
-                continue
-            outcome = _wait_terminal(
-                fleet.router_url, accepted["job_id"], WAIT_LIMIT)
-            if outcome is None or outcome["status"] != "completed":
-                result.violations.append(
-                    f"job during partition did not complete: {outcome}")
+            _run_job(result, fleet.router_url, _sim_job(),
+                     "job during partition")
         fleet.resume_replica(0)
         if not fleet.wait_routable(2, timeout=WAIT_LIMIT):
             result.violations.append(
@@ -514,22 +494,15 @@ def scenario_cache_poison(tmp: Path, rng: random.Random,
         shared_cache_dir=str(shared)))
     try:
         fault = {"spec": "corrupt:*:*", "state": str(state)}
-        status, accepted = _submit(server.base, _sim_job(fault))
-        if status != 202:
-            result.violations.append(f"submit returned HTTP {status}")
-            return result
-        first = _wait_terminal(server.base, accepted["job_id"], WAIT_LIMIT)
-        if first is None or first["status"] != "completed":
-            result.violations.append(
-                f"fault-carrying job did not complete: {first}")
+        first = _run_job(result, server.base, _sim_job(fault),
+                         "fault-carrying job")
+        if first is None:
             return result
         # Same pipeline key, no fault: must detect the poisoned entry,
         # quarantine it, rebuild, and return a *clean* result.
-        status, accepted = _submit(server.base, _sim_job())
-        second = _wait_terminal(server.base, accepted["job_id"], WAIT_LIMIT)
-        if second is None or second["status"] != "completed":
-            result.violations.append(
-                f"job after poisoning did not complete: {second}")
+        second = _run_job(result, server.base, _sim_job(),
+                          "job after poisoning")
+        if second is None:
             return result
         events = second.get("integrity_events") or {}
         if not events.get("shared_cache_poisoned"):
@@ -541,16 +514,14 @@ def scenario_cache_poison(tmp: Path, rng: random.Random,
         if second.get("result") != first.get("result"):
             result.violations.append(
                 "rebuilt result differs from the original")
-        quarantined = list((shared / "quarantine").glob("*")) \
-            if (shared / "quarantine").exists() else []
-        if not quarantined:
+        if not any((shared / "quarantine").glob("*")):
             result.violations.append(
                 "no quarantined entry on disk after poisoning")
         # Third hit must now be served clean from the rebuilt entry.
-        status, accepted = _submit(server.base, _sim_job())
-        third = _wait_terminal(server.base, accepted["job_id"], WAIT_LIMIT)
-        if third is None or third["status"] != "completed" or not (
-                third.get("integrity_events") or {}).get("shared_cache_hit"):
+        third = _run_job(result, server.base, _sim_job(), "job after rebuild")
+        if third is None:
+            return result
+        if not (third.get("integrity_events") or {}).get("shared_cache_hit"):
             result.violations.append(
                 f"rebuilt entry not served as a clean hit: {third}")
         else:
@@ -573,40 +544,22 @@ def scenario_thundering_herd(tmp: Path, rng: random.Random,
         "kind": "simulate",
         "params": {"target": "transpose", "scale": "small", "cores": 2},
     }
-    # Process isolation on purpose: each job's integrity-event delta is
-    # measured inside its own forked worker, so the build/hit counts are
-    # exact (thread workers share one process-wide ledger and overlapping
-    # deltas double-count) — and the single-flight lock is exercised
-    # across real process boundaries.
-    with Fleet(_fleet_config(smoke, workers=2, isolation=None)) as fleet:
+    with Fleet(_fleet_config(smoke, workers=2)) as fleet:
         bases = [ep.base_url for ep in fleet.core.endpoints()]
-        accepted: List[Tuple[str, str]] = []  # (base, job_id)
-        errors: List[str] = []
-        lock = threading.Lock()
-
-        def _one(index: int) -> None:
+        def _one(index: int) -> Tuple[str, int, Dict[str, Any]]:
             base = bases[index % len(bases)]  # herd spans both processes
-            status, body = _submit(base, dict(payload))
-            with lock:
-                if status == 202:
-                    accepted.append((base, body["job_id"]))
-                else:
-                    errors.append(f"HTTP {status}")
+            return (base,) + _submit(base, dict(payload))
 
-        threads = [threading.Thread(target=_one, args=(i,), daemon=True)
-                   for i in range(herd)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(WAIT_LIMIT)
-        if errors:
-            result.violations.append(f"herd submissions refused: {errors}")
+        with ThreadPoolExecutor(max_workers=herd) as pool:
+            submissions = list(pool.map(_one, range(herd)))
         built = hits = coalesced = uncached = 0
-        for base, job_id in accepted:
-            outcome = _wait_terminal(base, job_id, WAIT_LIMIT)
-            if outcome is None or outcome["status"] != "completed":
+        for base, status, body in submissions:
+            if status != 202:
                 result.violations.append(
-                    f"herd job {job_id} did not complete: {outcome}")
+                    f"herd submission refused: HTTP {status}")
+                continue
+            outcome = _await(result, base, body["job_id"], "herd job")
+            if outcome is None:
                 continue
             events = outcome.get("integrity_events") or {}
             built += events.get("shared_cache_built", 0)
@@ -631,7 +584,6 @@ class _ChildProc:
     """A ``gmap serve`` child process with a scanned stdout stream."""
 
     def __init__(self, argv: List[str]) -> None:
-        import os
         import subprocess
 
         src_root = str(Path(__file__).resolve().parents[2])
@@ -714,7 +666,7 @@ def scenario_router_kill(tmp: Path, rng: random.Random,
         for i in range(2):
             replica = _ChildProc([
                 "serve", "--join", url, "--replica-id", f"rk{i}",
-                "--serve-workers", "1", "--isolation", "thread",
+                "--serve-workers", "1",
                 "--shared-cache-dir", str(shared), "--no-journal",
                 "--join-interval", "0.5"])
             children.append(replica)
@@ -734,17 +686,10 @@ def scenario_router_kill(tmp: Path, rng: random.Random,
         # Fast jobs to terminal: the outcomes that must survive the kill.
         settled: Dict[str, Dict[str, Any]] = {}
         for _ in range(3):
-            status, accepted = _submit(url, _sim_job())
-            if status != 202:
-                result.violations.append(
-                    f"pre-kill submit returned HTTP {status}")
+            outcome = _run_job(result, url, _sim_job(), "pre-kill job")
+            if outcome is None:
                 return result
-            outcome = _wait_terminal(url, accepted["job_id"], WAIT_LIMIT)
-            if outcome is None or outcome["status"] != "completed":
-                result.violations.append(
-                    f"pre-kill job did not complete: {outcome}")
-                return result
-            settled[accepted["job_id"]] = outcome
+            settled[outcome["job_id"]] = outcome
 
         # In-flight jobs: distinct keys spread over both single-worker
         # replicas, slow enough that they are still queued at kill time.
@@ -803,11 +748,7 @@ def scenario_router_kill(tmp: Path, rng: random.Random,
                     f"terminal result changed across router kill: {job_id}")
         # Every in-flight job must reach completion (reassigned as needed).
         for job_id in inflight:
-            outcome = _wait_terminal(url, job_id, WAIT_LIMIT)
-            if outcome is None or outcome["status"] != "completed":
-                result.violations.append(
-                    f"in-flight job {job_id} did not survive the router "
-                    f"kill: {outcome}")
+            _await(result, url, job_id, "in-flight job after the router kill")
         snap = _router_fleet_snapshot(url)
         counters = snap.get("counters", {})
         if counters.get("recovered_terminal", 0) < len(settled):
@@ -832,8 +773,6 @@ def scenario_router_kill(tmp: Path, rng: random.Random,
 
 def _crash_with_lease(root: str, key: str, ttl: float) -> None:
     """Child body: take the key's build lease, then die without release."""
-    import os
-
     from repro.core.shared_cache import SharedResultCache
 
     cache = SharedResultCache(root, lease_ttl=ttl)
@@ -850,7 +789,6 @@ def scenario_lease_expiry(tmp: Path, rng: random.Random,
     ``otherhost:1:0`` lease) is taken over only after its TTL.  Each key
     shows one takeover event and exactly one build."""
     import multiprocessing
-    import os
 
     from repro.core.integrity import integrity_events
     from repro.core.lease import LeaseFile
@@ -929,11 +867,7 @@ def scenario_lease_expiry(tmp: Path, rng: random.Random,
     return result
 
 
-SCENARIOS = (
-    scenario_worker_kill_retries,
-    scenario_worker_kill_exhausts,
-    scenario_hang_deadline,
-    scenario_corrupt_artifact,
+SCENARIOS = tuple(_fault_scenario(case) for case in FAULT_CASES) + (
     scenario_queue_flood,
     scenario_drain_resume,
     scenario_replica_kill,

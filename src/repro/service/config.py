@@ -18,11 +18,6 @@ from typing import Any, Dict, Optional
 #: Environment variables understood by :func:`ServiceConfig.from_env`.
 ENV_PREFIX = "GMAP_SERVE_"
 
-#: Worker isolation modes: ``process`` runs each job in a disposable
-#: subprocess (crash isolation, kill-able deadlines); ``thread`` degrades
-#: to in-thread execution where process primitives are unavailable.
-ISOLATION_MODES = ("process", "thread")
-
 
 @dataclass
 class ServiceConfig:
@@ -58,8 +53,6 @@ class ServiceConfig:
     #: seconds it stays open before probing again.
     breaker_threshold: int = 3
     breaker_cooldown: float = 30.0
-    #: Worker isolation mode (see :data:`ISOLATION_MODES`).
-    isolation: str = "process"
     #: Accept chaos fault directives attached to requests (tests only).
     allow_fault_injection: bool = False
     #: Stable label of this replica within a fleet (surfaced in
@@ -90,10 +83,6 @@ class ServiceConfig:
                 f"job_timeout must be > 0, got {self.job_timeout}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.isolation not in ISOLATION_MODES:
-            raise ValueError(
-                f"isolation must be one of {ISOLATION_MODES}, "
-                f"got {self.isolation!r}")
         if self.bulk_capacity < 0:
             raise ValueError(
                 f"bulk_capacity must be >= 0, got {self.bulk_capacity}")

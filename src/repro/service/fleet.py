@@ -64,7 +64,6 @@ class FleetConfig:
     queue_capacity: int = 32
     job_timeout: float = 120.0
     retries: int = 1
-    isolation: Optional[str] = None
     backend: Optional[str] = None
     allow_fault_injection: bool = False
     #: Fleet-shared single-flight cache root (created under a tempdir
@@ -136,8 +135,6 @@ class ReplicaProcess:
             "--shared-cache-dir", self._shared_cache_dir,
             "--no-journal",
         ]
-        if cfg.isolation:
-            argv += ["--isolation", cfg.isolation]
         if cfg.backend:
             argv += ["--backend", cfg.backend]
         if cfg.allow_fault_injection:

@@ -292,9 +292,9 @@ def execute_job(request: Dict[str, Any],
     if not fault:
         return _execute(request, effective_backend, shared_cache_dir)
     # Arm the chaos directive, then fire any immediate worker fault
-    # (crash/hang) exactly as the sweep engine's workers would.  Disarm in
-    # all cases: under thread isolation the environment is the server's,
-    # and an ``always`` fault must not leak into sibling jobs.
+    # (crash/hang) exactly as the sweep engine's workers would.  This runs
+    # only in a forked worker (the supervisor's in-thread fallback refuses
+    # fault-carrying jobs); disarm anyway so the worker leaves as it came.
     from repro.validation import resilience
 
     resilience.arm_fault(fault.get("spec"), fault.get("state"))

@@ -14,10 +14,10 @@ process per attempt:
 * failed attempts are retried up to ``retries`` times with exponential
   restart backoff — the supervisor never dies with its workers.
 
-Where process primitives are unavailable (``isolation="thread"`` or
-process spawn fails), slots degrade to in-thread execution: no crash
-isolation and no enforceable deadline, but every job still terminates
-with a typed outcome.
+Where fork fails (``OSError``: fd or memory pressure), the attempt
+degrades to in-thread execution labelled ``no_process_isolation:<exc>``:
+no crash isolation and no enforceable deadline, but every job still
+terminates with a typed outcome.
 """
 
 from __future__ import annotations
@@ -195,8 +195,6 @@ class Supervisor:
 
     def _run_attempt(self, request: JobRequest,
                      backend: Optional[str]) -> Dict[str, Any]:
-        if self._config.isolation == "thread":
-            return self._run_in_thread(request, backend)
         try:
             return self._run_in_process(request, backend)
         except OSError as exc:
@@ -247,22 +245,23 @@ class Supervisor:
 
     def _run_in_thread(self, request: JobRequest,
                        backend: Optional[str]) -> Dict[str, Any]:
-        """Fallback attempt without process isolation.
+        """Fork-failure fallback: run the attempt on this slot thread.
 
-        Injected crash faults raise instead of killing the server; they
-        are typed as worker_crash so chaos scenarios behave identically
-        under both isolation modes.
+        A chaos fault is never armed here: it would mutate the server's
+        environment, and a crash fault would exit the server itself, so a
+        fault-carrying request fails typed without running.
         """
+        if request.fault:
+            return {
+                "ok": False,
+                "error_kind": FAILURE_SIMULATION_ERROR,
+                "error": "fault injection needs a worker process; "
+                         "refused without process isolation",
+            }
         try:
             return execute_job(
                 request.to_dict(), backend,
                 shared_cache_dir=self._config.shared_cache_dir)
-        except SystemExit as exc:
-            return {
-                "ok": False,
-                "error_kind": FAILURE_WORKER_CRASH,
-                "error": f"worker exited (code={exc.code})",
-            }
         except BaseException as exc:
             return {
                 "ok": False,

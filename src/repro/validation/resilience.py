@@ -263,8 +263,9 @@ def arm_fault(spec: Optional[str], state: Optional[PathLike] = None) -> None:
 
     The service worker uses this to arm a per-job fault carried by a chaos
     request: environment mutation stays centralised in the module that owns
-    ``GMAP_FAULT_INJECT``, and the worker process is disposable, so the
-    change cannot leak into sibling jobs.
+    ``GMAP_FAULT_INJECT``.  Only a forked worker process arms one (the
+    supervisor's in-thread fallback refuses fault-carrying jobs), so the
+    change cannot leak into the server or sibling jobs.
     """
     if spec:
         os.environ[ENV_FAULT_INJECT] = spec

@@ -524,7 +524,7 @@ class TestLiveFleet:
 
         config = FleetConfig(
             replicas=2, workers=1, queue_capacity=8, job_timeout=30.0,
-            isolation="thread", health_interval=0.2, restart_base=0.1,
+            health_interval=0.2, restart_base=0.1,
             boot_timeout=60.0, shared_cache_dir=str(tmp_path / "shared"),
         )
         with Fleet(config) as fleet:

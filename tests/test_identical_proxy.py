@@ -21,6 +21,7 @@ from functools import lru_cache, wraps
 import pytest
 
 from repro.analytical.analytic import AnalyticCacheModel
+from repro.core.backend import numpy_available
 from repro.core.cache import ArtifactCache
 from repro.gpu.executor import flat_drain
 from repro.memsim import vectorized
@@ -45,7 +46,9 @@ from repro.workloads import suite
 KB = 1024
 NUM_CORES = 8
 SEED = 1234
-BACKENDS = ("python", "numpy")
+needs_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="the numpy backend needs numpy")
+BACKENDS = ("python", pytest.param("numpy", marks=needs_numpy))
 #: Kernels whose tiny-scale profiles are point masses at every warp, so the
 #: proxy samples the original back.
 IDENTICAL = ("blackscholes", "cp", "nw", "scalarprod", "srad", "stencil3d",
@@ -262,6 +265,7 @@ def test_replay_sweep_replays_an_identical_proxy_once(backend, monkeypatch):
         _assert_no_shared_blocks(pair.original, pair.proxy)
 
 
+@needs_numpy
 def test_flat_pair_of_an_identical_proxy():
     pipeline = _pipeline("srad", "numpy")
     pair = simulate_pair(_fresh(pipeline), FIG6A_POINT, sim_mode="flat",

@@ -65,11 +65,10 @@ class TestServiceConfig:
         config = ServiceConfig()
         assert config.workers >= 1
         assert config.queue_capacity >= 1
-        assert config.isolation == "process"
 
     @pytest.mark.parametrize("field_name,bad", [
         ("workers", 0), ("queue_capacity", 0),
-        ("job_timeout", 0.0), ("retries", -1), ("isolation", "vm"),
+        ("job_timeout", 0.0), ("retries", -1),
     ])
     def test_rejects_bad_values(self, field_name, bad):
         with pytest.raises(ValueError):
@@ -550,24 +549,31 @@ class TestDrainResume:
 
 
 class TestThreadIsolationFallback:
-    def test_thread_mode_still_types_crashes(self, tmp_path):
+    def test_thread_mode_still_types_crashes(self, tmp_path, monkeypatch):
+        """When fork fails, jobs run on the slot thread: a crash fault
+        fails typed instead of exiting the server, and a clean job
+        completes labelled ``no_process_isolation``."""
         config = ServiceConfig(
-            workers=1, isolation="thread", journal=False,
-            retries=0, allow_fault_injection=True,
+            workers=1, journal=False, retries=0, allow_fault_injection=True,
         )
         service = GmapService(config)
+
+        def no_fork(proc):
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(service.supervisor._ctx.Process, "start", no_fork)
         service.start()
         try:
-            state_file = tmp_path / "state"
-            accepted = service.submit(_sim_payload(
-                fault={"spec": "raise:*:*:always",
-                       "state": str(state_file)}))
-            state = _wait_terminal(service, accepted["job_id"])
-            assert state["status"] == "failed"
-            assert state["error_kind"] == "simulation_error"
+            for spec in ("crash:*:*:always", "raise:*:*:always"):
+                accepted = service.submit(_sim_payload(fault={
+                    "spec": spec, "state": str(tmp_path / "state")}))
+                state = _wait_terminal(service, accepted["job_id"])
+                assert state["status"] == "failed"
+                assert state["error_kind"] == "simulation_error"
             accepted = service.submit(_sim_payload())
             state = _wait_terminal(service, accepted["job_id"])
             assert state["status"] == "completed"
+            assert "no_process_isolation:OSError" in state["degraded_reasons"]
         finally:
             service.queue.close()
             service.stop()
