@@ -47,7 +47,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.backend import resolve_backend
+from repro.core.backend import import_numpy, resolve_backend
 from repro.core.reuse import set_index, set_stack_distances
 from repro.gpu.instructions import AccessTuple
 from repro.gpu.memspace import MemorySpace, region_bounds, space_of
@@ -59,11 +59,6 @@ from repro.memsim.capabilities import (
 from repro.memsim.config import SimConfig
 from repro.memsim.stats import CacheStats, DramStats, SimResult
 from repro.memsim.vectorized import decode_records
-
-try:  # numpy is optional; the scalar scan never needs it.
-    import numpy as np
-except ImportError:  # pragma: no cover - depends on the environment
-    np = None  # type: ignore[assignment]
 
 #: Stated per-point |Δ miss-rate| envelope vs the event simulator for
 #: analytically-predicted points (the bench_perf.py schema-v5 gate bound).
@@ -123,7 +118,7 @@ def _sector_counts(columns, line_size: int):
     shift = line_size.bit_length() - 1
     address, size = columns[:, 0], columns[:, 1]
     first = address >> shift
-    return first, ((address + np.maximum(size - 1, 0)) >> shift) - first + 1
+    return first, ((address + (size - 1).clip(min=0)) >> shift) - first + 1
 
 
 def _expand_lines_array(columns, line_size: int):
@@ -132,6 +127,7 @@ def _expand_lines_array(columns, line_size: int):
     ``columns`` is an ``(n, 3)`` int64 array; the sector split becomes one
     ``np.repeat``, and the ever-stored lines one ``np.unique``.
     """
+    np = import_numpy()
     first, sectors = _sector_counts(columns, line_size)
     starts = np.repeat(np.cumsum(sectors) - sectors, sectors)
     lines = np.repeat(first, sectors) + (
@@ -144,8 +140,8 @@ def _record_granule_array(columns) -> int:
     granule = int(columns[0, 1]) if len(columns) else 0
     if granule <= 0 or granule & (granule - 1):
         return 0
-    if np.any(columns[:, 1] != granule) or np.any(
-            columns[:, 0] & (granule - 1)):
+    if (columns[:, 1] != granule).any() or (
+            columns[:, 0] & (granule - 1)).any():
         return 0
     return granule
 
@@ -301,6 +297,7 @@ class _ArraySetDistanceScan(_ScanSummary):
     __slots__ = ("_ranks", "_stored_ranks")
 
     def __init__(self, lines, num_sets: int, stored) -> None:
+        np = import_numpy()
         order, distances, last = set_stack_distances(
             lines, num_sets, TRACKED_SET_DEPTH)
         stream = lines[order]
@@ -329,8 +326,8 @@ class _ArraySetDistanceScan(_ScanSummary):
     def resident(self, assoc: int) -> Tuple[int, int]:
         """``(lines, stored lines)`` resident at end of stream."""
         return (
-            int(np.searchsorted(self._ranks, assoc)),
-            int(np.searchsorted(self._stored_ranks, assoc)),
+            int(self._ranks.searchsorted(assoc)),
+            int(self._stored_ranks.searchsorted(assoc)),
         )
 
 
@@ -371,6 +368,7 @@ class _DerivedScan(_ScanSummary):
 
 def _depth_histogram(distances) -> Dict[int, int]:
     """``{distance: count}`` of clipped distances, depth as the beyond bucket."""
+    np = import_numpy()
     counts = np.bincount(distances)
     present = np.flatnonzero(counts)
     histogram = dict(zip(present.tolist(), counts[present].tolist()))
@@ -488,6 +486,7 @@ class AnalyticCacheModel:
         The same filter as array masks over each decoded trace, keeping
         ``(address, size, store)`` int64 columns.
         """
+        np = import_numpy()
         cacheable = []
         shared = 0
         special = 0
@@ -795,6 +794,7 @@ def _round_robin_columns(per_core):
     A stable sort of the concatenated streams by per-core turn index
     keeps equal turns in core order — the same round-robin merge.
     """
+    np = import_numpy()
     if not per_core:
         return np.empty((0, 3), dtype=np.int64)
     turns = np.concatenate(

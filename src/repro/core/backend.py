@@ -14,6 +14,13 @@ Two implementations of the pipeline's hot paths coexist:
     construction, ``searchsorted`` sampling over precomputed CDFs, and
     per-warp ``np.unique`` coalescing.
 
+NumPy is loaded through one lazy seam: :func:`import_numpy` imports it on
+first use, and :func:`numpy_available` is the one answer to "does NumPy
+import" (``_HAVE_NUMPY``, ``None`` until first asked).  Only the array-only
+:mod:`repro.core.vectorized` and :mod:`repro.memsim.arrays` import it at
+load time, and only numpy-backend code and ``.npz`` containers use them,
+so a ``python``-backend process does not load NumPy.
+
 Resolution order: an explicit ``backend=`` argument, the ``GMAP_BACKEND``
 environment variable, then :data:`DEFAULT_BACKEND`.  Requesting ``numpy``
 on an interpreter without NumPy raises immediately (a silent fallback would
@@ -39,16 +46,29 @@ BACKENDS: Tuple[str, ...] = ("python", "numpy")
 #: against.
 DEFAULT_BACKEND = "python"
 
-try:  # NumPy is optional — the scalar path must work without it.
-    import numpy as _numpy  # noqa: F401
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - depends on the environment
-    _HAVE_NUMPY = False
+_HAVE_NUMPY: Optional[bool] = None
 
 
 def numpy_available() -> bool:
-    """Whether the ``numpy`` backend can run in this interpreter."""
+    """Whether NumPy imports (so the ``numpy`` backend can run); the first
+    call tries the import, as a found module can still fail to import."""
+    global _HAVE_NUMPY
+    if _HAVE_NUMPY is None:
+        try:
+            import numpy  # noqa: F401
+            _HAVE_NUMPY = True
+        except ImportError:
+            _HAVE_NUMPY = False
     return _HAVE_NUMPY
+
+
+def import_numpy(needed_by: str = "this array path"):
+    """NumPy, imported on first use (every array path gets it here);
+    ``RuntimeError`` naming ``needed_by`` where it does not import."""
+    if not numpy_available():
+        raise RuntimeError(f"{needed_by} requires numpy")
+    import numpy
+    return numpy
 
 
 def resolve_backend(backend: Optional[str] = None) -> str:
@@ -67,7 +87,7 @@ def resolve_backend(backend: Optional[str] = None) -> str:
         raise ValueError(
             f"backend must be one of {BACKENDS}, got {backend!r}"
         )
-    if backend == "numpy" and not _HAVE_NUMPY:
+    if backend == "numpy" and not numpy_available():
         if from_env:
             return "python"
         raise ValueError(

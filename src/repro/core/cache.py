@@ -33,7 +33,7 @@ import pickle
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.core.backend import numpy_available
+from repro.core.backend import import_numpy, numpy_available
 from repro.core.integrity import CorruptArtifactError, integrity_events
 from repro.core.profile import GmapProfile
 from repro.core.store import ContentStore
@@ -305,9 +305,9 @@ class ArtifactCache:
                 "meta": meta,
             })
             return
-        import numpy as np
-
         from repro.memsim import arrays as columnar
+
+        np = import_numpy()
 
         columns = columnar.pack_assignments(original, "orig_")
         columns.update(columnar.pack_assignments(proxy, "proxy_"))

@@ -18,12 +18,12 @@ the proxy generator re-applies the same model to synthesised lane addresses
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple
 
-try:  # Array kernel is optional; the scalar model has no deps.
-    import numpy as _np
-except ImportError:  # pragma: no cover - depends on the environment
-    _np = None
+from repro.core.backend import import_numpy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Fermi global-memory transaction (and cache line) size in bytes.
 DEFAULT_SEGMENT_SIZE = 128
@@ -34,7 +34,7 @@ DEFAULT_SEGMENT_SIZE = 128
 ROW_KEY_BITS = 36
 
 
-def coalesce_segment_rows(segments: "_np.ndarray"):
+def coalesce_segment_rows(segments: "np.ndarray"):
     """Vectorized Fermi coalescing of a ``(rows, lanes)`` segment-id matrix.
 
     Each row is one warp instruction whose lane accesses all fit a single
@@ -48,19 +48,18 @@ def coalesce_segment_rows(segments: "_np.ndarray"):
     ``sorted(segments.items())`` emission order — and ``txns_per_row[r]``
     is the coalescing degree of row ``r``.
     """
-    if _np is None:  # pragma: no cover - guarded by backend resolution
-        raise RuntimeError("coalesce_segment_rows requires numpy")
-    segments = _np.asarray(segments, dtype=_np.int64)
+    np = import_numpy()
+    segments = np.asarray(segments, dtype=np.int64)
     n_rows = segments.shape[0]
     if n_rows == 0:
-        empty = _np.array([], dtype=_np.int64)
-        return empty, empty, empty, _np.array([], dtype=_np.int64)
-    rows = _np.arange(n_rows, dtype=_np.int64)
+        empty = np.array([], dtype=np.int64)
+        return empty, empty, empty, np.array([], dtype=np.int64)
+    rows = np.arange(n_rows, dtype=np.int64)
     keys = (rows[:, None] << ROW_KEY_BITS) | segments
-    uniq, lane_counts = _np.unique(keys, return_counts=True)
+    uniq, lane_counts = np.unique(keys, return_counts=True)
     txn_rows = uniq >> ROW_KEY_BITS
     txn_segments = uniq & ((1 << ROW_KEY_BITS) - 1)
-    txns_per_row = _np.bincount(txn_rows, minlength=n_rows)
+    txns_per_row = np.bincount(txn_rows, minlength=n_rows)
     return txn_rows, txn_segments, lane_counts, txns_per_row
 
 

@@ -31,12 +31,12 @@ Cold (first-touch) accesses have infinite distance, reported as
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional
 
-try:  # Array-backed kernels are optional; the scalar path has no deps.
-    import numpy as _np
-except ImportError:  # pragma: no cover - depends on the environment
-    _np = None
+from repro.core.backend import import_numpy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Sentinel distance for a first-touch (compulsory / cold) access.
 COLD_MISS = -1
@@ -115,7 +115,7 @@ class _FenwickTree:
         return self.prefix_sum(hi) - self.prefix_sum(lo - 1)
 
 
-def lookback_gaps(elements: "_np.ndarray", positions: "_np.ndarray"):
+def lookback_gaps(elements: "np.ndarray", positions: "np.ndarray"):
     """Vectorized previous-occurrence gaps (the lookback reuse kernel).
 
     ``elements[i]`` (e.g. cache-line ids) was touched at instance slot
@@ -127,13 +127,12 @@ def lookback_gaps(elements: "_np.ndarray", positions: "_np.ndarray"):
     a permutation of the scalar emission order, which is irrelevant to the
     histogram.
     """
-    if _np is None:  # pragma: no cover - guarded by backend resolution
-        raise RuntimeError("lookback_gaps requires numpy")
-    elements = _np.asarray(elements, dtype=_np.int64)
-    positions = _np.asarray(positions, dtype=_np.int64)
+    np = import_numpy()
+    elements = np.asarray(elements, dtype=np.int64)
+    positions = np.asarray(positions, dtype=np.int64)
     if len(elements) == 0:
-        return _np.array([], dtype=_np.int64)
-    order = _np.lexsort((positions, elements))
+        return np.array([], dtype=np.int64)
+    order = np.lexsort((positions, elements))
     e = elements[order]
     p = positions[order]
     repeat = e[1:] == e[:-1]
@@ -169,53 +168,52 @@ def set_stack_distances(lines, num_sets: int = 1, depth: Optional[int] = None):
     access ``order[k]`` — its distance, and whether it is the final access
     to its line.
     """
-    if _np is None:  # pragma: no cover - guarded by backend resolution
-        raise RuntimeError("set_stack_distances requires numpy")
-    lines = _np.asarray(lines, dtype=_np.int64)
+    np = import_numpy()
+    lines = np.asarray(lines, dtype=np.int64)
     n = len(lines)
     if num_sets > 1:
         sets = set_index(lines, num_sets)
         if num_sets <= 1 << 16:
-            sets = sets.astype(_np.uint16)  # stable sort is a radix sort
-        order = _np.argsort(sets, kind="stable")
+            sets = sets.astype(np.uint16)  # stable sort is a radix sort
+        order = np.argsort(sets, kind="stable")
         stream = lines[order]
     else:
-        order = _np.arange(n, dtype=_np.int64)
+        order = np.arange(n, dtype=np.int64)
         stream = lines
-    distances = _np.zeros(n, dtype=_np.int64)
-    last = _np.zeros(n, dtype=bool)
+    distances = np.zeros(n, dtype=np.int64)
+    last = np.zeros(n, dtype=bool)
     if n == 0:
         return order, distances, last
     # Collapse runs: ``starts[r]`` is run r's first position in ``stream``.
-    head = _np.empty(n, dtype=bool)
+    head = np.empty(n, dtype=bool)
     head[0] = True
-    _np.not_equal(stream[1:], stream[:-1], out=head[1:])
-    starts = _np.flatnonzero(head)
+    np.not_equal(stream[1:], stream[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
     runs = stream[starts]
     m = len(runs)
-    by_line = _np.argsort(runs, kind="stable")
+    by_line = np.argsort(runs, kind="stable")
     repeat = runs[by_line[1:]] == runs[by_line[:-1]]
-    next_use = _np.full(m, -1, dtype=_np.int64)
+    next_use = np.full(m, -1, dtype=np.int64)
     next_use[by_line[:-1][repeat]] = by_line[1:][repeat]
-    reused = _np.flatnonzero(next_use >= 0)  # interval starts, ascending
+    reused = np.flatnonzero(next_use >= 0)  # interval starts, ascending
     reuse = next_use[reused]
     # Each set's intervals are one contiguous block; none nests across.
-    offsets = _np.arange(len(reused), dtype=_np.int64)
+    offsets = np.arange(len(reused), dtype=np.int64)
     if num_sets > 1 and len(reused):
         interval_sets = set_index(runs[reused], num_sets)
-        new_set = _np.empty(len(reused), dtype=bool)
+        new_set = np.empty(len(reused), dtype=bool)
         new_set[0] = True
-        _np.not_equal(interval_sets[1:], interval_sets[:-1], out=new_set[1:])
-        offsets -= _np.maximum.accumulate(_np.where(new_set, offsets, 0))
+        np.not_equal(interval_sets[1:], interval_sets[:-1], out=new_set[1:])
+        offsets -= np.maximum.accumulate(np.where(new_set, offsets, 0))
     window = reuse - reused - 1
     window -= _nested_interval_counts(reuse, m, offsets)
     if depth is not None:
-        _np.minimum(window, depth, out=window)
-    run_distance = _np.full(m, COLD_MISS, dtype=_np.int64)
+        np.minimum(window, depth, out=window)
+    run_distance = np.full(m, COLD_MISS, dtype=np.int64)
     run_distance[reuse] = window
     distances[starts] = run_distance
     final = next_use < 0
-    run_ends = _np.empty(m, dtype=_np.int64)
+    run_ends = np.empty(m, dtype=np.int64)
     run_ends[:-1] = starts[1:] - 1
     run_ends[-1] = n - 1
     last[run_ends[final]] = True
@@ -243,29 +241,30 @@ def _nested_interval_counts(ends, bound: int, offsets):
     at the widest block, not the whole array.  Keys stay below
     ``size * bound``, far inside int64 for any stream that fits in memory.
     """
+    np = import_numpy()
     size = len(ends)
-    position = _np.arange(size, dtype=_np.int64)
+    position = np.arange(size, dtype=np.int64)
     values = ends
-    counts = _np.zeros(size, dtype=_np.int64)
+    counts = np.zeros(size, dtype=np.int64)
     index = position
     widest = int(offsets.max()) + 1 if size else 0
     width = 1
     while width < widest:
         pair_start = position - (offsets & (2 * width - 1))
-        step = _np.argsort(pair_start * bound + values, kind="stable")
+        step = np.argsort(pair_start * bound + values, kind="stable")
         # New slot q holds old slot step[q]; a positive shift is a left
         # element overtaken by smaller right elements.
         counts = counts[step]
-        counts += _np.maximum(position - step, 0)
+        counts += np.maximum(position - step, 0)
         values = values[step]
         index = index[step]
         width *= 2
-    out = _np.empty(size, dtype=_np.int64)
+    out = np.empty(size, dtype=np.int64)
     out[index] = counts
     return out
 
 
-def stack_distances_array(elements) -> "_np.ndarray":
+def stack_distances_array(elements) -> "np.ndarray":
     """LRU stack distances of an element array (``numpy`` backend).
 
     :func:`set_stack_distances` with one set and no depth cap, returned in
@@ -273,10 +272,9 @@ def stack_distances_array(elements) -> "_np.ndarray":
     :data:`COLD_MISS`) that downstream histogram construction can consume
     with a single ``np.unique``.
     """
-    if _np is None:  # pragma: no cover - guarded by backend resolution
-        raise RuntimeError("stack_distances_array requires numpy")
+    np = import_numpy()
     order, distances, _ = set_stack_distances(elements)
-    out = _np.empty(len(distances), dtype=_np.int64)
+    out = np.empty(len(distances), dtype=np.int64)
     out[order] = distances
     return out
 

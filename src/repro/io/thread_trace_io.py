@@ -38,7 +38,7 @@ import re
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.core.backend import numpy_available, resolve_backend
+from repro.core.backend import import_numpy, resolve_backend
 from repro.core.coalescing import CoalescingModel
 from repro.core.integrity import CorruptArtifactError, text_checksum
 from repro.gpu.executor import WarpTrace, build_warp_traces
@@ -51,14 +51,6 @@ _MAGIC = re.compile(r"^# gmap-ttrace v1 grid=(\d+) block=(\d+)\s*$")
 _CHECKSUM_PREFIX = "# sha256 "
 
 
-def _require_numpy(path: Path) -> None:
-    if not numpy_available():
-        raise RuntimeError(
-            f"{path}: the .npz binary trace format requires numpy; "
-            f"use the text format on interpreters without it"
-        )
-
-
 def save_thread_traces(
     thread_traces: List[List[AccessTuple]],
     launch: LaunchConfig,
@@ -67,7 +59,7 @@ def save_thread_traces(
     """Write per-thread traces; ``.npz`` paths use the binary container."""
     path = Path(path)
     if path.suffix == ".npz":
-        _require_numpy(path)
+        import_numpy(f"{path}: the .npz binary trace format")
         from repro.memsim import arrays
 
         arrays.save_columns(
@@ -101,7 +93,7 @@ def save_thread_traces(
 
 def _load_thread_columns(path: Path, mmap: bool) -> Tuple[Dict, LaunchConfig]:
     """``(columns, launch)`` of a ``.npz`` thread container."""
-    _require_numpy(path)
+    import_numpy(f"{path}: the .npz binary trace format")
     from repro.memsim import arrays
 
     columns, meta = arrays.load_columns(path, arrays.FORMAT_THREAD, mmap=mmap)

@@ -37,7 +37,7 @@ import gzip
 from pathlib import Path
 from typing import List, Union
 
-from repro.core.backend import numpy_available
+from repro.core.backend import import_numpy
 from repro.core.integrity import CorruptArtifactError, text_checksum
 from repro.gpu.executor import WarpTrace
 
@@ -45,14 +45,6 @@ PathLike = Union[str, Path]
 
 _MAGIC = "# gmap-trace v1"
 _CHECKSUM_PREFIX = "# sha256 "
-
-
-def _require_numpy(path: Path) -> None:
-    if not numpy_available():
-        raise RuntimeError(
-            f"{path}: the .npz binary trace format requires numpy; "
-            f"use the text format on interpreters without it"
-        )
 
 
 def save_warp_traces(traces: List[WarpTrace], path: PathLike) -> None:
@@ -63,7 +55,7 @@ def save_warp_traces(traces: List[WarpTrace], path: PathLike) -> None:
     """
     path = Path(path)
     if path.suffix == ".npz":
-        _require_numpy(path)
+        import_numpy(f"{path}: the .npz binary trace format")
         from repro.memsim import arrays
 
         arrays.save_columns(
@@ -96,7 +88,7 @@ def load_warp_traces(path: PathLike, mmap: bool = False) -> List[WarpTrace]:
     """
     path = Path(path)
     if path.suffix == ".npz":
-        _require_numpy(path)
+        import_numpy(f"{path}: the .npz binary trace format")
         from repro.memsim import arrays
 
         columns, _ = arrays.load_columns(

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.gpu.instructions import AccessTuple
 from repro.gpu.memspace import (
@@ -62,15 +62,14 @@ from repro.gpu.memspace import (
     TEXTURE_BASE,
     TEXTURE_SIZE,
 )
+from repro.core.backend import import_numpy, resolve_backend
 from repro.memsim.capabilities import UnsupportedConfigError, fallback_reasons
 from repro.memsim.config import SimConfig
 from repro.memsim.dram import DramModel
 from repro.memsim.stats import CacheStats, SimResult
 
-try:  # numpy is optional; the python oracle never needs it.
+if TYPE_CHECKING:
     import numpy as np
-except ImportError:  # pragma: no cover - depends on the environment
-    np = None  # type: ignore[assignment]
 
 
 def decode_records(trace: Sequence[AccessTuple], core: int = 0):
@@ -79,8 +78,7 @@ def decode_records(trace: Sequence[AccessTuple], core: int = 0):
     Columns are ``(pc, address, size, is_store)``; ``core`` only labels
     the error raised for malformed records.
     """
-    if np is None:  # pragma: no cover - depends on the environment
-        raise RuntimeError("decode_records requires numpy")
+    np = import_numpy()
     try:
         # Flattened fromiter beats np.asarray-of-tuples ~2x on the
         # python-tuple traces this decode normally sees.
@@ -116,8 +114,7 @@ class FlatTraceArrays:
     )
 
     def __init__(self, per_core_traces: Sequence[Sequence[AccessTuple]]) -> None:
-        if np is None:  # pragma: no cover - depends on the environment
-            raise RuntimeError("FlatTraceArrays requires numpy")
+        np = import_numpy()
         chunks = []
         cores = []
         clocks = []
@@ -196,6 +193,7 @@ class FlatTraceArrays:
         it is memoized per line size — in a one-pass multi-config sweep
         every config sharing a line size reuses one expansion.
         """
+        np = import_numpy()
         cached = self._stream_cache.get(config.l1.line_size)
         if cached is not None:
             return cached
@@ -237,6 +235,7 @@ def _lru_rounds(
     Returns ``(hit, victim_line, victim_dirty)`` per access (original
     order); ``victim_line`` is -1 where no line was evicted.
     """
+    np = import_numpy()
     n = len(unit)
     hit = np.zeros(n, dtype=bool)
     victim_line = np.full(n, -1, dtype=np.int64)
@@ -420,6 +419,7 @@ def _downstream_nomerge(
     array phase, which is order-exact.  Only valid when an L1 line spans
     a single L2 access (``l2_line >= l1_line``).
     """
+    np = import_numpy()
     n = len(miss_now)
     if n == 0:
         return None
@@ -615,6 +615,7 @@ def _downstream_window(
 
     Returns ``(l1_mshr_merges, l1_mshr_stalls, l2_stats, dram_model)``.
     """
+    np = import_numpy()
     if config.l2.line_size >= config.l1.line_size:
         # Optimistic merge-free pass first: it precomputes the whole L2
         # behaviour vectorized and aborts (None) at the first L1 merge.
@@ -920,8 +921,7 @@ def simulate_flat_arrays(
     Raises :class:`UnsupportedConfigError` when the config or trace needs
     the scalar oracle (see :meth:`FlatTraceArrays.fallback_reasons`).
     """
-    if np is None:  # pragma: no cover - depends on the environment
-        raise RuntimeError("simulate_flat_arrays requires numpy")
+    np = import_numpy()
     reasons = arrays.fallback_reasons(config)
     if reasons:
         raise UnsupportedConfigError(reasons)
@@ -986,10 +986,9 @@ def simulate_flat_runs(
     call that sent it to the scalar oracle.  With the python backend every
     config replays the oracle (the reference behaviour) with no reasons.
     """
-    from repro.core.backend import resolve_backend
     from repro.memsim.simulator import simulate_flat_trace
 
-    if resolve_backend(backend) != "numpy" or np is None:
+    if resolve_backend(backend) != "numpy":
         return [
             ("oracle", simulate_flat_trace(per_core_traces, config, "python"),
              [])

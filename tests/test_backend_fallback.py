@@ -52,7 +52,7 @@ class TestRunWithFallback:
         assert (result, used, errors) == ("ran:python", "python", [])
 
     def test_vectorized_failure_returns_oracle_result(self):
-        pytest.importorskip("numpy")
+        pytest.importorskip("numpy", exc_type=ImportError)
         calls = []
 
         def fn(name):
@@ -69,7 +69,7 @@ class TestRunWithFallback:
                            "exploded")]
 
     def test_on_fallback_hook_fires_before_retry(self):
-        pytest.importorskip("numpy")
+        pytest.importorskip("numpy", exc_type=ImportError)
         seen = []
 
         def fn(name):
@@ -94,7 +94,7 @@ class TestServiceReportsDegradation:
     """The service path: a fallback surfaces as an explicit degraded flag."""
 
     def test_job_outcome_labels_backend_fallback(self, monkeypatch):
-        pytest.importorskip("numpy")
+        pytest.importorskip("numpy", exc_type=ImportError)
         from repro.service import handlers
         from repro.service.handlers import execute_job
 
@@ -121,7 +121,7 @@ class TestServiceReportsDegradation:
                                                         tiny_vectoradd):
         """The degraded result equals the oracle's: fallback changes the
         execution path, never the numbers."""
-        pytest.importorskip("numpy")
+        pytest.importorskip("numpy", exc_type=ImportError)
         from repro.core.profiler import GmapProfiler
 
         oracle = GmapProfiler(backend="python").profile(tiny_vectoradd)

@@ -226,7 +226,7 @@ class TestTypedErrors:
         assert "unknown benchmark" in err
 
     def test_corrupt_npz_trace_is_typed(self, tmp_path, capsys):
-        pytest.importorskip("numpy")
+        pytest.importorskip("numpy", exc_type=ImportError)
         corrupt = tmp_path / "bad.trace.npz"
         corrupt.write_bytes(b"PK\x03\x04 this is not a real zip")
         assert main(["simulate", str(corrupt)]) == 2

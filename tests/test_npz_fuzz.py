@@ -19,7 +19,7 @@ import zipfile
 
 import pytest
 
-np = pytest.importorskip("numpy")
+np = pytest.importorskip("numpy", exc_type=ImportError)
 
 from repro.core.integrity import CorruptArtifactError  # noqa: E402
 from repro.io.trace_io import load_warp_traces, save_warp_traces  # noqa: E402

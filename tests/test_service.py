@@ -377,7 +377,7 @@ class TestCircuitBreaker:
         assert reasons == []
 
     def test_policy_demotes_with_open_circuit(self):
-        pytest.importorskip("numpy")
+        pytest.importorskip("numpy", exc_type=ImportError)
         clock = [0.0]
         policy = DegradationPolicy(backend="numpy", failure_threshold=1,
                                    cooldown=100.0, clock=lambda: clock[0])

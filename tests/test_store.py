@@ -82,7 +82,7 @@ USERS = {
 def user(request, tmp_path, monkeypatch):
     """``(store, entry path, read, corruption events)`` of one valid entry."""
     if request.param == "pipeline-npz":
-        pytest.importorskip("numpy")
+        pytest.importorskip("numpy", exc_type=ImportError)
     if request.param == "pipeline-json":
         monkeypatch.setattr("repro.core.backend._HAVE_NUMPY", False)
     store, path, read, events = USERS[request.param](tmp_path)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy")
+np = pytest.importorskip("numpy", exc_type=ImportError)
 
 from repro.gpu.executor import kernel_warp_traces  # noqa: E402
 from repro.gpu.hierarchy import LaunchConfig  # noqa: E402

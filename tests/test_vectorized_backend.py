@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-np = pytest.importorskip("numpy")
+np = pytest.importorskip("numpy", exc_type=ImportError)
 
 from repro.core.backend import (
     BACKENDS,

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.backend import numpy_available
 from repro.gpu.instructions import pack
 from repro.gpu.memspace import CONSTANT_BASE, TEXTURE_BASE
-from repro.memsim import vectorized
 from repro.memsim.config import (
     PAPER_BASELINE,
     CacheConfig,
@@ -39,7 +39,7 @@ from repro.memsim.vectorized import (
 from repro.validation import sweeps
 
 pytestmark = pytest.mark.skipif(
-    vectorized.np is None, reason="numpy unavailable"
+    not numpy_available(), reason="numpy unavailable"
 )
 
 GLOBAL_BASE = 0x1000_0000
