@@ -293,7 +293,7 @@ def _bench_memsim(configs, num_cores: int, reps: int = MEMSIM_REPS):
     configs = [c.with_(num_cores=num_cores) for c in configs]
 
     # Warm-up outside the timed region: lazy imports and the array decode.
-    simulate_flat_trace(traces, configs[0], backend="python")
+    simulate_flat_trace(traces, configs[0])
     simulate_flat_multi(traces, configs[:1], backend="numpy")
 
     python_times, numpy_times, single_times = [], [], []
@@ -301,13 +301,13 @@ def _bench_memsim(configs, num_cores: int, reps: int = MEMSIM_REPS):
     for _ in range(reps):
         t0 = time.perf_counter()
         python_results = [
-            simulate_flat_trace(traces, c, backend="python") for c in configs
+            simulate_flat_trace(traces, c) for c in configs
         ]
         t1 = time.perf_counter()
         numpy_results = simulate_flat_multi(traces, configs, backend="numpy")
         t2 = time.perf_counter()
         for config in configs[:2]:
-            simulate_flat_trace(traces, config, backend="python")
+            simulate_flat_trace(traces, config)
         t3 = time.perf_counter()
         python_times.append(t1 - t0)
         numpy_times.append(t2 - t1)

@@ -644,7 +644,7 @@ def _memsim_determinism_lines() -> Tuple[bool, List[str]]:
     python oracle bit-for-bit on supported configs)."""
     from repro.core.backend import numpy_available
     from repro.memsim.config import PAPER_BASELINE
-    from repro.memsim.simulator import simulate_flat_trace
+    from repro.memsim.vectorized import simulate_flat_runs
 
     traces = _determinism_traces()
     config = PAPER_BASELINE.with_(num_cores=len(traces))
@@ -657,7 +657,7 @@ def _memsim_determinism_lines() -> Tuple[bool, List[str]]:
             lines.append(f"verify {label:<23} SKIPPED (no numpy)")
             continue
         runs = [
-            simulate_flat_trace(traces, config, backend=backend).to_dict()
+            simulate_flat_runs(traces, [config], backend)[0][1].to_dict()
             for _ in range(2)
         ]
         stable = runs[0] == runs[1]

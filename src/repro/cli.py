@@ -22,13 +22,12 @@ from repro.core.backend import BACKENDS
 from repro.core.generator import ProxyGenerator
 from repro.core.miniaturize import miniaturize_profile
 from repro.core.profiler import GmapProfiler, unit_streams_from_warp_traces
-from repro.gpu.executor import execute_kernel
 from repro.io.profile_io import load_profile, save_profile
 from repro.io.trace_io import load_warp_traces, save_warp_traces
 from repro.memsim.config import PAPER_BASELINE
 from repro.memsim.simulator import SimtSimulator
 from repro.validation.experiments import EXPERIMENTS
-from repro.validation.harness import run_experiment
+from repro.validation.harness import load_target, run_experiment
 from repro.workloads import suite
 
 
@@ -89,7 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="L2 geometry, e.g. 2097152,16,128")
     p.add_argument("--scheduler", default=None,
                    choices=("lrr", "gto", "schedpself", "twolevel"),
-                   help="warp scheduling policy (default: lrr)")
+                   help="warp scheduling policy (default: lrr; SIMT loop "
+                        "only, refused with --flat/--analytic/--sweep)")
     p.add_argument("--dram-preset", default=None,
                    help="memory preset: gddr3-paper, gddr5, hbm2-like")
     p.add_argument("--flat", action="store_true",
@@ -104,7 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         "histograms with array sorts")
     p.add_argument("--sweep", choices=("l1", "l2"), default=None,
                    help="one-pass multi-config flat replay over this sweep "
-                        "grid (implies --flat; reduced grid unless --full)")
+                        "grid (implies --flat; reduced grid unless --full); "
+                        "the other cache and DRAM overrides apply to every "
+                        "grid point")
     p.add_argument("--full", action="store_true",
                    help="with --sweep: the full paper-sized grid instead of "
                         "the reduced one")
@@ -451,68 +453,66 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.target.endswith((".trace", ".trace.gz", ".trace.npz")):
-        from repro.gpu.executor import assignments_from_traces
+    from repro.gpu.executor import flat_drain
+    from repro.memsim.vectorized import simulate_flat_runs
 
-        traces = load_warp_traces(args.target)
-        assignments = assignments_from_traces(traces, args.cores)
-        label = args.target
-    else:
-        kernel = suite.make(args.target, scale=args.scale)
-        assignments = execute_kernel(kernel, args.cores, backend=args.backend)
-        label = args.target
+    _check_sim_overrides(args)
+    assignments = load_target(
+        args.target, args.cores, args.scale, args.backend)
+    if args.sweep:
+        return _cmd_simulate_sweep(args, flat_drain(assignments))
     config = PAPER_BASELINE.with_(num_cores=args.cores)
     config = _apply_sim_overrides(config, args)
-    if args.sweep:
-        return _cmd_simulate_sweep(args, assignments, label)
-    if args.analytic:
-        from repro.analytical.analytic import AnalyticCacheModel
-        from repro.gpu.executor import flat_drain
-
-        traces = flat_drain(assignments)
-        model = AnalyticCacheModel.from_flat(traces, args.backend)
-        reasons = model.applicability(config)
-        if reasons:
-            for reason in reasons:
-                print(f"analytic fallback: {reason}", file=sys.stderr)
-            result = SimtSimulator(
-                config, backend=args.backend).replay_flat(traces)
-            _print_result(f"{label} (analytic fallback: flat replay)", result)
-        else:
-            result = model.predict(config)
-            _print_result(f"{label} (analytic)", result)
+    if not (args.flat or args.analytic):
+        _print_result(args.target, SimtSimulator(config).run(assignments))
         return 0
-    if args.flat:
-        from repro.gpu.executor import flat_drain
-
-        result = SimtSimulator(config, backend=args.backend).replay_flat(
-            flat_drain(assignments))
-        _print_result(f"{label} (flat replay)", result)
-        return 0
-    result = SimtSimulator(config).run(assignments)
+    [(engine, result, reasons)] = simulate_flat_runs(
+        flat_drain(assignments), [config], args.backend, args.analytic)
+    if not args.analytic:
+        label = f"{args.target} (flat replay)"
+    elif engine == "analytic":
+        label = f"{args.target} (analytic)"
+    else:
+        for reason in reasons:
+            print(f"analytic fallback: {reason}", file=sys.stderr)
+        label = f"{args.target} (analytic fallback: flat replay)"
     _print_result(label, result)
     return 0
 
 
-def _cmd_simulate_sweep(args, assignments, label: str) -> int:
+def _check_sim_overrides(args) -> None:
+    """Refuse an override the requested mode would silently drop."""
+    if args.sweep and getattr(args, args.sweep):
+        raise ValueError(
+            f"--{args.sweep} cannot be combined with --sweep {args.sweep}: "
+            f"the sweep grid sets the {args.sweep.upper()} geometry")
+    fixed_order = [flag for flag in ("flat", "analytic", "sweep")
+                   if getattr(args, flag)]
+    if args.scheduler and fixed_order:
+        raise ValueError(
+            f"--scheduler cannot be combined with --{fixed_order[0]}: "
+            "fixed-order engines have no warp scheduler")
+
+
+def _cmd_simulate_sweep(args, traces) -> int:
     """``gmap simulate --sweep``: one-pass multi-config flat replay,
-    or analytic O(histogram) prediction with ``--analytic``."""
+    or analytic O(histogram) prediction with ``--analytic``; the
+    ``--l1``/``--l2``/``--dram-preset`` overrides apply to every point."""
     import json
 
-    from repro.gpu.executor import flat_drain
     from repro.memsim.simulator import sweep_report
     from repro.validation import sweeps as sweep_grids
 
     grids = {"l1": sweep_grids.l1_sweep, "l2": sweep_grids.l2_sweep}
     configs = [
-        config.with_(num_cores=args.cores)
+        _apply_sim_overrides(config.with_(num_cores=args.cores), args)
         for config in grids[args.sweep](reduced=not args.full)
     ]
     report = sweep_report(
-        flat_drain(assignments), configs, backend=args.backend,
-        target=label, analytic=args.analytic)
+        traces, configs, backend=args.backend, target=args.target,
+        analytic=args.analytic)
     requested = report["engine"]
-    print(f"== {label}: {requested} {args.sweep} sweep, "
+    print(f"== {args.target}: {requested} {args.sweep} sweep, "
           f"{report['num_configs']} configs, backend={report['backend']}")
     for entry in report["results"]:
         block = entry["result"]

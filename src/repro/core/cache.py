@@ -33,7 +33,7 @@ import pickle
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.core.backend import import_numpy, numpy_available
+from repro.core.backend import import_numpy
 from repro.core.integrity import CorruptArtifactError, integrity_events
 from repro.core.profile import GmapProfile
 from repro.core.store import ContentStore
@@ -187,7 +187,7 @@ class ArtifactCache:
 
     * ``pipeline/`` — profile + original/proxy warp traces of one
       ``build_pipeline`` invocation: a binary columnar ``.npz`` container
-      when NumPy is present, gzipped JSON otherwise;
+      for a numpy-backend pipeline, gzipped JSON for a python one;
     * ``sdprofile/`` — one model's stack-distance profile of one kernel;
     * ``pair/`` — the original+proxy :class:`SimResult` of one
       (pipeline, configuration) sweep point.
@@ -246,18 +246,20 @@ class ArtifactCache:
 
     # -- pipeline artifacts -------------------------------------------------
     #
-    # Pipeline entries hold the bulky artifacts (two full warp-trace sets),
-    # so with NumPy available they use the binary columnar container
+    # Pipeline entries hold the bulky artifacts (two full warp-trace sets).
+    # A numpy-backend pipeline uses the binary columnar container
     # (:mod:`repro.memsim.arrays`) instead of per-record JSON — loading one
     # is a few array reads, which is what lets cold parallel workers fetch
-    # a pipeline another worker built without re-paying a parse.  Without
-    # NumPy the gzipped-JSON layout is used; both go through the store's
-    # read rule and share the schema version.
+    # a pipeline another worker built without re-paying a parse.  A
+    # python-backend pipeline uses gzipped JSON, so a cached python run
+    # never imports NumPy.  The backend is part of the key, so the two
+    # formats never hold the same entry; both go through the store's read
+    # rule and share the schema version.
 
-    def pipeline_entry_path(self, key: str) -> Path:
-        """On-disk location of a pipeline entry in the active format."""
+    def pipeline_entry_path(self, key: str, backend: str) -> Path:
+        """On-disk location of a pipeline entry built on ``backend``."""
         return self.content.path(
-            "pipeline", key, "npz" if numpy_available() else "json.gz")
+            "pipeline", key, "npz" if backend == "numpy" else "json.gz")
 
     @staticmethod
     def _decode_pipeline_npz(path: Path):
@@ -275,11 +277,11 @@ class ArtifactCache:
         return profile, original, proxy, header.get("meta", {})
 
     def load_pipeline(
-        self, key: str
+        self, key: str, backend: str
     ) -> Optional[Tuple[GmapProfile, List[CoreAssignment], List[CoreAssignment], dict]]:
         """Returns (profile, original, proxy, meta) or None on miss."""
-        path = self.pipeline_entry_path(key)
-        if numpy_available():
+        path = self.pipeline_entry_path(key, backend)
+        if backend == "numpy":
             return self.content.read(path, self._decode_pipeline_npz)
         return self.content.load(path, lambda payload: (
             GmapProfile.from_dict(payload["profile"]),
@@ -291,13 +293,15 @@ class ArtifactCache:
     def store_pipeline(
         self,
         key: str,
+        backend: str,
         profile: GmapProfile,
         original: List[CoreAssignment],
         proxy: List[CoreAssignment],
         meta: dict,
     ) -> None:
-        path = self.pipeline_entry_path(key)
-        if not numpy_available():
+        """Write one pipeline entry in ``backend``'s format."""
+        path = self.pipeline_entry_path(key, backend)
+        if backend != "numpy":
             self.content.save(path, {
                 "profile": profile.to_dict(),
                 "original": assignments_to_payload(original),

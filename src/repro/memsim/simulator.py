@@ -9,6 +9,12 @@ fail to hide) memory latency in the model.
 
 The same loop simulates original applications and G-MAP proxies — both are
 just lists of :class:`~repro.gpu.executor.CoreAssignment`.
+
+Fixed-order streams (trace files, Algorithm 2's round-robin drain) have no
+latency feedback; they go through the engine chain
+:func:`~repro.memsim.vectorized.simulate_flat_runs`, whose last engine is
+this module's scalar oracle :func:`simulate_flat_trace`.
+:func:`sweep_report` formats the chain's runs as a ``gmap-sweep`` artifact.
 """
 
 from __future__ import annotations
@@ -218,33 +224,14 @@ class SimtSimulator:
     inter-kernel reuse.  Each returned :class:`SimResult` holds snapshots
     of the cumulative counters, so a later run does not change it.
 
-    ``backend`` selects the memsim implementation for the *fixed-order*
-    replay path (:meth:`replay_flat`): ``"numpy"`` uses the array-resident
-    engine in :mod:`repro.memsim.vectorized` where the configuration
-    permits, ``"python"`` (the default) the scalar oracle.  The
-    latency-feedback loop (:meth:`run`) is inherently order-dependent and
-    always runs the scalar oracle regardless of backend.
+    The latency-feedback loop is order-dependent, so it always runs this
+    scalar oracle.  Fixed-order streams go through the engine chain,
+    :func:`~repro.memsim.vectorized.simulate_flat_runs`.
     """
 
-    def __init__(self, config: SimConfig, backend: Optional[str] = None) -> None:
-        from repro.core.backend import resolve_backend
-
+    def __init__(self, config: SimConfig) -> None:
         self.config = config
-        self.backend = resolve_backend(backend)
         self.hierarchy = MemoryHierarchy(config)
-
-    def replay_flat(
-        self, per_core_traces: Sequence[Sequence[AccessTuple]]
-    ) -> SimResult:
-        """Replay pre-interleaved per-core traces on this config.
-
-        Unlike :meth:`run` this uses a fresh hierarchy per call (flat
-        replay has no warp-queue state to carry over) and honours the
-        simulator's backend selection.
-        """
-        return simulate_flat_trace(
-            per_core_traces, self.config, backend=self.backend
-        )
 
     def run(
         self,
@@ -313,7 +300,6 @@ def simulate(
 def simulate_flat_trace(
     per_core_traces: Sequence[Sequence[AccessTuple]],
     config: SimConfig,
-    backend: Optional[str] = None,
 ) -> SimResult:
     """Simulate pre-interleaved per-core traces (no scheduling feedback).
 
@@ -326,19 +312,10 @@ def simulate_flat_trace(
     the core's clock advances past them, so a barrier-heavy core does not
     unfairly win every interleaving tie against cores doing real work.
 
-    With ``backend="numpy"`` the replay runs on the array-resident engine
-    (:mod:`repro.memsim.vectorized`), bit-identical for supported
-    configurations; configurations outside its matrix (prefetchers,
-    non-LRU replacement, ...) transparently replay on this scalar oracle.
+    This is the scalar oracle, the last engine of the fixed-order engine
+    chain (:func:`~repro.memsim.vectorized.simulate_flat_runs`), which
+    every flat and analytic run goes through.
     """
-    from repro.core.backend import resolve_backend
-
-    if resolve_backend(backend) == "numpy":
-        from repro.memsim.vectorized import simulate_flat_runs
-
-        # Configs the array engine declines come back through the python
-        # path below.
-        return simulate_flat_runs(per_core_traces, [config], "numpy")[0][1]
     hierarchy = MemoryHierarchy(config)
     clocks = [0.0] * len(per_core_traces)
     cursors = [0] * len(per_core_traces)
@@ -388,65 +365,43 @@ def sweep_report(
 ) -> dict:
     """One flat trace under N configurations, as the ``gmap-sweep`` artifact.
 
-    The report's ``engine`` is the engine requested: ``analytic`` with
-    ``analytic=True`` (O(histogram) predictions from the trace's reuse
-    profiles), otherwise ``array`` on the numpy backend and ``oracle`` on
-    the python one.  Every config the requested engine refuses runs one
-    step down the chain, and all of them replay together in one
-    :func:`~repro.memsim.vectorized.simulate_flat_runs` pass.  Each result
-    names the engine that produced it; ``fallbacks`` lists, per config
-    index, the reasons the engines acted on when they declined it.
-    ``tolerance`` (the stated miss-rate envelope of predictions) appears
-    only on analytic sweeps.  ``gmap check`` validates the artifact with
+    The configs run through the engine chain
+    (:func:`~repro.memsim.vectorized.simulate_flat_runs`); this function
+    only formats its runs.  The report's ``engine`` is the engine
+    requested: ``analytic`` with ``analytic=True``, otherwise ``array`` on
+    the numpy backend and ``oracle`` on the python one.  Each result names
+    the engine that produced it; ``fallbacks`` lists, per config index,
+    the reasons the engines gave when they declined it.  ``tolerance``
+    (the stated miss-rate envelope of predictions) appears only on
+    analytic sweeps.  ``gmap check`` validates the artifact with
     :func:`repro.analysis.verify.verify_sweep_report`.
     """
     from repro.core.backend import resolve_backend
     from repro.core.cache import config_fingerprint
-    from repro.memsim.capabilities import merge_reasons
     from repro.memsim.vectorized import simulate_flat_runs
 
     resolved = resolve_backend(backend)
-    ran: Dict[int, Tuple[str, SimResult]] = {}
-    reasons: Dict[int, List[str]] = {}
-    replay = list(range(len(configs)))
+    runs = simulate_flat_runs(per_core_traces, configs, resolved, analytic)
     report: dict = {
         "format": SWEEP_FORMAT,
         "schema_version": SWEEP_SCHEMA_VERSION,
         "target": target,
         "backend": resolved,
-        "engine": "array" if resolved == "numpy" else "oracle",
+        "engine": ("analytic" if analytic
+                   else "array" if resolved == "numpy" else "oracle"),
         "num_configs": len(configs),
     }
     if analytic:
-        from repro.analytical.analytic import (
-            ANALYTIC_MISS_RATE_TOLERANCE,
-            AnalyticCacheModel,
-        )
+        from repro.analytical.analytic import ANALYTIC_MISS_RATE_TOLERANCE
 
-        model = AnalyticCacheModel.from_flat(per_core_traces, resolved)
-        replay = []
-        for index, config in enumerate(configs):
-            refused = model.applicability(config)
-            if refused:
-                replay.append(index)
-                reasons[index] = refused
-            else:
-                ran[index] = ("analytic", model.predict(config))
-        report["engine"] = "analytic"
         report["tolerance"] = ANALYTIC_MISS_RATE_TOLERANCE
-    runs = simulate_flat_runs(
-        per_core_traces, [configs[i] for i in replay], resolved)
-    for index, (engine, result, refused) in zip(replay, runs):
-        ran[index] = (engine, result)
-        if refused:
-            reasons[index] = merge_reasons(reasons.get(index, []), refused)
     report["results"] = [
-        {"config": config_fingerprint(config), "engine": ran[index][0],
-         "result": ran[index][1].to_dict()}
-        for index, config in enumerate(configs)
+        {"config": config_fingerprint(config), "engine": engine,
+         "result": result.to_dict()}
+        for config, (engine, result, _) in zip(configs, runs)
     ]
     report["fallbacks"] = [
-        {"index": index, "reasons": reasons[index]}
-        for index in sorted(reasons)
+        {"index": index, "reasons": reasons}
+        for index, (_, _, reasons) in enumerate(runs) if reasons
     ]
     return report

@@ -1,12 +1,13 @@
 """Array-resident memsim: vectorized flat-trace cache simulation.
 
 The scalar event loops in :mod:`repro.memsim.simulator` are the repo's
-bit-exact oracles.  This module is the numpy backend for the *fixed-order*
-replay path (:func:`~repro.memsim.simulator.simulate_flat_trace`): when the
-interleaving of requests does not depend on simulated latency — trace-file
-replay and Algorithm 2's round-robin drain — the global access order is
-statically computable, and the cache layer becomes a batch problem instead
-of a per-access python call chain.
+bit-exact oracles.  This module holds the *fixed-order* engine chain
+(:func:`simulate_flat_runs`: analytic, then array, then the oracle
+:func:`~repro.memsim.simulator.simulate_flat_trace`) and its numpy array
+engine: when the interleaving of requests does not depend on simulated
+latency — trace-file replay and Algorithm 2's round-robin drain — the
+global access order is statically computable, and the cache layer becomes
+a batch problem instead of a per-access python call chain.
 
 The hybrid scheme splits one simulation into three array phases plus one
 bounded scalar window:
@@ -34,9 +35,10 @@ Configurations the capability table
 inclusive L2), and traces with traffic into a configured texture/constant
 cache, fall back to the python oracle — detected from
 :class:`~repro.memsim.config.SimConfig` and the decoded trace, never
-guessed.  See ``docs/performance.md`` for the full matrix.
+guessed, and returned as the run's reasons.  See ``docs/performance.md``
+for the full matrix.
 
-On top of the shared phases, :func:`simulate_flat_multi` runs **one-pass
+On top of the shared phases, :func:`simulate_flat_runs` runs **one-pass
 multi-config sweeps**: a single decode + order resolution fans out to N
 configurations that reuse the tag/set arrays, so a 6-config sweep costs
 one trace pass plus six cheap array phases.
@@ -63,13 +65,19 @@ from repro.gpu.memspace import (
     TEXTURE_SIZE,
 )
 from repro.core.backend import import_numpy, resolve_backend
-from repro.memsim.capabilities import UnsupportedConfigError, fallback_reasons
+from repro.memsim.capabilities import (
+    UnsupportedConfigError,
+    fallback_reasons,
+    merge_reasons,
+)
 from repro.memsim.config import SimConfig
 from repro.memsim.dram import DramModel
 from repro.memsim.stats import CacheStats, SimResult
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from repro.analytical.analytic import AnalyticCacheModel
 
 
 def decode_records(trace: Sequence[AccessTuple], core: int = 0):
@@ -957,51 +965,62 @@ def simulate_flat_arrays(
     )
 
 
-def simulate_flat_numpy(
-    per_core_traces: Sequence[Sequence[AccessTuple]], config: SimConfig
-) -> SimResult:
-    """Decode + simulate one flat trace with the array backend.
-
-    Raises :class:`UnsupportedConfigError` for out-of-matrix configs —
-    callers that want silent degradation go through
-    :func:`repro.memsim.simulator.simulate_flat_trace` with
-    ``backend="numpy"``, which catches it and replays the oracle.
-    """
-    return simulate_flat_arrays(FlatTraceArrays(per_core_traces), config)
-
-
 def simulate_flat_runs(
     per_core_traces: Sequence[Sequence[AccessTuple]],
     configs: Sequence[SimConfig],
     backend: Optional[str] = None,
+    analytic: bool = False,
+    models: Sequence["AnalyticCacheModel"] = (),
 ) -> List[Tuple[str, SimResult, List[str]]]:
-    """One-pass multi-config sweep of one flat trace, with its engines.
+    """The engine chain of a fixed-order stream: one run per config.
 
-    With the numpy backend the trace is decoded and order-resolved once
-    (:class:`FlatTraceArrays`); every configuration then reuses the shared
-    tag/set source arrays, so N configs cost one trace pass plus N array
-    phases.  Returns one ``(engine, result, reasons)`` triple per config:
-    ``engine`` is ``"array"`` or ``"oracle"``, and ``reasons`` are the
-    ones the array engine raised when it declined the config — the same
-    call that sent it to the scalar oracle.  With the python backend every
-    config replays the oracle (the reference behaviour) with no reasons.
+    Engines answer in order.  With ``analytic`` the ``analytic`` engine
+    predicts every config its reuse model accepts; the ``array`` engine
+    (numpy backend) replays the rest it supports, and the scalar
+    ``oracle`` (:func:`~repro.memsim.simulator.simulate_flat_trace`)
+    replays whatever is left.  Returns one ``(engine, result, reasons)``
+    triple per config: the engine that ran, its result, and the reasons
+    the engines above it gave when they declined the config, in chain
+    order (empty when the first engine ran).
+
+    ``models`` are the analytic engine's reuse models, by default one
+    built from ``per_core_traces``.  The first one predicts, and a config
+    is predicted only when no model refuses it: the two streams of an
+    original/proxy pair each pass both models, so they take one engine.
+
+    On the numpy backend the trace is decoded and order-resolved once
+    (:class:`FlatTraceArrays`) and every replayed config reuses the
+    shared tag/set arrays, so N configs cost one trace pass plus N array
+    phases.
     """
     from repro.memsim.simulator import simulate_flat_trace
 
-    if resolve_backend(backend) != "numpy":
-        return [
-            ("oracle", simulate_flat_trace(per_core_traces, config, "python"),
-             [])
-            for config in configs
-        ]
-    arrays = FlatTraceArrays(per_core_traces)
+    resolved = resolve_backend(backend)
     runs: List[Tuple[str, SimResult, List[str]]] = []
+    arrays: Optional[FlatTraceArrays] = None
+    if analytic and not models:
+        from repro.analytical.analytic import AnalyticCacheModel
+
+        models = (AnalyticCacheModel.from_flat(per_core_traces, resolved),)
     for config in configs:
-        try:
-            runs.append(("array", simulate_flat_arrays(arrays, config), []))
-        except UnsupportedConfigError as exc:
-            oracle = simulate_flat_trace(per_core_traces, config, "python")
-            runs.append(("oracle", oracle, exc.reasons))
+        reasons: List[str] = []
+        if analytic:
+            reasons = merge_reasons(
+                *(model.applicability(config) for model in models))
+            if not reasons:
+                runs.append(("analytic", models[0].predict(config), []))
+                continue
+        if resolved == "numpy":
+            if arrays is None:
+                arrays = FlatTraceArrays(per_core_traces)
+            try:
+                runs.append(
+                    ("array", simulate_flat_arrays(arrays, config), reasons))
+                continue
+            except UnsupportedConfigError as exc:
+                reasons = merge_reasons(reasons, exc.reasons)
+        runs.append(
+            ("oracle", simulate_flat_trace(per_core_traces, config), reasons))
     return runs
 
 

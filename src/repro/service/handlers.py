@@ -151,32 +151,26 @@ def _handle_simulate(params: Dict[str, Any], backend: str) -> Dict[str, Any]:
       baseline, falling back to flat replay when the baseline is outside
       the model.
 
-    The flat paths dispatch on ``backend``, so a numpy-memsim failure flows
-    through :func:`~repro.core.backend.run_with_fallback` (degraded result,
+    Flat and analytic jobs run one config, or the sweep grid, through the
+    engine chain (:func:`~repro.memsim.vectorized.simulate_flat_runs`), the
+    same one ``gmap simulate`` and the sweep engine use.  It dispatches on
+    ``backend``, so a numpy-memsim failure flows through
+    :func:`~repro.core.backend.run_with_fallback` (degraded result,
     ``backend_fallback:numpy:...`` reason) and feeds the service's
     per-stage circuit breakers — analytic jobs through their own
     ``analytic`` stage, replay jobs through ``memsim``.
     """
-    from repro.gpu.executor import (
-        assignments_from_traces,
-        execute_kernel,
-        flat_drain,
-    )
+    from repro.gpu.executor import flat_drain
     from repro.memsim.config import PAPER_BASELINE
     from repro.memsim.simulator import SimtSimulator, sweep_report
-    from repro.workloads import suite
+    from repro.memsim.vectorized import simulate_flat_runs
+    from repro.validation.harness import load_target
 
     target = params["target"]
     cores = int(params.get("cores", PAPER_BASELINE.num_cores))
-    if target.endswith((".trace", ".trace.gz", ".trace.npz")):
-        from repro.io.trace_io import load_warp_traces
-
-        traces = load_warp_traces(target)
-        assignments = assignments_from_traces(traces, cores)
-    else:
-        kernel = suite.make(target, scale=params.get("scale", "small"))
-        assignments = execute_kernel(kernel, cores, backend=backend)
-    config = PAPER_BASELINE.with_(num_cores=cores)
+    assignments = load_target(
+        target, cores, params.get("scale", "small"), backend)
+    analytic = bool(params.get("analytic"))
     sweep = params.get("sweep")
     if sweep:
         from repro.validation import sweeps as sweep_grids
@@ -190,34 +184,27 @@ def _handle_simulate(params: Dict[str, Any], backend: str) -> Dict[str, Any]:
             c.with_(num_cores=cores)
             for c in maker(reduced=not params.get("full", False))
         ]
-        analytic = bool(params.get("analytic"))
         report = sweep_report(
             flat_drain(assignments), configs, backend=backend, target=target,
             analytic=analytic)
         return {"target": target,
                 "sim_mode": "analytic" if analytic else "flat", **report}
-    if params.get("analytic"):
-        from repro.analytical.analytic import AnalyticCacheModel
-
-        traces = flat_drain(assignments)
-        model = AnalyticCacheModel.from_flat(traces, backend)
-        reasons = model.applicability(config)
-        if reasons:
-            result = SimtSimulator(config, backend=backend).replay_flat(traces)
-            return {"target": target, "sim_mode": "analytic",
-                    "analytic": False, "fallback_reasons": reasons,
-                    "backend": backend,
-                    "result": _sim_result_dict(result)}
-        return {"target": target, "sim_mode": "analytic", "analytic": True,
-                "result": _sim_result_dict(model.predict(config))}
-    if params.get("flat"):
-        result = SimtSimulator(config, backend=backend).replay_flat(
-            flat_drain(assignments))
-        return {"target": target, "sim_mode": "flat", "backend": backend,
+    config = PAPER_BASELINE.with_(num_cores=cores)
+    if not (analytic or params.get("flat")):
+        result = SimtSimulator(config).run(assignments)
+        return {"target": target, "sim_mode": "simt",
                 "result": _sim_result_dict(result)}
-    result = SimtSimulator(config).run(assignments)
-    return {"target": target, "sim_mode": "simt",
-            "result": _sim_result_dict(result)}
+    [(engine, result, reasons)] = simulate_flat_runs(
+        flat_drain(assignments), [config], backend, analytic)
+    block = _sim_result_dict(result)
+    if not analytic:
+        return {"target": target, "sim_mode": "flat", "backend": backend,
+                "result": block}
+    if engine == "analytic":
+        return {"target": target, "sim_mode": "analytic", "analytic": True,
+                "result": block}
+    return {"target": target, "sim_mode": "analytic", "analytic": False,
+            "fallback_reasons": reasons, "backend": backend, "result": block}
 
 
 def _handle_validate(params: Dict[str, Any], backend: str) -> Dict[str, Any]:

@@ -8,7 +8,7 @@ proxy across a configuration sweep and compare metrics per configuration.
 The harness is the engine behind every Figure 6/7/8 bench target and the
 `gmap validate` CLI command.
 
-Two simulation modes drive each sweep point (``sim_mode``):
+Three simulation modes drive each sweep point (``sim_mode``):
 
 ``simt``
     the default latency-feedback SIMT loop (:meth:`SimtSimulator.run`) —
@@ -17,17 +17,21 @@ Two simulation modes drive each sweep point (``sim_mode``):
 ``flat``
     fixed-order replay of Algorithm 2's round-robin drain
     (:func:`~repro.gpu.executor.flat_drain`): the interleaving is static,
-    which makes the array-resident memsim backend applicable — and a whole
-    sweep collapses into a **one-pass multi-config** run
-    (:func:`replay_sweep`) where the trace is decoded once and every
-    configuration reuses the shared arrays.
+    so both streams go through the engine chain
+    (:func:`~repro.memsim.vectorized.simulate_flat_runs`), the array
+    engine on numpy, else the scalar oracle, one decode per stream for
+    the whole sweep (:func:`replay_sweep`);
 ``analytic``
-    no replay at all: the flat traces are scanned once per cache geometry
-    into exact per-set stack-distance histograms and every configuration
-    is predicted in O(histogram)
-    (:class:`~repro.analytical.analytic.AnalyticCacheModel`).  Configs the
-    model cannot capture fall back to flat replay per config, with the
-    reasons recorded in the sweep's ``analytic_fallbacks`` matrix.
+    the same chain with the analytic engine first: the flat traces are
+    scanned once per cache geometry into exact per-set stack-distance
+    histograms and every configuration both streams' models accept is
+    predicted in O(histogram)
+    (:class:`~repro.analytical.analytic.AnalyticCacheModel`); the rest
+    replay, with the reasons recorded in the sweep's
+    ``analytic_fallbacks`` matrix (:func:`analytic_sweep`).
+
+A one-config flat or analytic pair is ``run_sweep(pipeline, [config],
+sim_mode=...)``.
 """
 
 from __future__ import annotations
@@ -45,12 +49,16 @@ from repro.core.miniaturize import miniaturize_profile
 from repro.core.profile import GmapProfile
 from repro.core.profiler import GmapProfiler
 from repro.gpu.executor import (
-    CoreAssignment, assigned_warp_traces, execute_kernel, flat_drain,
+    CoreAssignment,
+    assigned_warp_traces,
+    assignments_from_traces,
+    execute_kernel,
+    flat_drain,
 )
 from repro.gpu.instructions import AccessTuple
 from repro.memsim.capabilities import merge_reasons
 from repro.memsim.config import SimConfig
-from repro.memsim.simulator import SimtSimulator, simulate_flat_trace
+from repro.memsim.simulator import SimtSimulator
 from repro.memsim.stats import SimResult
 from repro.validation.metrics import SweepComparison
 from repro.validation.resilience import ChunkFailure
@@ -193,6 +201,29 @@ def _same_simulated_input(
     return True
 
 
+def load_target(
+    target: str,
+    num_cores: int,
+    scale: str = "small",
+    backend: Optional[str] = None,
+) -> List[CoreAssignment]:
+    """The core assignments of one ``simulate`` target.
+
+    A warp-trace file (``.trace``, ``.trace.gz`` or ``.trace.npz``) is
+    placed on ``num_cores`` cores; any other target names a suite
+    benchmark, executed at ``scale`` on ``backend``'s front end.  This is
+    the one loader of ``gmap simulate`` and the service's simulate job.
+    """
+    if target.endswith((".trace", ".trace.gz", ".trace.npz")):
+        from repro.io.trace_io import load_warp_traces
+
+        return assignments_from_traces(load_warp_traces(target), num_cores)
+    from repro.workloads import suite
+
+    return execute_kernel(
+        suite.make(target, scale=scale), num_cores, backend=backend)
+
+
 def build_pipeline(
     kernel: KernelModel,
     num_cores: int = 15,
@@ -250,7 +281,7 @@ def build_pipeline(
             coalescing=getattr(profiler, "coalescing", True),
             backend=backend,
         )
-        cached = cache.load_pipeline(key)
+        cached = cache.load_pipeline(key, backend)
         if cached is not None:
             profile, original, proxy, meta = cached
             if verify:
@@ -297,7 +328,7 @@ def build_pipeline(
     )
     if cache is not None and key is not None:
         cache.store_pipeline(
-            key, profile, original, proxy,
+            key, backend, profile, original, proxy,
             meta={
                 "benchmark": kernel.name,
                 "profiling_seconds": pipeline.profiling_seconds,
@@ -336,10 +367,8 @@ def simulate_pair(
     config: SimConfig,
     track_scheduling: bool = True,
     cache: Union[None, bool, ArtifactCache] = None,
-    sim_mode: str = "simt",
-    backend: Optional[str] = None,
 ) -> RunPair:
-    """Simulate original and proxy under one configuration.
+    """Simulate original and proxy under one configuration (SIMT loop).
 
     When the configuration uses a non-LRR scheduler, the proxy is driven by
     the paper's ``SchedP_self`` abstraction (section 4.5): the original run
@@ -352,42 +381,10 @@ def simulate_pair(
 
     With a ``cache`` and a pipeline that carries a ``cache_key``, the whole
     result pair is memoized per configuration — a warm sweep point costs one
-    cache read instead of two simulations.
-
-    ``sim_mode="flat"`` replays both streams in fixed order instead of the
-    latency-feedback loop; ``backend`` then selects the memsim
-    implementation (``"numpy"`` for the array-resident engine).  Flat pairs
-    have no scheduler feedback (``SchedP_self`` does not apply) and are not
-    pair-cached: the pair cache keys encode only (pipeline, config), and a
-    flat result must never shadow a SIMT one.
-
-    ``sim_mode="analytic"`` predicts both streams from the pipeline's
-    memoized reuse models instead of replaying; a config outside the model
-    silently falls back to flat replay (``pair.analytic`` records which
-    path ran — use :func:`analytic_sweep` when the reasons matter).
+    cache read instead of two simulations.  The pair cache holds SIMT pairs
+    only: a flat or analytic pair is ``run_sweep(pipeline, [config],
+    sim_mode=...)``, which never reads or writes it.
     """
-    mode = resolve_sim_mode(sim_mode)
-    if mode == "analytic":
-        model = pipeline.original_model(backend)
-        proxy_model = pipeline.proxy_model(backend)
-        if not merge_reasons(model.applicability(config),
-                             proxy_model.applicability(config)):
-            return RunPair(
-                config=config,
-                original=model.predict(config),
-                proxy=proxy_model.predict(config),
-                analytic=True,
-            )
-        mode = "flat"
-    if mode == "flat":
-        original = simulate_flat_trace(
-            pipeline.original_flat(), config, backend=backend)
-        if pipeline.proxy_is_original:
-            proxy = original.copy()
-        else:
-            proxy = simulate_flat_trace(
-                pipeline.proxy_flat(), config, backend=backend)
-        return RunPair(config=config, original=original, proxy=proxy)
     cache = resolve_cache(cache)
     pair_key = None
     if cache is not None and pipeline.cache_key is not None:
@@ -419,10 +416,11 @@ class SweepResult:
     resilient sweep engine — the sweep is then *partial*: ``pairs`` holds
     only the configurations that completed.
 
-    ``analytic_fallbacks`` is the ``analytic``-mode applicability matrix:
-    one ``{"config": fingerprint, "reasons": [...]}`` entry per sweep
-    config the reuse model refused and replay simulated instead (empty
-    for other modes, and for analytic sweeps fully inside the model).
+    ``analytic_fallbacks`` is the engine chain's fallback matrix: one
+    ``{"config": fingerprint, "reasons": [...]}`` entry per sweep config
+    that an engine of the chain declined — the reuse model in
+    ``analytic`` mode, then the array engine on numpy (empty for
+    ``simt`` sweeps, and wherever the first engine took every config).
     """
 
     benchmark: str
@@ -448,42 +446,16 @@ def replay_sweep(
     configs: Sequence[SimConfig],
     backend: Optional[str] = None,
 ) -> SweepResult:
-    """One-pass flat-replay sweep: N configs, one trace decode per stream.
+    """Fixed-order replay of both streams under every config.
 
-    Both the original's and the proxy's fixed-order traces are decoded once
-    (:class:`~repro.memsim.vectorized.FlatTraceArrays`) and fanned out to
-    every configuration through
-    :func:`~repro.memsim.vectorized.simulate_flat_multi` — the one-pass
-    multi-config path.  A proxy that is the original
-    (:attr:`BenchmarkPipeline.proxy_is_original`) is not replayed again:
-    it gets copies of the original's results.  With ``backend="python"``
-    (or out-of-matrix configurations) each config replays the scalar
-    oracle instead, bit-identical to calling :func:`simulate_pair` with
-    ``sim_mode="flat"`` per config.
+    Each stream goes through the engine chain once
+    (:func:`~repro.memsim.vectorized.simulate_flat_runs`): on numpy it is
+    decoded once and every config the array engine supports reuses the
+    arrays; the rest, and every config on python, replay the scalar
+    oracle.  Configs the array engine declined carry its reasons in
+    ``analytic_fallbacks``.
     """
-    originals, proxies = _replay_both(pipeline, configs, backend)
-    result = SweepResult(benchmark=pipeline.name)
-    for config, original, proxy in zip(configs, originals, proxies):
-        result.pairs.append(
-            RunPair(config=config, original=original, proxy=proxy))
-    return result
-
-
-def _replay_both(
-    pipeline: BenchmarkPipeline,
-    configs: Sequence[SimConfig],
-    backend: Optional[str],
-) -> Tuple[List[SimResult], List[SimResult]]:
-    """One-pass multi-config replay of both streams (once when identical)."""
-    from repro.memsim.vectorized import simulate_flat_multi
-
-    originals = simulate_flat_multi(
-        pipeline.original_flat(), configs, backend=backend)
-    if pipeline.proxy_is_original:
-        return originals, [result.copy() for result in originals]
-    proxies = simulate_flat_multi(
-        pipeline.proxy_flat(), configs, backend=backend)
-    return originals, proxies
+    return _chain_sweep(pipeline, configs, backend, analytic=False)
 
 
 def analytic_sweep(
@@ -493,46 +465,55 @@ def analytic_sweep(
 ) -> SweepResult:
     """O(histogram) sweep with per-config fallback to flat replay.
 
-    Every config inside both streams' reuse models is predicted from the
-    memoized per-geometry scans; the rest are batched through the one-pass
-    multi-config replay (:func:`replay_sweep`'s engine) and their refusal
-    reasons recorded in ``analytic_fallbacks`` — the sweep-level mirror of
-    the ``gmap-sweep`` artifact's ``fallbacks`` contract, so a caller can
+    :func:`replay_sweep` with the analytic engine first in the chain:
+    every config inside both streams' memoized reuse models is predicted
+    from the per-geometry scans, the rest replay, and their refusal
+    reasons are recorded in ``analytic_fallbacks`` — the sweep-level
+    mirror of the ``gmap-sweep`` artifact's ``fallbacks``, so a caller can
     always tell which points are model predictions and why the others are
     not.  ``backend`` picks both the models' scans (``numpy``: the array
     scan; ``python``: the scalar oracle, bit-identical) and the fallback
     replay engine.
     """
-    from repro.core.cache import config_fingerprint
+    return _chain_sweep(pipeline, configs, backend, analytic=True)
 
-    model = pipeline.original_model(backend)
-    proxy_model = pipeline.proxy_model(backend)
+
+def _chain_sweep(
+    pipeline: BenchmarkPipeline,
+    configs: Sequence[SimConfig],
+    backend: Optional[str],
+    analytic: bool,
+) -> SweepResult:
+    """Both streams through the engine chain; a proxy that is the original
+    (:attr:`BenchmarkPipeline.proxy_is_original`) gets copies of the
+    original's runs.  Each stream passes both streams' models, so a pair
+    is predicted only when both models accept its config."""
+    from repro.core.cache import config_fingerprint
+    from repro.memsim.vectorized import simulate_flat_runs
+
+    models: Tuple["AnalyticCacheModel", ...] = ()
+    if analytic:
+        models = (pipeline.original_model(backend),
+                  pipeline.proxy_model(backend))
+    originals = simulate_flat_runs(
+        pipeline.original_flat(), configs, backend, analytic, models)
+    if pipeline.proxy_is_original:
+        proxies = [(engine, result.copy(), reasons)
+                   for engine, result, reasons in originals]
+    else:
+        proxies = simulate_flat_runs(
+            pipeline.proxy_flat(), configs, backend, analytic, models[::-1])
     result = SweepResult(benchmark=pipeline.name)
-    pairs: List[Optional[RunPair]] = [None] * len(configs)
-    fallback_indices: List[int] = []
-    for index, config in enumerate(configs):
-        reasons = merge_reasons(model.applicability(config),
-                                proxy_model.applicability(config))
+    for config, (engine, original, reasons), (_, proxy, proxy_reasons) in zip(
+        configs, originals, proxies
+    ):
+        result.pairs.append(RunPair(config=config, original=original,
+                                    proxy=proxy,
+                                    analytic=engine == "analytic"))
+        reasons = merge_reasons(reasons, proxy_reasons)
         if reasons:
-            fallback_indices.append(index)
             result.analytic_fallbacks.append(
                 {"config": config_fingerprint(config), "reasons": reasons})
-        else:
-            pairs[index] = RunPair(
-                config=config,
-                original=model.predict(config),
-                proxy=proxy_model.predict(config),
-                analytic=True,
-            )
-    if fallback_indices:
-        originals, proxies = _replay_both(
-            pipeline, [configs[i] for i in fallback_indices], backend)
-        for index, original, proxy in zip(
-            fallback_indices, originals, proxies
-        ):
-            pairs[index] = RunPair(
-                config=configs[index], original=original, proxy=proxy)
-    result.pairs = [pair for pair in pairs if pair is not None]
     return result
 
 
@@ -545,16 +526,14 @@ def run_sweep(
 ) -> SweepResult:
     """Simulate one benchmark's original and proxy across a sweep.
 
-    ``sim_mode="flat"`` routes the whole sweep through the one-pass
-    multi-config path (:func:`replay_sweep`); ``sim_mode="analytic"``
-    predicts every in-model config from reuse histograms and replays only
-    the fallbacks (:func:`analytic_sweep`).
+    ``sim_mode="flat"`` runs both streams through the engine chain
+    (:func:`replay_sweep`); ``sim_mode="analytic"`` puts the analytic
+    engine first in it (:func:`analytic_sweep`).  ``simt`` simulates
+    each config with :func:`simulate_pair`.
     """
     mode = resolve_sim_mode(sim_mode)
-    if mode == "analytic":
-        return analytic_sweep(pipeline, configs, backend=backend)
-    if mode == "flat":
-        return replay_sweep(pipeline, configs, backend=backend)
+    if mode != "simt":
+        return _chain_sweep(pipeline, configs, backend, mode == "analytic")
     cache = resolve_cache(cache)
     result = SweepResult(benchmark=pipeline.name)
     for config in configs:
@@ -612,8 +591,7 @@ def run_experiment(
     metric: str,
     seed: int = 1234,
     num_cores: int = 15,
-    workers: Optional[int] = None,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     use_cache: bool = False,
     cache_dir=None,
     timeout: Optional[float] = None,
@@ -630,8 +608,7 @@ def run_experiment(
     ``jobs`` > 1 fans (benchmark, config-chunk) sweep points over a process
     pool via :class:`~repro.validation.parallel.SweepRunner` — results are
     bit-identical to the serial run (each sweep point is self-contained and
-    seeded).  ``workers`` is the historical alias for ``jobs`` and is used
-    when ``jobs`` is not given.  ``use_cache`` enables the on-disk artifact
+    seeded).  ``use_cache`` enables the on-disk artifact
     cache (``cache_dir`` overrides its location).
 
     The resilience knobs (``timeout``, ``retries``, ``journal``/``run_id``/
@@ -649,9 +626,8 @@ def run_experiment(
     """
     from repro.validation.parallel import SweepRunner
 
-    effective_jobs = jobs if jobs is not None else (workers or 1)
     runner = SweepRunner(
-        jobs=effective_jobs, use_cache=use_cache, cache_dir=cache_dir,
+        jobs=jobs, use_cache=use_cache, cache_dir=cache_dir,
         timeout=timeout, retries=retries,
         journal=journal, journal_dir=journal_dir, run_id=run_id,
         resume=resume,

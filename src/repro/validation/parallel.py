@@ -164,11 +164,11 @@ def _run_chunk(
     ``pipelines`` is the serial caller's per-run store, keyed by kernel
     index; a pool worker passes none and uses the process-local memo.
     Returns ``(kernel_index, config_offset, pairs, analytic_fallbacks)``;
-    the fallback matrix is empty except for ``analytic``-mode chunks with
-    configs outside the reuse model.  Any exception is re-raised as a
-    :class:`ChunkExecutionError` carrying the benchmark name, config
-    offset, and seed, so a failure deep inside a worker is attributable
-    without scraping pool tracebacks.
+    the fallback matrix lists the configs of a flat or analytic chunk
+    that an engine of the chain declined (empty for ``simt`` chunks).
+    Any exception is re-raised as a :class:`ChunkExecutionError` carrying
+    the benchmark name, config offset, and seed, so a failure deep inside
+    a worker is attributable without scraping pool tracebacks.
     """
     try:
         maybe_inject_worker_fault(chunk.kernel_index, chunk.config_offset)
@@ -180,20 +180,7 @@ def _run_chunk(
                 pipeline = _build_chunk_pipeline(chunk)
                 pipelines[chunk.kernel_index] = pipeline
         fallbacks: List[dict] = []
-        if chunk.sim_mode == "analytic":
-            # O(histogram) predictions; out-of-model configs replay with
-            # their reasons recorded (the chunk-level fallback matrix).
-            sweep = analytic_sweep(
-                pipeline, chunk.configs, backend=chunk.backend)
-            pairs = sweep.pairs
-            fallbacks = list(sweep.analytic_fallbacks)
-        elif chunk.sim_mode == "flat":
-            # One-pass multi-config: the chunk's whole config slice reuses
-            # one decode of each stream (flat pairs are not pair-cached).
-            pairs = replay_sweep(
-                pipeline, chunk.configs, backend=chunk.backend,
-            ).pairs
-        else:
+        if chunk.sim_mode == "simt":
             cache = _chunk_cache(chunk)
             pairs = [
                 simulate_pair(
@@ -202,6 +189,14 @@ def _run_chunk(
                 )
                 for config in chunk.configs
             ]
+        else:
+            # One engine-chain pass per stream over the chunk's whole
+            # config slice (flat and analytic pairs are not pair-cached);
+            # configs an engine declined carry its reasons.
+            sweep_of = (analytic_sweep if chunk.sim_mode == "analytic"
+                        else replay_sweep)
+            sweep = sweep_of(pipeline, chunk.configs, backend=chunk.backend)
+            pairs, fallbacks = sweep.pairs, sweep.analytic_fallbacks
         return chunk.kernel_index, chunk.config_offset, pairs, fallbacks
     except ChunkExecutionError:
         raise
@@ -220,10 +215,10 @@ def _pairs_to_entries(
 ) -> List[dict]:
     """Journal form of a chunk's result pairs (inverse of ``_entries_to_pairs``).
 
-    Analytic-mode chunks annotate each entry with how its point ran: the
-    ``analytic`` flag, plus the model's refusal reasons on fallback
-    entries — so a resumed run reassembles the same fallback matrix
-    without re-deciding applicability.
+    Flat and analytic chunks annotate each entry with how its point ran:
+    the ``analytic`` flag, plus the engine chain's refusal reasons on
+    fallback entries — so a resumed run reassembles the same fallback
+    matrix without re-deciding applicability.
     """
     reasons_by_config = {
         str(entry["config"]): list(entry["reasons"])  # type: ignore[arg-type]
@@ -658,13 +653,13 @@ class SweepRunner:
         Chunks that exhausted their retries surface as ``.failures`` on the
         affected :class:`SweepResult` instead of raising.
 
-        ``sim_mode="flat"`` makes every chunk a one-pass multi-config
-        flat replay (see :func:`~repro.validation.harness.replay_sweep`);
-        ``backend`` then also selects the memsim engine per chunk.
-        ``sim_mode="analytic"`` predicts each chunk from reuse histograms
-        with per-config replay fallback; the fallback reasons ride the
-        journal entries, so mixed analytic/fallback chunks resume with the
-        same ``analytic_fallbacks`` matrix an uninterrupted run reports.
+        ``sim_mode="flat"`` runs every chunk through the engine chain
+        (see :func:`~repro.validation.harness.replay_sweep`); ``backend``
+        then also selects the memsim engine per chunk.
+        ``sim_mode="analytic"`` puts the analytic engine first in that
+        chain; the fallback reasons ride the journal entries, so mixed
+        chunks resume with the same ``analytic_fallbacks`` matrix an
+        uninterrupted run reports.
         """
         backend = resolve_backend(backend)
         sim_mode = resolve_sim_mode(sim_mode)

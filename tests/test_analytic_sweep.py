@@ -110,7 +110,7 @@ class TestCrossValidation:
                          l2_sets, l2_assoc, l2_line)
         assert model.applicability(config) == []
         predicted = model.predict(config)
-        truth = simulate_flat_trace(traces, config, "python")
+        truth = simulate_flat_trace(traces, config)
         # L1 is exact per-set LRU stack-distance — bit-exact, not close.
         assert predicted.l1.accesses == truth.l1.accesses
         assert predicted.l1.misses == truth.l1.misses
@@ -123,7 +123,7 @@ class TestCrossValidation:
         """Predictions describe the same stream the replay walks."""
         config = _config(32, 4, 128, 1024, 8, 128)
         predicted = model.predict(config)
-        truth = simulate_flat_trace(traces, config, "python")
+        truth = simulate_flat_trace(traces, config)
         assert predicted.requests_issued == truth.requests_issued
         assert predicted.cycles == truth.cycles
 
@@ -133,7 +133,7 @@ class TestCrossValidation:
             config = base.with_(num_cores=NUM_CORES)
             assert model.applicability(config) == []
             predicted = model.predict(config)
-            truth = simulate_flat_trace(traces, config, "python")
+            truth = simulate_flat_trace(traces, config)
             assert predicted.l1.misses == truth.l1.misses
             assert (abs(predicted.l2_miss_rate - truth.l2_miss_rate)
                     <= ANALYTIC_MISS_RATE_TOLERANCE)

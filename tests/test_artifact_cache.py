@@ -11,6 +11,7 @@ import gzip
 
 import pytest
 
+from repro.core.backend import numpy_available
 from repro.core.cache import (
     ArtifactCache,
     CACHE_SCHEMA_VERSION,
@@ -50,9 +51,18 @@ def _pipeline_transactions(pipeline):
 
 
 class TestPipelineCache:
+    """Pipeline entries of a python-backend pipeline (gzipped JSON);
+    :class:`TestNumpyPipelineCache` runs the same tests on ``.npz``."""
+
+    backend = "python"
+
+    def build(self, kernel, cache):
+        return build_pipeline(kernel, num_cores=4, cache=cache,
+                              backend=self.backend)
+
     def test_warm_equals_cold(self, cache, kernel):
-        cold = build_pipeline(kernel, num_cores=4, cache=cache)
-        warm = build_pipeline(kernel, num_cores=4, cache=cache)
+        cold = self.build(kernel, cache)
+        warm = self.build(kernel, cache)
         assert not cold.from_cache
         assert warm.from_cache
         assert warm.cache_key == cold.cache_key
@@ -63,8 +73,8 @@ class TestPipelineCache:
 
     def test_warm_pipeline_simulates_identically(self, cache, kernel,
                                                  small_config):
-        cold = build_pipeline(kernel, num_cores=4, cache=cache)
-        warm = build_pipeline(kernel, num_cores=4, cache=cache)
+        cold = self.build(kernel, cache)
+        warm = self.build(kernel, cache)
         run = lambda p: SimtSimulator(small_config).run(  # noqa: E731
             p.original_assignments)
         assert run(warm).to_dict() == run(cold).to_dict()
@@ -98,28 +108,28 @@ class TestPipelineCache:
                 == cache.pipeline_key(suite.make("kmeans", "tiny"), **params))
 
     def test_corrupted_entry_recomputes(self, cache, kernel):
-        cold = build_pipeline(kernel, num_cores=4, cache=cache)
-        path = cache.pipeline_entry_path(cold.cache_key)
+        cold = self.build(kernel, cache)
+        path = cache.pipeline_entry_path(cold.cache_key, self.backend)
         assert path.exists()
         path.write_bytes(b"not a cache entry at all")
-        again = build_pipeline(kernel, num_cores=4, cache=cache)
+        again = self.build(kernel, cache)
         assert not again.from_cache
         assert cache.counters.errors >= 1
         assert _pipeline_transactions(again) == _pipeline_transactions(cold)
 
     def test_truncated_entry_recomputes(self, cache, kernel):
-        cold = build_pipeline(kernel, num_cores=4, cache=cache)
-        path = cache.pipeline_entry_path(cold.cache_key)
+        cold = self.build(kernel, cache)
+        path = cache.pipeline_entry_path(cold.cache_key, self.backend)
         path.write_bytes(path.read_bytes()[:20])
-        again = build_pipeline(kernel, num_cores=4, cache=cache)
+        again = self.build(kernel, cache)
         assert not again.from_cache
         assert _pipeline_transactions(again) == _pipeline_transactions(cold)
 
     def test_schema_version_mismatch_is_miss(self, cache, kernel):
         import json
 
-        cold = build_pipeline(kernel, num_cores=4, cache=cache)
-        path = cache.pipeline_entry_path(cold.cache_key)
+        cold = self.build(kernel, cache)
+        path = cache.pipeline_entry_path(cold.cache_key, self.backend)
         if path.suffix == ".npz":
             import numpy as np
 
@@ -143,9 +153,16 @@ class TestPipelineCache:
             payload["schema"] = CACHE_SCHEMA_VERSION + 1
             with gzip.open(path, "wt", encoding="utf-8") as fh:
                 json.dump(payload, fh)
-        again = build_pipeline(kernel, num_cores=4, cache=cache)
+        again = self.build(kernel, cache)
         assert not again.from_cache
         assert _pipeline_transactions(again) == _pipeline_transactions(cold)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+class TestNumpyPipelineCache(TestPipelineCache):
+    """The pipeline-cache tests on a numpy-backend pipeline (``.npz``)."""
+
+    backend = "numpy"
 
 
 class TestPairCache:

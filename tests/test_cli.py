@@ -96,6 +96,49 @@ class TestSimulateCommand:
         with pytest.raises(SystemExit, match="bad cache spec"):
             main(["simulate", "aes", "--scale", "tiny", "--l1", "banana"])
 
+    def test_sweep_applies_overrides_to_every_point(self, tmp_path, capsys):
+        import dataclasses
+        import json
+
+        from repro.core.cache import config_fingerprint
+        from repro.memsim.presets import dram_preset
+        from repro.validation.sweeps import l1_sweep
+
+        base = ["simulate", "vectoradd", "--scale", "tiny", "--cores", "4",
+                "--backend", "python", "--sweep", "l1"]
+        out = tmp_path / "sweep.json"
+        assert main(base + ["--dram-preset", "hbm2-like",
+                            "--l2", "524288,8,128", "--out", str(out)]) == 0
+        overridden = capsys.readouterr().out
+        expected = [
+            config_fingerprint(config.with_(
+                num_cores=4, dram=dram_preset("hbm2-like"),
+                l2=dataclasses.replace(config.l2, size=524288, assoc=8,
+                                       line_size=128)))
+            for config in l1_sweep(reduced=True)
+        ]
+        report = json.loads(out.read_text())
+        assert [entry["config"] for entry in report["results"]] == expected
+        assert main(base) == 0
+        assert capsys.readouterr().out != overridden.replace(
+            f"wrote {out}\n", "")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--sweep", "l1", "--l1", "65536,8,128"], "--l1"),
+        (["--sweep", "l2", "--l2", "524288,8,128"], "--l2"),
+        (["--flat", "--scheduler", "gto"], "--scheduler"),
+        (["--analytic", "--scheduler", "gto"], "--scheduler"),
+        (["--sweep", "l1", "--scheduler", "gto"], "--scheduler"),
+    ], ids=["l1-sweep-l1", "l2-sweep-l2", "flat-scheduler",
+            "analytic-scheduler", "sweep-scheduler"])
+    def test_refuses_an_override_the_mode_drops(self, argv, flag, capsys):
+        assert main(["simulate", "vectoradd", "--scale", "tiny",
+                     "--cores", "4"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot be combined" in captured.err
+        assert flag in captured.err
+
     def test_simulate_trace_file(self, tmp_path, capsys):
         profile_path = tmp_path / "p.json"
         trace_path = tmp_path / "c.trace"

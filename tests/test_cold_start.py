@@ -59,6 +59,26 @@ assert "numpy" in sys.modules
 print("ok")
 """
 
+_CACHED_VALIDATE_SCRIPT = """
+import os
+import sys
+from pathlib import Path
+
+cache = Path(CACHE_ROOT)
+os.environ["GMAP_CACHE_DIR"] = str(cache)
+from repro.cli import main
+
+argv = ["validate", "fig6a", "--benchmarks", "vectoradd", "--scale", "tiny",
+        "--cores", "4", "--jobs", "1", "--no-journal"]
+for run in ("cold", "warm"):
+    assert main(argv) == 0
+    assert "numpy" not in sys.modules, f"a {run} cached validate loaded numpy"
+entries = [p.name for p in (cache / "pipeline").rglob("*") if p.is_file()]
+assert entries, "no pipeline entry written"
+assert all(name.endswith(".json.gz") for name in entries), entries
+print("ok")
+"""
+
 _NO_NUMPY_SCRIPT = """
 import importlib.util
 import os
@@ -93,6 +113,15 @@ def _run(script: str, *path: Path) -> None:
 def test_python_backend_never_imports_numpy():
     pytest.importorskip("numpy", exc_type=ImportError)
     _run(_PYTHON_PATH_SCRIPT)
+
+
+def test_cached_python_validate_never_imports_numpy(tmp_path):
+    """The artifact cache picks a python pipeline's entry format from its
+    backend (gzipped JSON), so neither the cold run that writes the entry
+    nor the warm run that reads it loads NumPy."""
+    pytest.importorskip("numpy", exc_type=ImportError)
+    _run(_CACHED_VALIDATE_SCRIPT.replace(
+        "CACHE_ROOT", repr(str(tmp_path / "cache"))))
 
 
 def test_resolution_when_numpy_is_unimportable(tmp_path):

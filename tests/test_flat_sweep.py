@@ -73,9 +73,8 @@ class TestSimMode:
         """A flat pair must equal a direct flat-trace replay of the
         pipeline's drained assignments — no scheduling feedback."""
         config = fast_config()
-        pair = simulate_pair(pipeline, config, sim_mode="flat")
-        direct = simulate_flat_trace(
-            pipeline.original_flat(), config, backend="python")
+        [pair] = run_sweep(pipeline, [config], sim_mode="flat").pairs
+        direct = simulate_flat_trace(pipeline.original_flat(), config)
         assert pair.original.to_dict() == direct.to_dict()
         assert pair.config == config
 
@@ -84,8 +83,8 @@ class TestSimMode:
         experiment from the SIMT loop — the modes must not be conflated
         (which is also why flat pairs never enter the pair cache)."""
         config = fast_config()
-        flat = simulate_pair(pipeline, config, sim_mode="flat")
-        simt = simulate_pair(pipeline, config, sim_mode="simt")
+        [flat] = run_sweep(pipeline, [config], sim_mode="flat").pairs
+        simt = simulate_pair(pipeline, config)
         assert flat.original.cycles != simt.original.cycles
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -321,3 +320,108 @@ class TestMemsimStageBreaker:
         assert policy.effective_backend(STAGE_MEMSIM)[0] == "numpy"
         policy.observe("numpy", [], stage=STAGE_MEMSIM)
         assert policy.effective_backend(STAGE_MEMSIM)[0] == "numpy"
+
+
+def _one_point_entry(target, backend, analytic):
+    """``(engine, result block, reasons)`` of a one-config ``gmap-sweep``."""
+    from repro.gpu.executor import execute_kernel, flat_drain
+
+    traces = flat_drain(execute_kernel(
+        suite.make(target, "tiny"), 4, backend=backend))
+    report = sweep_report(traces, [PAPER_BASELINE.with_(num_cores=4)],
+                          backend=backend, target=target, analytic=analytic)
+    [entry] = report["results"]
+    [reasons] = [f["reasons"] for f in report["fallbacks"]] or [[]]
+    return entry["engine"], entry["result"], reasons
+
+
+def _cli_text(label, block):
+    """What ``_print_result`` prints for a ``SimResult.to_dict()`` block."""
+    def rate(stats):
+        accesses = stats["accesses"]
+        return stats["misses"] / accesses if accesses else 0.0
+
+    l1, l2, dram = block["l1"], block["l2"], block["dram"]
+    return (
+        f"== {label}\n"
+        f"  requests      : {block['requests_issued']}\n"
+        f"  cycles        : {block['cycles']:.0f}\n"
+        f"  L1 miss rate  : {rate(l1):.4f} ({l1['misses']}/{l1['accesses']})\n"
+        f"  L2 miss rate  : {rate(l2):.4f} ({l2['misses']}/{l2['accesses']})\n"
+        f"  DRAM          : RBL={dram['row_buffer_locality']:.3f} "
+        f"queue={dram['avg_queue_length']:.2f} "
+        f"rdlat={dram['avg_read_latency']:.1f} "
+        f"wrlat={dram['avg_write_latency']:.1f}\n"
+    )
+
+
+def _service_block(block):
+    """The service's result block for a ``SimResult.to_dict()`` block."""
+    def cache(stats):
+        accesses = stats["accesses"]
+        return {"accesses": accesses, "misses": stats["misses"],
+                "miss_rate": stats["misses"] / accesses if accesses else 0.0}
+
+    dram = block["dram"]
+    return {
+        "requests_issued": block["requests_issued"],
+        "cycles": block["cycles"],
+        "l1": cache(block["l1"]),
+        "l2": cache(block["l2"]),
+        "dram": {key: dram[key] for key in (
+            "row_buffer_locality", "avg_queue_length", "avg_read_latency",
+            "avg_write_latency")},
+    }
+
+
+class TestOneConfigIsOnePointSweep:
+    """``--flat``/``--analytic`` and the service's ``flat``/``analytic``
+    jobs run one config through the same engine chain as a sweep: the
+    engine, the result and the reasons equal the one-config ``gmap-sweep``
+    entry of the same stream."""
+
+    @pytest.fixture(params=["vectoradd", "convolution_texture"])
+    def target(self, request):
+        return request.param
+
+    @pytest.mark.parametrize("mode", ["flat", "analytic"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_cli(self, target, backend, mode, capsys):
+        from repro.cli import main
+
+        engine, block, reasons = _one_point_entry(
+            target, backend, mode == "analytic")
+        assert main(["simulate", target, "--scale", "tiny", "--cores", "4",
+                     "--backend", backend, f"--{mode}"]) == 0
+        captured = capsys.readouterr()
+        if mode == "flat":
+            assert engine != "analytic"
+            label, err = f"{target} (flat replay)", ""
+        elif engine == "analytic":
+            label, err = f"{target} (analytic)", ""
+        else:
+            label = f"{target} (analytic fallback: flat replay)"
+            err = "".join(f"analytic fallback: {r}\n" for r in reasons)
+        assert captured.out == _cli_text(label, block)
+        assert captured.err == err
+
+    @pytest.mark.parametrize("mode", ["flat", "analytic"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_service(self, target, backend, mode):
+        engine, block, reasons = _one_point_entry(
+            target, backend, mode == "analytic")
+        outcome = execute_job(
+            {"kind": "simulate", "params": {
+                "target": target, "scale": "tiny", "cores": 4, mode: True}},
+            backend)
+        assert outcome["ok"], outcome.get("error")
+        expected = {"target": target, "sim_mode": mode,
+                    "result": _service_block(block)}
+        if mode == "flat":
+            expected["backend"] = backend
+        elif engine == "analytic":
+            expected["analytic"] = True
+        else:
+            expected.update(analytic=False, fallback_reasons=reasons,
+                            backend=backend)
+        assert outcome["result"] == expected

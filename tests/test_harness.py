@@ -114,10 +114,10 @@ class TestRunExperiment:
         kernels = [suite.make("vectoradd", "tiny"), suite.make("kmeans", "tiny")]
         configs = [fast_config()]
         serial = run_experiment(kernels, configs, "l1_miss_rate",
-                                num_cores=4, workers=1)
+                                num_cores=4, jobs=1)
         kernels = [suite.make("vectoradd", "tiny"), suite.make("kmeans", "tiny")]
         parallel = run_experiment(kernels, configs, "l1_miss_rate",
-                                  num_cores=4, workers=2)
+                                  num_cores=4, jobs=2)
         for a, b in zip(serial.comparisons, parallel.comparisons):
             assert a.benchmark == b.benchmark
             assert a.originals == pytest.approx(b.originals)

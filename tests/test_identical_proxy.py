@@ -37,6 +37,7 @@ from repro.validation.harness import (
     analytic_sweep,
     build_pipeline,
     replay_sweep,
+    run_sweep,
     simulate_pair,
 )
 from repro.validation.parallel import SweepRunner
@@ -255,7 +256,7 @@ def test_analytic_sweep_scans_an_identical_proxy_once(backend, monkeypatch):
 def test_replay_sweep_replays_an_identical_proxy_once(backend, monkeypatch):
     pipeline = _pipeline("srad", backend)
     configs = l1_sweep(reduced=True, keep=2)
-    calls = _count_calls(monkeypatch, vectorized, "simulate_flat_multi")
+    calls = _count_calls(monkeypatch, vectorized, "simulate_flat_runs")
     sweep = replay_sweep(_fresh(pipeline), configs, backend=backend)
     assert len(calls) == 1
     proxies = vectorized.simulate_flat_multi(
@@ -268,10 +269,11 @@ def test_replay_sweep_replays_an_identical_proxy_once(backend, monkeypatch):
 @needs_numpy
 def test_flat_pair_of_an_identical_proxy():
     pipeline = _pipeline("srad", "numpy")
-    pair = simulate_pair(_fresh(pipeline), FIG6A_POINT, sim_mode="flat",
-                         backend="numpy")
-    forced = simulate_pair(_fresh(pipeline, _proxy_is_original=False),
-                           FIG6A_POINT, sim_mode="flat", backend="numpy")
+    [pair] = run_sweep(_fresh(pipeline), [FIG6A_POINT], sim_mode="flat",
+                       backend="numpy").pairs
+    [forced] = run_sweep(_fresh(pipeline, _proxy_is_original=False),
+                         [FIG6A_POINT], sim_mode="flat",
+                         backend="numpy").pairs
     assert pair.proxy == forced.proxy
     _assert_no_shared_blocks(pair.original, pair.proxy)
 

@@ -19,7 +19,8 @@ from repro.core.reuse import COLD_MISS, set_stack_distances
 from repro.gpu.executor import CoreAssignment, WarpTrace
 from repro.gpu.memspace import GLOBAL_BASE
 from repro.memsim.config import PAPER_BASELINE, CacheConfig
-from repro.memsim.simulator import SimtSimulator, simulate_flat_trace
+from repro.memsim.simulator import SimtSimulator
+from repro.memsim.vectorized import simulate_flat_runs
 
 LINES, ROUNDS, SETS, LINE_SIZE = 64, 5, 8, 128
 DISTANCE = LINES // SETS - 1
@@ -71,7 +72,7 @@ def test_analytic_predict(assoc, backend):
 @ASSOCS
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_flat_replay(assoc, backend):
-    result = simulate_flat_trace([TRACE], l1_config(assoc), backend)
+    [(_, result, _)] = simulate_flat_runs([TRACE], [l1_config(assoc)], backend)
     assert result.l1.accesses == len(TRACE)
     assert result.l1.misses == expected_misses(assoc)
 

@@ -45,12 +45,15 @@ def _sdprofile(tmp_path):
             lambda: cache.load_sd_profile(key), CACHE_EVENTS)
 
 
-def _pipeline(tmp_path):
-    cache = ArtifactCache(tmp_path)
-    key = build_pipeline(suite.make("vectoradd", "tiny"), num_cores=2,
-                         cache=cache).cache_key
-    return (cache.content, cache.pipeline_entry_path(key),
-            lambda: cache.load_pipeline(key), CACHE_EVENTS)
+def _pipeline(backend):
+    """A pipeline entry in ``backend``'s format (``.npz`` or JSON)."""
+    def build(tmp_path):
+        cache = ArtifactCache(tmp_path)
+        key = build_pipeline(suite.make("vectoradd", "tiny"), num_cores=2,
+                             cache=cache, backend=backend).cache_key
+        return (cache.content, cache.pipeline_entry_path(key, backend),
+                lambda: cache.load_pipeline(key, backend), CACHE_EVENTS)
+    return build
 
 
 def _journal_chunk(tmp_path):
@@ -71,20 +74,18 @@ def _shared_result(tmp_path):
 USERS = {
     "pair": _pair,
     "sdprofile": _sdprofile,
-    "pipeline-npz": _pipeline,
-    "pipeline-json": _pipeline,
+    "pipeline-npz": _pipeline("numpy"),
+    "pipeline-json": _pipeline("python"),
     "journal-chunk": _journal_chunk,
     "shared-result": _shared_result,
 }
 
 
 @pytest.fixture(params=sorted(USERS))
-def user(request, tmp_path, monkeypatch):
+def user(request, tmp_path):
     """``(store, entry path, read, corruption events)`` of one valid entry."""
     if request.param == "pipeline-npz":
         pytest.importorskip("numpy", exc_type=ImportError)
-    if request.param == "pipeline-json":
-        monkeypatch.setattr("repro.core.backend._HAVE_NUMPY", False)
     store, path, read, events = USERS[request.param](tmp_path)
     assert path.exists()
     assert read() is not None

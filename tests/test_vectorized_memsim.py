@@ -33,8 +33,9 @@ from repro.memsim.capabilities import (
 from repro.memsim.simulator import simulate_flat_trace
 from repro.memsim.vectorized import (
     FlatTraceArrays,
+    simulate_flat_arrays,
     simulate_flat_multi,
-    simulate_flat_numpy,
+    simulate_flat_runs,
 )
 from repro.validation import sweeps
 
@@ -68,8 +69,8 @@ def small_config(
 
 
 def assert_bit_identical(traces, config):
-    oracle = simulate_flat_trace(traces, config, backend="python")
-    array = simulate_flat_numpy(traces, config)
+    oracle = simulate_flat_trace(traces, config)
+    array = simulate_flat_arrays(FlatTraceArrays(traces), config)
     assert array.to_dict() == oracle.to_dict()
     return oracle
 
@@ -115,8 +116,8 @@ class TestRandomizedCrossValidation:
             for pc, offset, size, store in trace
         ]]
         config = small_config(num_cores=1)
-        first = simulate_flat_numpy(traces, config)
-        second = simulate_flat_numpy(traces, config)
+        first = simulate_flat_arrays(FlatTraceArrays(traces), config)
+        second = simulate_flat_arrays(FlatTraceArrays(traces), config)
         assert first.to_dict() == second.to_dict()
 
 
@@ -198,7 +199,7 @@ class TestMultiConfig:
         multi = simulate_flat_multi(traces, configs, backend="numpy")
         assert len(multi) == len(configs)
         for config, result in zip(configs, multi):
-            oracle = simulate_flat_trace(traces, config, backend="python")
+            oracle = simulate_flat_trace(traces, config)
             assert result.to_dict() == oracle.to_dict()
 
     def test_trace_invariants_across_configs(self):
@@ -224,14 +225,14 @@ class TestMultiConfig:
         multi = simulate_flat_multi(
             traces, [supported, unsupported], backend="numpy")
         for config, result in zip([supported, unsupported], multi):
-            oracle = simulate_flat_trace(traces, config, backend="python")
+            oracle = simulate_flat_trace(traces, config)
             assert result.to_dict() == oracle.to_dict()
 
     def test_python_backend_is_reference(self):
         traces = reuse_heavy_traces(num_cores=2)
         configs = [small_config(num_cores=2)]
         via_python = simulate_flat_multi(traces, configs, backend="python")
-        oracle = simulate_flat_trace(traces, configs[0], backend="python")
+        oracle = simulate_flat_trace(traces, configs[0])
         assert via_python[0].to_dict() == oracle.to_dict()
 
 
@@ -325,9 +326,9 @@ class TestFallbackMatrix:
         config = small_config(num_cores=2).with_(
             l1_prefetcher=PrefetcherConfig(kind="stride"))
         with pytest.raises(UnsupportedConfigError) as excinfo:
-            simulate_flat_numpy(traces, config)
+            simulate_flat_arrays(FlatTraceArrays(traces), config)
         assert excinfo.value.reasons
-        # The public entry point degrades to the oracle instead.
-        degraded = simulate_flat_trace(traces, config, backend="numpy")
-        oracle = simulate_flat_trace(traces, config, backend="python")
+        # The engine chain degrades to the oracle instead.
+        [(_, degraded, _)] = simulate_flat_runs(traces, [config], "numpy")
+        oracle = simulate_flat_trace(traces, config)
         assert degraded.to_dict() == oracle.to_dict()
