@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Deterministic per-function cost of the scalar SIMT loop, in bytecodes.
 
-Runs the sweep points of ``tests/test_layer_boundaries.py`` through
+Runs the sweep points of ``tests/test_layer_boundaries.py`` on any suite
+kernel at ``tiny`` scale (by default the two kernels of that test) through
 ``SimtSimulator.run`` under ``sys.settrace`` with ``f_trace_opcodes`` on,
 and prints, per request, the bytecodes each function executed and how
 often it was called, grouped by its memsim layer.  A count of executed
@@ -13,7 +14,7 @@ cost, so the counts rank work rather than time it.  C functions
 
 Usage:
     PYTHONPATH=src python scripts/simt_opcount.py [--point NAME] \\
-        [--kernel srad] [--top 25] [--max-requests N]
+        [--kernel srad|bfs|nw|...] [--top 25] [--max-requests N]
 """
 
 from __future__ import annotations
@@ -142,12 +143,16 @@ def report(counter: OpcodeCounter, requests: int, top: int) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Print the opcode table of each requested point and kernel."""
     points = _layer_test()
+    from repro.workloads import suite
+
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--point", choices=sorted(points.CONFIGS),
                         action="append",
                         help="sweep point (default: every point)")
-    parser.add_argument("--kernel", choices=points.KERNELS, action="append",
-                        help="kernel (default: every kernel)")
+    parser.add_argument("--kernel", choices=suite.available(),
+                        action="append",
+                        help="suite kernel, run at tiny scale (default: "
+                             + ", ".join(points.KERNELS) + ")")
     parser.add_argument("--top", type=int, default=25)
     parser.add_argument("--max-requests", type=int, default=None)
     args = parser.parse_args(argv)

@@ -469,7 +469,9 @@ def _cmd_simulate(args) -> int:
     [(engine, result, reasons)] = simulate_flat_runs(
         flat_drain(assignments), [config], args.backend, args.analytic)
     if not args.analytic:
-        label = f"{args.target} (flat replay)"
+        for reason in reasons:
+            print(f"flat fallback: {reason}", file=sys.stderr)
+        label = f"{args.target} (flat replay: {engine})"
     elif engine == "analytic":
         label = f"{args.target} (analytic)"
     else:

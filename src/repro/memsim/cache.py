@@ -115,14 +115,28 @@ class SetAssociativeCache:
 
     def prefetch_fill(self, address: int) -> Optional[Victim]:
         """Insert a prefetched line; no-op if already present."""
-        index, tag = self._index_tag(address)
-        lines = self._sets[index]
+        tag = address >> self._line_shift
+        lines = self._sets[tag & self._set_mask]
         if tag in lines:
             return None
-        self.stats.prefetch_fills += 1
-        return self._fill(lines, tag, dirty=False, prefetched=True)
+        stats = self.stats
+        stats.prefetch_fills += 1
+        if not self._lru:
+            return self._fill(lines, tag, dirty=False, prefetched=True)
+        victim = None
+        if len(lines) >= self._assoc:
+            victim_tag = next(iter(lines))
+            was_dirty = lines.pop(victim_tag)[0]
+            stats.evictions += 1
+            if was_dirty:
+                stats.writebacks += 1
+            victim = tuple.__new__(
+                Victim, (victim_tag << self._line_shift, was_dirty))
+        lines[tag] = [False, True, 0]
+        return victim
 
     def _fill(self, lines: dict, tag: int, dirty: bool, prefetched: bool) -> Optional[Victim]:
+        """Fill of a FIFO or random set (LRU sets fill inline)."""
         victim = None
         if len(lines) >= self._assoc:
             victim_tag = self._choose_victim(lines)
@@ -137,8 +151,6 @@ class SetAssociativeCache:
         return victim
 
     def _choose_victim(self, lines: dict) -> int:
-        if self._lru:
-            return next(iter(lines))
         if self.config.replacement == "fifo":
             return min(lines, key=lambda t: lines[t][2])
         # Deterministic xorshift random.

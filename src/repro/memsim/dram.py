@@ -24,22 +24,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from typing import Deque, List
+from typing import Deque, Dict, List
 
 from repro.memsim.address_mapping import AddressMapping
 from repro.memsim.config import DramConfig
 from repro.memsim.stats import DramStats
-
-
-class _Bank:
-    """One bank's row buffer and command timing."""
-
-    __slots__ = ("open_row", "busy_until", "activated_at")
-
-    def __init__(self) -> None:
-        self.open_row = -1          # -1 = closed (precharged)
-        self.busy_until = 0.0       # earliest next command start, core cycles
-        self.activated_at = 0.0     # last ACT time, for tRAS enforcement
 
 
 class _Channel:
@@ -61,11 +50,26 @@ class _Channel:
 class _Rank:
     """Rank-level constraints: tFAW activation window, tWTR turnaround."""
 
-    __slots__ = ("recent_acts", "last_write_end")
+    __slots__ = ("recent_acts", "read_ready")
 
     def __init__(self) -> None:
         self.recent_acts: Deque[float] = deque(maxlen=4)
-        self.last_write_end = float("-inf")  # no write issued yet
+        # The latest write end plus tWTR: no read starts before it.  It
+        # stays -inf with no write issued, or with tWTR off.
+        self.read_ready = float("-inf")
+
+
+class _Bank:
+    """One bank's row buffer and command timing, and its channel and rank."""
+
+    __slots__ = ("open_row", "busy_until", "activated_at", "channel", "rank")
+
+    def __init__(self, channel: _Channel, rank: _Rank) -> None:
+        self.open_row = -1          # -1 = closed (precharged)
+        self.busy_until = 0.0       # earliest next command start, core cycles
+        self.activated_at = 0.0     # last ACT time, for tRAS enforcement
+        self.channel = channel
+        self.rank = rank
 
 
 class DramModel:
@@ -95,80 +99,98 @@ class DramModel:
         # Burst: txn_size bytes over a double-data-rate bus of bus_width
         # bytes per edge -> txn/(2*width) DRAM cycles.
         self.t_burst = max(1.0, txn_size / (2 * config.bus_width)) * self._scale
-        self._banks: List[List[List[_Bank]]] = [
-            [[_Bank() for _ in range(config.banks)] for _ in range(config.ranks)]
-            for _ in range(config.channels)
-        ]
         self._channels = [_Channel() for _ in range(config.channels)]
-        self._ranks: List[List[_Rank]] = [
-            [_Rank() for _ in range(config.ranks)]
-            for _ in range(config.channels)
-        ]
-        # Per-request constants: the mapping's field slices (the shifts and
-        # masks of ``mapping.coordinates``), the FR-FCFS window, and the
-        # row-empty and row-conflict latencies, summed left to right.
+        # Each bank is keyed by its address's channel, rank and bank bits
+        # (the mapping's field slices, unshifted), so one mask and one dict
+        # lookup find it, its channel and its rank.
         mapping = self.mapping
-        self._ch_shift, self._ch_mask = mapping._ch_shift, mapping._ch_mask
-        self._ra_shift, self._ra_mask = mapping._ra_shift, mapping._ra_mask
-        self._ba_shift, self._ba_mask = mapping._ba_shift, mapping._ba_mask
+        ch_shift, ra_shift, ba_shift = (
+            mapping._ch_shift, mapping._ra_shift, mapping._ba_shift)
+        self._bank_bits = ((mapping._ch_mask << ch_shift)
+                           | (mapping._ra_mask << ra_shift)
+                           | (mapping._ba_mask << ba_shift))
+        self._banks: Dict[int, _Bank] = {}
+        for channel_id, channel in enumerate(self._channels):
+            for rank_id in range(config.ranks):
+                rank = _Rank()
+                for bank_id in range(config.banks):
+                    key = ((channel_id << ch_shift) | (rank_id << ra_shift)
+                           | (bank_id << ba_shift))
+                    self._banks[key] = _Bank(channel, rank)
+        # Per-request constants: the row slice, the FR-FCFS window, the
+        # row-empty and row-conflict latencies (summed left to right), and
+        # which secondary timings are on.
         self._ro_shift, self._ro_mask = mapping._ro_shift, mapping._ro_mask
         self._frfcfs_window = config.frfcfs_window
         self._t_empty = self.t_rcd + self.t_cas
         self._t_conflict = self.t_rp + self.t_rcd + self.t_cas
+        self._faw = self.t_faw > 0
+        self._wtr = self.t_wtr > 0
         self._refresh = self.t_refi > 0 and self.t_rfc > 0
 
     def access(self, now: float, address: int, is_write: bool = False) -> float:
         """Service one transaction arriving at ``now``; returns its latency."""
-        channel_id = (address >> self._ch_shift) & self._ch_mask
-        rank_id = (address >> self._ra_shift) & self._ra_mask
+        bank = self._banks[address & self._bank_bits]
         row = (address >> self._ro_shift) & self._ro_mask
-        bank = self._banks[channel_id][rank_id][
-            (address >> self._ba_shift) & self._ba_mask]
-        channel = self._channels[channel_id]
+        channel = bank.channel
         stats = self.stats
 
         pending = channel.pending
-        backlog = channel.backlog
-        while pending and pending[0] <= now:
-            del backlog[bisect_left(backlog, pending.popleft())]
-        stats.queue_len_sum += len(pending)
+        if pending and pending[0] <= now:
+            backlog = channel.backlog
+            while pending and pending[0] <= now:
+                del backlog[bisect_left(backlog, pending.popleft())]
+        queued = len(pending)
+        stats.queue_len_sum += queued
         stats.queue_samples += 1
 
+        # Each ``if x > start: start = x`` below is ``max(start, x)``.
+        start = now
+        busy = bank.busy_until
+        if busy > start:
+            start = busy
+        rank = bank.rank
         open_row = bank.open_row
         if open_row == row:
-            kind_latency = self.t_cas
             stats.row_hits += 1
-            row_hit = True
-        elif open_row < 0:
-            kind_latency = self._t_empty
-            stats.row_empties += 1
-            row_hit = False
-        else:
-            # Precharge may not begin before tRAS after the activation.
-            ras_ready = bank.activated_at + self.t_ras
-            kind_latency = self._t_conflict
-            kind_latency += max(0.0, ras_ready - max(now, bank.busy_until))
-            stats.row_conflicts += 1
-            row_hit = False
-
-        start = max(now, bank.busy_until)
-        if row_hit:
+            kind_latency = self.t_cas
+            precharge = None  # the row stays open: no activation
             # FR-FCFS: promote row hits past the backlog, bounded by the
             # reorder window (older requests beyond it still block the bus).
             window = self._frfcfs_window
-            if len(pending) > window:
-                backlog_release = backlog[len(pending) - window - 1]
-                start = max(start, backlog_release)
+            if queued > window:
+                release = channel.backlog[queued - window - 1]
+                if release > start:
+                    start = release
         else:
-            start = max(start, channel.bus_busy_until)
-
-        rank = self._ranks[channel_id][rank_id]
-        if not row_hit and self.t_faw > 0 and len(rank.recent_acts) == 4:
-            # Four-activate window: a fifth ACT waits for the oldest + tFAW.
-            start = max(start, rank.recent_acts[0] + self.t_faw)
-        if not is_write and self.t_wtr > 0:
+            if open_row < 0:
+                stats.row_empties += 1
+                kind_latency = self._t_empty
+                precharge = 0.0
+            else:
+                stats.row_conflicts += 1
+                kind_latency = self._t_conflict
+                precharge = self.t_rp
+                # Precharge may not begin before tRAS after the activation.
+                ras_wait = bank.activated_at + self.t_ras - start
+                if ras_wait > 0.0:
+                    kind_latency += ras_wait
+            bus = channel.bus_busy_until
+            if bus > start:
+                start = bus
+            if self._faw:
+                recent_acts = rank.recent_acts
+                if len(recent_acts) == 4:
+                    # Four-activate window: a fifth ACT waits for the
+                    # oldest + tFAW.
+                    ready = recent_acts[0] + self.t_faw
+                    if ready > start:
+                        start = ready
+        if not is_write:
             # Write-to-read turnaround on the rank's shared data path.
-            start = max(start, rank.last_write_end + self.t_wtr)
+            ready = rank.read_ready
+            if ready > start:
+                start = ready
         if self._refresh:
             # Periodic all-bank refresh: commands inside the blackout slide
             # to its end.
@@ -176,20 +198,24 @@ class DramModel:
             if phase < self.t_rfc:
                 start += self.t_rfc - phase
 
-        if open_row != row:
-            bank.activated_at = start + (self.t_rp if open_row >= 0 else 0.0)
-            rank.recent_acts.append(bank.activated_at)
+        if precharge is not None:
+            activated = bank.activated_at = start + precharge
+            rank.recent_acts.append(activated)
         finish = start + kind_latency + self.t_burst
-        if is_write:
-            rank.last_write_end = max(rank.last_write_end, finish)
         bank.open_row = row
         bank.busy_until = finish
-        channel.bus_busy_until = max(channel.bus_busy_until, finish)
+        if finish > channel.bus_busy_until:
+            channel.bus_busy_until = finish
         pending.append(finish)
-        insort(backlog, finish)
+        insort(channel.backlog, finish)
 
         latency = finish - now
         if is_write:
+            if self._wtr:
+                # The latest write end plus tWTR, rounded as before.
+                ready = finish + self.t_wtr
+                if ready > rank.read_ready:
+                    rank.read_ready = ready
             stats.writes += 1
             stats.write_latency_sum += latency
         else:
@@ -201,13 +227,7 @@ class DramModel:
 
     @property
     def open_rows(self) -> int:
-        return sum(
-            1
-            for channel in self._banks
-            for rank in channel
-            for bank in rank
-            if bank.open_row >= 0
-        )
+        return sum(1 for bank in self._banks.values() if bank.open_row >= 0)
 
     def describe(self) -> str:
         return self.config.describe()

@@ -78,6 +78,9 @@ class MemoryHierarchy:
         self._l2_write_through = l2_config.write_policy == "write-through"
         self._l1_fits_l2 = l2_config.line_size >= l1_config.line_size
         self._noc = config.noc_latency
+        # An inclusive L2's victim back-invalidates the L1 lines it covers.
+        self._inclusive = config.l2_inclusion == "inclusive"
+        self._victim_span = max(l2_config.line_size, l1_config.line_size)
         # The L2's own set layout, for the residency probe of prefetch
         # candidates (``SetAssociativeCache.contains``, inline).
         self._l2_sets = self.l2._sets
@@ -213,14 +216,18 @@ class MemoryHierarchy:
     # -- L2 level ---------------------------------------------------------------
 
     def _handle_l2_victim(self, now: float, victim) -> None:
-        """Writeback a dirty L2 victim; back-invalidate L1s if inclusive."""
+        """Writeback a dirty L2 victim; back-invalidate L1s if inclusive.
+
+        A clean victim of a non-inclusive L2 needs nothing, so the hot
+        callers skip the call for it.
+        """
         if victim is None:
             return
         if victim.dirty:
             self.dram.access(now, victim.address, is_write=True)
-        if self.config.l2_inclusion == "inclusive":
-            l1_line = self.config.l1.line_size
-            end = victim.address + max(self.config.l2.line_size, l1_line)
+        if self._inclusive:
+            l1_line = self._l1_line
+            end = victim.address + self._victim_span
             for l1 in self.l1s:
                 address = victim.address
                 while address < end:
@@ -254,7 +261,7 @@ class MemoryHierarchy:
                 service = hit_latency + self.dram.access(
                     start + hit_latency, line, False)
                 self.l2_mshr.allocate(line, start, service)
-            if victim is not None:
+            if victim is not None and (victim.dirty or self._inclusive):
                 self._handle_l2_victim(start, victim)
         if self.l2_prefetcher is not None:
             candidates = self.l2_prefetcher.observe(address, hit)
@@ -275,11 +282,11 @@ class MemoryHierarchy:
         mask = self._l2_set_mask
         for address in candidates:
             tag = address >> shift
-            if tag in sets[tag & mask]:
-                continue
-            victim = l2.prefetch_fill(address)
-            self.dram.access(now, tag << shift, is_write=False)
-            self._handle_l2_victim(now, victim)
+            if tag not in sets[tag & mask]:
+                victim = l2.prefetch_fill(address)
+                self.dram.access(now, tag << shift, is_write=False)
+                if victim is not None and (victim.dirty or self._inclusive):
+                    self._handle_l2_victim(now, victim)
 
     def _writeback_to_l2(self, now: float, address: int) -> None:
         """Posted write of a dirty L1 victim into the L2 (chunked if the

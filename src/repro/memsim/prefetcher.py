@@ -85,6 +85,9 @@ class StreamPrefetcher:
     lies in its window instead of scanning the table.
     """
 
+    __slots__ = ("config", "line_size", "_streams", "_by_line", "_next_seq",
+                 "_miss_only", "_window", "_degree", "_table_size")
+
     def __init__(self, config: PrefetcherConfig, line_size: int) -> None:
         if config.kind != "stream":
             raise ValueError(f"expected a stream config, got {config.kind!r}")
@@ -93,59 +96,60 @@ class StreamPrefetcher:
         self._streams: Dict[int, list] = {}
         self._by_line: List[Tuple[int, int]] = []
         self._next_seq = 0
+        self._miss_only = config.train_on_miss_only
+        self._window = config.stream_window
+        self._degree = config.degree
+        self._table_size = config.table_size
 
     def observe(self, address: int, hit: bool) -> List[int]:
         """Train on an access (typically L2 misses); returns prefetch addrs."""
-        config = self.config
-        if config.train_on_miss_only and hit:
+        if hit and self._miss_only:
             return []
-        line = address // self.line_size
-        window = config.stream_window
+        size = self.line_size
+        line = address // size
+        window = self._window
         streams = self._streams
         by_line = self._by_line
-        # The oldest stream (smallest seq) that the miss matches.
-        match = None
+        # The oldest stream (smallest seq) that the miss matches, and its
+        # place in ``by_line``; every seq is below ``_next_seq``.
+        next_seq = match_seq = self._next_seq
         for index in range(bisect_left(by_line, (line - window,)),
                            bisect_left(by_line, (line + window + 1,))):
             last, seq = by_line[index]
-            if match is not None and seq > match[1]:
+            if seq > match_seq:
                 continue
-            if last == line:
-                match = (last, seq)
-            elif last < line:
-                if streams[seq][1] >= 0:
-                    match = (last, seq)
-            elif streams[seq][1] <= 0:
-                match = (last, seq)
-        if match is not None:
-            last, seq = match
-            if last == line:
+            if last < line:
+                if streams[seq][1] < 0:
+                    continue
+            elif last > line and streams[seq][1] > 0:
+                continue
+            match_last, match_seq, match_index = last, seq, index
+        if match_seq != next_seq:
+            if match_last == line:
                 return []
-            del by_line[bisect_left(by_line, match)]
-            insort(by_line, (line, seq))
-            direction = 1 if last < line else -1
-            stream = streams[seq]
+            del by_line[match_index]
+            insort(by_line, (line, match_seq))
+            stream = streams[match_seq]
             stream[0] = line
-            stream[1] = direction
             stream[2] = True
-            return self._issue(line, direction)
-        if len(streams) >= config.table_size:
+            # The next ``degree`` lines in the stream's direction, down to
+            # line 0.
+            if match_last < line:
+                stream[1] = 1
+                return list(range((line + 1) * size,
+                                  (line + self._degree + 1) * size, size))
+            stream[1] = -1
+            lowest = line - self._degree
+            if lowest < 0:
+                lowest = 0
+            return list(range((line - 1) * size, (lowest - 1) * size, -size))
+        if len(streams) >= self._table_size:
             oldest = next(iter(streams))
             del by_line[bisect_left(by_line, (streams.pop(oldest)[0], oldest))]
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        streams[seq] = [line, 0, False]
-        insort(by_line, (line, seq))
+        self._next_seq = next_seq + 1
+        streams[next_seq] = [line, 0, False]
+        insort(by_line, (line, next_seq))
         return []
-
-    def _issue(self, line: int, direction: int) -> List[int]:
-        size = self.line_size
-        out = []
-        for k in range(1, self.config.degree + 1):
-            target = line + direction * k
-            if target >= 0:
-                out.append(target * size)
-        return out
 
 
 def make_prefetcher(config: PrefetcherConfig, line_size: int):

@@ -2,16 +2,33 @@
 
 Fixtures favour tiny workloads and small core counts so the full suite stays
 fast; accuracy-sensitive integration tests use the paper baseline directly.
+
+Every test runs with ``GMAP_CACHE_DIR`` and ``GMAP_JOURNAL_DIR`` pointing
+into one temporary directory of the session, so nothing reads or writes
+the user's ``~/.cache/gmap``; subprocesses inherit the same locations.  A
+test of the default locations unsets them with ``monkeypatch.delenv``.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.cache import ENV_CACHE_DIR
 from repro.core.profiler import GmapProfiler
 from repro.gpu.hierarchy import LaunchConfig
 from repro.memsim.config import CacheConfig, DramConfig, SimConfig
+from repro.validation.resilience import ENV_JOURNAL_DIR
 from repro.workloads import suite
+
+
+@pytest.fixture(scope="session", autouse=True)
+def hermetic_gmap_dirs(tmp_path_factory):
+    """The artifact cache and run journal of the session, in a temp dir."""
+    root = tmp_path_factory.mktemp("gmap-home")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(ENV_CACHE_DIR, str(root / "cache"))
+        patch.setenv(ENV_JOURNAL_DIR, str(root / "journal"))
+        yield root
 
 
 @pytest.fixture(scope="session")

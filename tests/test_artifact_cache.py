@@ -8,6 +8,8 @@ miss (recompute), never an error or a wrong answer.
 from __future__ import annotations
 
 import gzip
+import os
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,9 @@ from repro.core.backend import numpy_available
 from repro.core.cache import (
     ArtifactCache,
     CACHE_SCHEMA_VERSION,
+    ENV_CACHE_DIR,
     config_fingerprint,
+    default_cache_dir,
     kernel_fingerprint,
     resolve_cache,
     sim_result_from_payload,
@@ -24,6 +28,7 @@ from repro.core.cache import (
 from repro.gpu.executor import execute_kernel
 from repro.memsim.simulator import SimtSimulator
 from repro.validation.harness import build_pipeline, simulate_pair
+from repro.validation.resilience import ENV_JOURNAL_DIR, default_journal_dir
 from repro.workloads import suite
 
 
@@ -229,6 +234,23 @@ class TestResolveCache:
         resolved = resolve_cache(True)
         assert resolved is not None
         assert str(resolved.root).startswith(str(tmp_path / "env-cache"))
+
+
+class TestDefaultLocations:
+    def test_suite_never_touches_the_user_cache(self, hermetic_gmap_dirs):
+        """The session fixture points cache and journal at a temp dir."""
+        user_cache = Path.home() / ".cache" / "gmap"
+        for name, resolved in ((ENV_CACHE_DIR, default_cache_dir()),
+                               (ENV_JOURNAL_DIR, default_journal_dir())):
+            assert Path(os.environ[name]) == resolved
+            assert resolved.is_relative_to(hermetic_gmap_dirs)
+            assert not resolved.is_relative_to(user_cache)
+
+    def test_unset_env_falls_back_to_home(self, monkeypatch):
+        monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
+        monkeypatch.delenv(ENV_JOURNAL_DIR, raising=False)
+        assert default_cache_dir() == Path.home() / ".cache" / "gmap"
+        assert default_journal_dir() == default_cache_dir() / "journal"
 
 
 def test_execute_kernel_unaffected_by_cache(cache, kernel):

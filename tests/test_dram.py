@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
-import pytest
+from bisect import bisect_left, insort
+from collections import deque
+from dataclasses import asdict
+from typing import Deque, List
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.memsim.address_mapping import AddressMapping
 from repro.memsim.config import DramConfig, DramTimings
 from repro.memsim.dram import DramModel
+from repro.memsim.stats import DramStats
 
 
 def make_dram(**kwargs) -> DramModel:
@@ -193,3 +202,225 @@ class TestDiagnostics:
 
     def test_describe(self):
         assert "RoBaRaCoCh" in make_dram().describe()
+
+
+# The DRAM model before its per-request work was rewritten, kept verbatim
+# (but for the class names) as the model of the rewritten one.
+class _RefBank:
+    """One bank's row buffer and command timing."""
+
+    __slots__ = ("open_row", "busy_until", "activated_at")
+
+    def __init__(self) -> None:
+        self.open_row = -1          # -1 = closed (precharged)
+        self.busy_until = 0.0       # earliest next command start, core cycles
+        self.activated_at = 0.0     # last ACT time, for tRAS enforcement
+
+
+class _RefChannel:
+    """A channel's bus and its queued requests' completion times.
+
+    ``pending`` holds them in arrival order (the queue drains from the
+    front); ``backlog`` is the same multiset kept sorted, so FR-FCFS reads
+    its reorder bound by index instead of sorting the queue.
+    """
+
+    __slots__ = ("bus_busy_until", "pending", "backlog")
+
+    def __init__(self) -> None:
+        self.bus_busy_until = 0.0
+        self.pending: Deque[float] = deque()
+        self.backlog: List[float] = []
+
+
+class _RefRank:
+    """Rank-level constraints: tFAW activation window, tWTR turnaround."""
+
+    __slots__ = ("recent_acts", "last_write_end")
+
+    def __init__(self) -> None:
+        self.recent_acts: Deque[float] = deque(maxlen=4)
+        self.last_write_end = float("-inf")  # no write issued yet
+
+
+class ReferenceDramModel:
+    """One memory system instance; shared by all cores via the L2."""
+
+    def __init__(
+        self,
+        config: DramConfig,
+        txn_size: int = 128,
+        core_clock_mhz: float = 1400.0,
+    ) -> None:
+        self.config = config
+        self.mapping = AddressMapping(config, txn_size)
+        self.stats = DramStats()
+        # All timing is kept in core cycles; DRAM-clock parameters scale by
+        # the clock ratio.
+        self._scale = core_clock_mhz / config.clock_mhz
+        t = config.timings
+        self.t_rcd = t.t_rcd * self._scale
+        self.t_cas = t.t_cas * self._scale
+        self.t_rp = t.t_rp * self._scale
+        self.t_ras = t.t_ras * self._scale
+        self.t_faw = t.t_faw * self._scale
+        self.t_wtr = t.t_wtr * self._scale
+        self.t_refi = t.t_refi * self._scale
+        self.t_rfc = t.t_rfc * self._scale
+        # Burst: txn_size bytes over a double-data-rate bus of bus_width
+        # bytes per edge -> txn/(2*width) DRAM cycles.
+        self.t_burst = max(1.0, txn_size / (2 * config.bus_width)) * self._scale
+        self._banks: List[List[List[_RefBank]]] = [
+            [[_RefBank() for _ in range(config.banks)] for _ in range(config.ranks)]
+            for _ in range(config.channels)
+        ]
+        self._channels = [_RefChannel() for _ in range(config.channels)]
+        self._ranks: List[List[_RefRank]] = [
+            [_RefRank() for _ in range(config.ranks)]
+            for _ in range(config.channels)
+        ]
+        # Per-request constants: the mapping's field slices (the shifts and
+        # masks of ``mapping.coordinates``), the FR-FCFS window, and the
+        # row-empty and row-conflict latencies, summed left to right.
+        mapping = self.mapping
+        self._ch_shift, self._ch_mask = mapping._ch_shift, mapping._ch_mask
+        self._ra_shift, self._ra_mask = mapping._ra_shift, mapping._ra_mask
+        self._ba_shift, self._ba_mask = mapping._ba_shift, mapping._ba_mask
+        self._ro_shift, self._ro_mask = mapping._ro_shift, mapping._ro_mask
+        self._frfcfs_window = config.frfcfs_window
+        self._t_empty = self.t_rcd + self.t_cas
+        self._t_conflict = self.t_rp + self.t_rcd + self.t_cas
+        self._refresh = self.t_refi > 0 and self.t_rfc > 0
+
+    def access(self, now: float, address: int, is_write: bool = False) -> float:
+        """Service one transaction arriving at ``now``; returns its latency."""
+        channel_id = (address >> self._ch_shift) & self._ch_mask
+        rank_id = (address >> self._ra_shift) & self._ra_mask
+        row = (address >> self._ro_shift) & self._ro_mask
+        bank = self._banks[channel_id][rank_id][
+            (address >> self._ba_shift) & self._ba_mask]
+        channel = self._channels[channel_id]
+        stats = self.stats
+
+        pending = channel.pending
+        backlog = channel.backlog
+        while pending and pending[0] <= now:
+            del backlog[bisect_left(backlog, pending.popleft())]
+        stats.queue_len_sum += len(pending)
+        stats.queue_samples += 1
+
+        open_row = bank.open_row
+        if open_row == row:
+            kind_latency = self.t_cas
+            stats.row_hits += 1
+            row_hit = True
+        elif open_row < 0:
+            kind_latency = self._t_empty
+            stats.row_empties += 1
+            row_hit = False
+        else:
+            # Precharge may not begin before tRAS after the activation.
+            ras_ready = bank.activated_at + self.t_ras
+            kind_latency = self._t_conflict
+            kind_latency += max(0.0, ras_ready - max(now, bank.busy_until))
+            stats.row_conflicts += 1
+            row_hit = False
+
+        start = max(now, bank.busy_until)
+        if row_hit:
+            # FR-FCFS: promote row hits past the backlog, bounded by the
+            # reorder window (older requests beyond it still block the bus).
+            window = self._frfcfs_window
+            if len(pending) > window:
+                backlog_release = backlog[len(pending) - window - 1]
+                start = max(start, backlog_release)
+        else:
+            start = max(start, channel.bus_busy_until)
+
+        rank = self._ranks[channel_id][rank_id]
+        if not row_hit and self.t_faw > 0 and len(rank.recent_acts) == 4:
+            # Four-activate window: a fifth ACT waits for the oldest + tFAW.
+            start = max(start, rank.recent_acts[0] + self.t_faw)
+        if not is_write and self.t_wtr > 0:
+            # Write-to-read turnaround on the rank's shared data path.
+            start = max(start, rank.last_write_end + self.t_wtr)
+        if self._refresh:
+            # Periodic all-bank refresh: commands inside the blackout slide
+            # to its end.
+            phase = start % self.t_refi
+            if phase < self.t_rfc:
+                start += self.t_rfc - phase
+
+        if open_row != row:
+            bank.activated_at = start + (self.t_rp if open_row >= 0 else 0.0)
+            rank.recent_acts.append(bank.activated_at)
+        finish = start + kind_latency + self.t_burst
+        if is_write:
+            rank.last_write_end = max(rank.last_write_end, finish)
+        bank.open_row = row
+        bank.busy_until = finish
+        channel.bus_busy_until = max(channel.bus_busy_until, finish)
+        pending.append(finish)
+        insort(backlog, finish)
+
+        latency = finish - now
+        if is_write:
+            stats.writes += 1
+            stats.write_latency_sum += latency
+        else:
+            stats.reads += 1
+            stats.read_latency_sum += latency
+        return latency
+
+
+_TIMINGS = st.builds(
+    DramTimings,
+    t_faw=st.sampled_from([0, 8, 32, 200]),
+    t_wtr=st.sampled_from([0, 6, 40]),
+    t_refi=st.sampled_from([0, 200, 3900]),
+    t_rfc=st.sampled_from([0, 20, 160]),
+)
+#: Gaps between arrivals: bursts, steady traffic, idle spells that drain
+#: every queue, and a few steps back in time (posted writebacks arrive at
+#: their issuer's clock, which can trail the last demand access).
+_GAPS = st.one_of(st.just(0.0), st.floats(0.0, 40.0), st.just(5000.0),
+                  st.floats(-30.0, 0.0))
+#: Addresses: a few hundred lines under 16 values of bits 27-30, which
+#: are bank, rank and channel bits under ChRaBaRoCo and row bits under
+#: RoBaRaCoCh, so rows hit, conflict and spread over banks under both
+#: mappings; and, now and then, any address at all.
+_ADDRESSES = st.one_of(
+    st.tuples(st.integers(0, 15), st.integers(0, 511)).map(
+        lambda high_line: (high_line[0] << 27) | (high_line[1] << 7)),
+    st.integers(0, (1 << 34) - 1),
+)
+
+
+class TestRewrittenAccessModel:
+    """``DramModel.access`` against the reference model, request by request."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(_ADDRESSES, _GAPS, st.booleans()),
+                 min_size=1, max_size=150),
+        st.sampled_from(["RoBaRaCoCh", "ChRaBaRoCo"]),
+        st.sampled_from([1, 2]),
+        st.sampled_from([1, 2, 4]),
+        st.sampled_from([1, 2, 8]),
+        st.sampled_from([1, 4, 16]),
+        _TIMINGS,
+        st.sampled_from([64, 128]),
+    )
+    def test_matches_reference(self, stream, mapping, ranks, channels, banks,
+                               window, timings, txn):
+        config = DramConfig(channels=channels, ranks=ranks, banks=banks,
+                            mapping=mapping, frfcfs_window=window,
+                            timings=timings)
+        fast = DramModel(config, txn_size=txn)
+        model = ReferenceDramModel(config, txn_size=txn)
+        now = 1000.0
+        for address, gap, is_write in stream:
+            now += gap
+            assert fast.access(now, address, is_write) == model.access(
+                now, address, is_write)
+            assert asdict(fast.stats) == asdict(model.stats)

@@ -396,7 +396,8 @@ class TestOneConfigIsOnePointSweep:
         captured = capsys.readouterr()
         if mode == "flat":
             assert engine != "analytic"
-            label, err = f"{target} (flat replay)", ""
+            label = f"{target} (flat replay: {engine})"
+            err = "".join(f"flat fallback: {r}\n" for r in reasons)
         elif engine == "analytic":
             label, err = f"{target} (analytic)", ""
         else:
@@ -425,3 +426,21 @@ class TestOneConfigIsOnePointSweep:
             expected.update(analytic=False, fallback_reasons=reasons,
                             backend=backend)
         assert outcome["result"] == expected
+
+    @pytest.mark.skipif(not numpy_available(), reason="needs NumPy")
+    def test_flat_names_the_oracle_and_its_reasons(self, capsys):
+        """Texture and constant traffic: the array engine declines with
+        two reasons and the oracle replays; the CLI says so."""
+        from repro.cli import main
+
+        target = "convolution_texture"
+        engine, block, reasons = _one_point_entry(target, "numpy", False)
+        assert engine == "oracle"
+        assert len(reasons) == 2
+        assert main(["simulate", target, "--scale", "tiny", "--cores", "4",
+                     "--backend", "numpy", "--flat"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"flat fallback: {reason}" for reason in reasons]
+        assert captured.out == _cli_text(f"{target} (flat replay: oracle)",
+                                         block)

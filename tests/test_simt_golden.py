@@ -4,10 +4,11 @@
 latency-feedback loop (:meth:`SimtSimulator.run`) for configurations the
 benchmark never runs: every scheduling policy, non-LRU replacement, the
 write policies, an inclusive L2, both prefetchers (the stream prefetcher
-also with a two-entry table and trained on misses only), 64 B L2 lines
-under a 128 B L1, the texture/constant/shared paths, a barrier-heavy
-kernel, ``max_requests`` and a multi-kernel application.  Any change to the loop or
-the hierarchy behind it must keep every digest.
+also with a two-entry table, trained on misses only, under a FIFO L2 and
+under an inclusive L2), 64 B L2 lines under a 128 B L1, DRAM without
+tFAW, tWTR and refresh, the texture/constant/shared paths, a
+barrier-heavy kernel, ``max_requests`` and a multi-kernel application.
+Any change to the loop or the hierarchy behind it must keep every digest.
 
 The hypothesis tests check the fast structures of the loop against their
 brute-force definitions: the per-core issue loop with its warp queue, the
@@ -36,6 +37,7 @@ from repro.memsim.address_mapping import AddressMapping
 from repro.memsim.config import (
     CacheConfig,
     DramConfig,
+    DramTimings,
     PrefetcherConfig,
     SimConfig,
 )
@@ -103,11 +105,29 @@ CASES = {
         "l2_prefetcher": PrefetcherConfig(kind="stream", degree=2,
                                           stream_window=32,
                                           train_on_miss_only=True)}, None),
+    # A FIFO L2 takes the non-LRU fill path for prefetched lines.
+    "l2-stream-prefetch-fifo": ("srad", {
+        "l1": _SMALL_L1,
+        "l2": CacheConfig(size=32 * 1024, assoc=8, line_size=128,
+                          hit_latency=30, banks=4, replacement="fifo"),
+        "l2_prefetcher": PrefetcherConfig(kind="stream", degree=4)}, None),
+    # An inclusive L2 small enough that prefetch victims back-invalidate
+    # L1 lines.
+    "l2-stream-prefetch-inclusive": ("srad", {
+        "l1": _SMALL_L1,
+        "l2": CacheConfig(size=4 * 1024, assoc=2, line_size=128,
+                          hit_latency=30, banks=2),
+        "l2_inclusion": "inclusive",
+        "l2_prefetcher": PrefetcherConfig(kind="stream", degree=4)}, None),
     "l2-64B-under-l1-128B": ("kmeans", {"l2": CacheConfig(
         size=32 * 1024, assoc=8, line_size=64, hit_latency=30,
         banks=4)}, None),
     "dram-chrabaroco-2rank": ("srad", {"l1": _SMALL_L1, "dram": DramConfig(
         channels=2, ranks=2, mapping="ChRaBaRoCo", frfcfs_window=4)},
+        None),
+    # No four-activate window, no write-to-read turnaround, no refresh.
+    "dram-quiet-timings": ("srad", {"l1": _SMALL_L1, "dram": DramConfig(
+        channels=2, timings=DramTimings(t_faw=0, t_wtr=0, t_refi=0))},
         None),
     "texture-constant": ("convolution_texture", {}, None),
     "shared-barriers": ("matmul_shared", {}, None),
@@ -119,11 +139,14 @@ CASES = {
 #: Digests recorded before the loop's data structures were rewritten (with
 #: random replacement already seeded from a stable hash of the cache name);
 #: the two extra stream-prefetcher cases were recorded before the stream
-#: table was indexed.
+#: table was indexed; the FIFO and inclusive stream-prefetcher cases and the
+#: quiet-timings DRAM case before the memory side's per-request work was
+#: rewritten.
 GOLDEN = {
     "application-srad": "6d88e0143ea4e379",
     "barrier-heavy": "74179dbe1c92b337",
     "dram-chrabaroco-2rank": "794e6d0d8987ef40",
+    "dram-quiet-timings": "35e61ed1f29ffa0c",
     "l1-stride-prefetch": "3cba3d76d263ef73",
     "l1-write-back-no-allocate": "fb336ac773b8f39e",
     "l1-write-through": "964ddd8ca5364e98",
@@ -131,6 +154,8 @@ GOLDEN = {
     "l2-64B-under-l1-128B": "4236c7f869cad0cd",
     "l2-inclusive": "34291e0c7e0bdcc2",
     "l2-stream-prefetch": "9bb173637421c5b8",
+    "l2-stream-prefetch-fifo": "f3be85ce15190ce2",
+    "l2-stream-prefetch-inclusive": "2f2ab34ff5e25a41",
     "l2-stream-prefetch-miss-only": "adf0f9271d7eb24c",
     "l2-stream-prefetch-table2": "b8016e78c50d892e",
     "l2-write-through": "59bcb5a8e18f8043",

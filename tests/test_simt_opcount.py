@@ -34,6 +34,23 @@ def test_layer_counts_sum_to_total(opcount):
     assert table.splitlines()[-1].startswith("all")
 
 
+def test_any_suite_kernel(opcount, capsys):
+    """``--kernel`` takes kernels beyond the layer test's two."""
+    assert opcount.main(["--point", "stream-w8-d8-chrabaroco",
+                         "--kernel", "bfs", "--max-requests", "120",
+                         "--top", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("== stream-w8-d8-chrabaroco / bfs\n")
+    assert "(requests: 120)" in out
+    assert "prefetcher  (layer total)" in out
+
+
+def test_unknown_kernel_is_refused(opcount):
+    with pytest.raises(SystemExit) as exit_info:
+        opcount.main(["--kernel", "no-such-kernel"])
+    assert exit_info.value.code == 2
+
+
 def test_layer_of_maps_sources(opcount):
     assert opcount.layer_of("/x/src/repro/memsim/mshr.py") == "mshr"
     assert opcount.layer_of("/x/src/repro/memsim/address_mapping.py") == "dram"
