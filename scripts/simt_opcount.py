@@ -11,19 +11,26 @@ so it attributes the loop's untraced glue exactly.  A sampling profiler
 cannot: ``SIGPROF`` samples land on function entries.  Opcodes differ in
 cost, so the counts rank work rather than time it.  C functions
 (``heapq``, ``bisect``, dict methods) cost one opcode in their caller.
+A generator's calls count its resumptions.
+
+``--lines FUNC`` (a qualified name as the table prints it, e.g.
+``MemoryHierarchy.access``; repeatable) adds, per request, the opcodes
+each source line of that function executed.
 
 Usage:
     PYTHONPATH=src python scripts/simt_opcount.py [--point NAME] \\
-        [--kernel srad|bfs|nw|...] [--top 25] [--max-requests N]
+        [--kernel srad|bfs|nw|...] [--top 25] [--max-requests N] \\
+        [--lines FUNC ...]
 """
 
 from __future__ import annotations
 
 import argparse
+import linecache
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Collection, Dict, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,13 +57,19 @@ def layer_of(filename: str) -> str:
 
 
 class OpcodeCounter:
-    """Counts executed opcodes and calls per ``(layer, qualname)``."""
+    """Counts executed opcodes and calls per ``(layer, qualname)``.
 
-    def __init__(self) -> None:
+    For the functions named in ``lines_of`` it also counts opcodes per
+    ``(qualname, filename, line)`` in :attr:`lines`.
+    """
+
+    def __init__(self, lines_of: Collection[str] = ()) -> None:
         self.opcodes: Counter = Counter()
         self.calls: Counter = Counter()
+        self.lines: Counter = Counter()
         self.total = 0
         self._keys: Dict[object, Tuple[str, str]] = {}
+        self._lines_of = frozenset(lines_of)
 
     def _key(self, code) -> Tuple[str, str]:
         key = self._keys.get(code)
@@ -72,11 +85,17 @@ class OpcodeCounter:
         key = self._key(frame.f_code)
         self.calls[key] += 1
         opcodes = self.opcodes
+        lines = self.lines if key[1] in self._lines_of else None
+        filename = frame.f_code.co_filename
 
         def local(frame, event, arg):
             if event == "opcode":
                 opcodes[key] += 1
                 self.total += 1
+                if lines is not None:
+                    # Code the compiler generated (e.g. a generator's
+                    # close) has no line; it counts as line 0.
+                    lines[(key[1], filename, frame.f_lineno or 0)] += 1
             return local
 
         return local
@@ -106,9 +125,13 @@ def _layer_test():
 
 
 def count_point(point: str, kernel: str,
-                max_requests: Optional[int] = None
+                max_requests: Optional[int] = None,
+                lines_of: Collection[str] = ()
                 ) -> Tuple[OpcodeCounter, int]:
-    """Trace one simulation; returns the counter and the requests issued."""
+    """Trace one simulation; returns the counter and the requests issued.
+
+    ``lines_of`` names the functions to count per source line.
+    """
     from repro.gpu.executor import execute_kernel
     from repro.memsim.simulator import SimtSimulator
     from repro.workloads import suite
@@ -117,7 +140,7 @@ def count_point(point: str, kernel: str,
     assignments = execute_kernel(suite.make(kernel, scale="tiny"),
                                  points.NUM_CORES)
     simulator = SimtSimulator(points.CONFIGS[point])
-    with OpcodeCounter() as counter:
+    with OpcodeCounter(lines_of) as counter:
         result = simulator.run(assignments, max_requests=max_requests)
     return counter, result.requests_issued
 
@@ -140,6 +163,24 @@ def report(counter: OpcodeCounter, requests: int, top: int) -> str:
     return "\n".join(lines)
 
 
+def line_report(counter: OpcodeCounter, requests: int, function: str) -> str:
+    """Per-request opcodes of each executed source line of ``function``."""
+    per = 1.0 / max(requests, 1)
+    rows = sorted((filename, line, count)
+                  for (name, filename, line), count in counter.lines.items()
+                  if name == function)
+    if not rows:
+        return f"-- {function}: no opcodes executed"
+    total = sum(count for _, _, count in rows)
+    out = [f"-- {function}: {total * per:.1f} opcodes/req",
+           f"{'line':>6} {'opcodes/req':>11}  source"]
+    for filename, line, count in rows:
+        source = (linecache.getline(filename, line).rstrip() if line
+                  else "(no source line)")
+        out.append(f"{line:>6} {count * per:>11.1f}  {source}")
+    return "\n".join(out)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Print the opcode table of each requested point and kernel."""
     points = _layer_test()
@@ -155,12 +196,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              + ", ".join(points.KERNELS) + ")")
     parser.add_argument("--top", type=int, default=25)
     parser.add_argument("--max-requests", type=int, default=None)
+    parser.add_argument("--lines", metavar="FUNC", action="append",
+                        default=[],
+                        help="also print opcodes per source line of FUNC "
+                             "(qualified name, e.g. MemoryHierarchy.access)")
     args = parser.parse_args(argv)
     for point in args.point or sorted(points.CONFIGS):
         for kernel in args.kernel or points.KERNELS:
-            counter, requests = count_point(point, kernel, args.max_requests)
+            counter, requests = count_point(point, kernel, args.max_requests,
+                                            args.lines)
             print(f"== {point} / {kernel}")
             print(report(counter, requests, args.top))
+            for function in args.lines:
+                print()
+                print(line_report(counter, requests, function))
             print()
     return 0
 

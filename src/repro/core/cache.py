@@ -145,6 +145,12 @@ def _dram_stats_to_payload(stats: DramStats) -> dict:
     return {name: getattr(stats, name) for name in DramStats._FIELDS}
 
 
+def _dram_stats_from_payload(data: dict) -> DramStats:
+    # Entries written while ``queue_samples`` was a stored counter (always
+    # ``reads + writes``, now derived) still carry it; it is ignored.
+    return DramStats(**{name: data[name] for name in DramStats._FIELDS})
+
+
 def sim_result_to_payload(result: SimResult) -> dict:
     """Full-fidelity SimResult serialisation (JSON floats round-trip exactly)."""
     return {
@@ -167,7 +173,7 @@ def sim_result_from_payload(data: dict) -> SimResult:
     return SimResult(
         l1=CacheStats(**data["l1"]),
         l2=CacheStats(**data["l2"]),
-        dram=DramStats(**data["dram"]),
+        dram=_dram_stats_from_payload(data["dram"]),
         texture=CacheStats(**data["texture"]),
         constant=CacheStats(**data["constant"]),
         shared_accesses=data["shared_accesses"],

@@ -5,8 +5,9 @@ G-MAP accounts for GPU thread-level parallelism with a *per-core warp queue*
 warp identifier; a scheduling policy picks which ready warp issues its next
 (coalesced) memory request, and an issuing warp is delayed in proportion to
 the request's latency before it becomes ready again.  The queue itself
-lives in the simulator's per-core issue loop
-(:class:`repro.memsim.simulator._CoreState`); a policy only sees the
+lives in the locals of the simulator's per-core issue generator
+(:meth:`repro.memsim.simulator._CoreState.issue`), created once per run
+and resumed for each of the core's turns; a policy only sees the
 ascending ids of the ready warps.
 
 Policies:

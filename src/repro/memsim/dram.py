@@ -142,7 +142,6 @@ class DramModel:
                 del backlog[bisect_left(backlog, pending.popleft())]
         queued = len(pending)
         stats.queue_len_sum += queued
-        stats.queue_samples += 1
 
         # Each ``if x > start: start = x`` below is ``max(start, x)``.
         start = now

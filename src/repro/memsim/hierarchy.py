@@ -51,6 +51,9 @@ class MemoryHierarchy:
             else None
             for _ in range(config.num_cores)
         ]
+        # Each core's L1, its MSHR file and its prefetcher, in one lookup.
+        self._l1_units = list(zip(self.l1s, self.l1_mshrs,
+                                  self.l1_prefetchers))
         self.l2_prefetcher: Optional[StreamPrefetcher] = (
             make_prefetcher(config.l2_prefetcher, config.l2.line_size)
             if config.l2_prefetcher
@@ -105,8 +108,8 @@ class MemoryHierarchy:
         extra trace records by the front end), texture/constant go through
         their per-SM read-only caches and fall back to the L2, and global
         accesses take the L1 path.  Transactions wider than the L1 line are
-        split into line-sized sectors issued in parallel; the warp waits
-        for the slowest.
+        split into line-sized sectors issued in parallel, each one a nested
+        call of this method; the warp waits for the slowest.
         """
         if address >= SHARED_BASE:  # below it everything is GLOBAL
             space = space_of(address)
@@ -127,19 +130,12 @@ class MemoryHierarchy:
             end = address + size
             sector = (address // line_size) * line_size
             while sector < end:
-                latency = max(
-                    latency, self._access_l1(core, now, pc, sector, is_store)
-                )
+                latency = max(latency, self.access(
+                    core, now, pc, sector, line_size, is_store))
                 sector += line_size
             return latency
-        return self._access_l1(core, now, pc, address, is_store)
-
-    # -- L1 level ---------------------------------------------------------------
-
-    def _access_l1(
-        self, core: int, now: float, pc: int, address: int, is_store: bool
-    ) -> float:
-        l1 = self.l1s[core]
+        # The L1 level: one line-sized access.
+        l1, mshr, prefetcher = self._l1_units[core]
         hit, victim = l1.access(address, is_store)
         latency = self._l1_hit
         fetch = not hit
@@ -150,8 +146,7 @@ class MemoryHierarchy:
             self._writeback_to_l2(now, l1.line_address(address))
             fetch = fetch and self._l1_write_allocate
         if fetch:
-            line = address - address % self._l1_line
-            mshr = self.l1_mshrs[core]
+            line = address - address % line_size
             inflight = mshr.lookup(line, now)
             if inflight is not None:
                 l1.stats.mshr_merges += 1
@@ -166,7 +161,7 @@ class MemoryHierarchy:
                     l2_line = self._l2_line
                     l2_latency = 0.0
                     chunk = line
-                    while chunk < line + self._l1_line:
+                    while chunk < line + line_size:
                         l2_latency = max(
                             l2_latency,
                             self._access_l2(now + latency, chunk, False),
@@ -180,11 +175,12 @@ class MemoryHierarchy:
                 latency = completion - now
             if victim is not None and victim.dirty:
                 self._writeback_to_l2(now, victim.address)
-        prefetcher = self.l1_prefetchers[core]
         if prefetcher is not None:
             for candidate in prefetcher.observe(pc, address, hit):
                 self._l1_prefetch(core, now, candidate)
         return latency
+
+    # -- L1 level ---------------------------------------------------------------
 
     def _l1_prefetch(self, core: int, now: float, address: int) -> None:
         l1 = self.l1s[core]

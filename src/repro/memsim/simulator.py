@@ -23,7 +23,7 @@ import heapq
 from bisect import insort
 from heapq import heappop, heappush
 from math import inf, nextafter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.gpu.executor import CoreAssignment, WarpTrace
 from repro.gpu.instructions import AccessTuple
@@ -36,14 +36,15 @@ from repro.memsim.stats import SimResult
 class _CoreState:
     """Scheduling state of one simulated core.
 
-    The warp queue (paper section 4.5) is split in two.  ``ready`` lists,
-    ascending, the warps found ready by ``now`` that have not issued since.
-    ``pending`` is a min-heap of ``(ready time, warp)`` for the warps
-    waiting out a request's latency.  ``cursors`` holds every queued warp,
-    so a warp parked at a barrier is the one kind in neither structure.
-    A warp enters ``pending`` only when it is in neither (it has just
-    issued, been released from a barrier, or arrived with a new wave), so
-    every heap entry is current.  :meth:`issue` keeps all of it in locals.
+    The warp queue (paper section 4.5) is split in two.  A ready list,
+    local to the generator :meth:`issue`, holds, ascending, the warps found
+    ready by ``now`` that have not issued since.  ``pending`` is a min-heap
+    of ``(ready time, warp)`` for the warps waiting out a request's
+    latency.  ``stacks`` maps every queued warp to a reversed copy of its
+    remaining transactions, next one last, so a warp parked at a barrier
+    is the one kind in neither structure.  A warp enters ``pending`` only
+    when it is in neither (it has just issued, been released from a
+    barrier, or arrived with a new wave), so every heap entry is current.
 
     The core also tracks TB-level barriers: a warp reaching a ``SYNC_PC``
     record parks until every still-active warp of its threadblock has
@@ -53,9 +54,9 @@ class _CoreState:
     """
 
     __slots__ = (
-        "core_id", "now", "scheduler", "pending", "ready", "transactions",
-        "cursors", "blocks", "waves", "wave_index", "last_warp", "issued",
-        "same_issues", "block_active", "barrier_wait", "syncs_crossed",
+        "core_id", "now", "scheduler", "pending", "stacks", "blocks",
+        "waves", "wave_index", "last_warp", "same_issues", "block_active",
+        "barrier_wait", "syncs_crossed",
     )
 
     def __init__(
@@ -65,14 +66,11 @@ class _CoreState:
         self.now = 0.0
         self.scheduler = scheduler
         self.pending: List[Tuple[float, int]] = []
-        self.ready: List[int] = []
-        self.transactions: Dict[int, List[AccessTuple]] = {}
-        self.cursors: Dict[int, int] = {}
+        self.stacks: Dict[int, List[AccessTuple]] = {}
         self.blocks: Dict[int, int] = {}
         self.waves = waves
         self.wave_index = 0
         self.last_warp: Optional[int] = None
-        self.issued = 0
         self.same_issues = 0
         self.block_active: Dict[int, int] = {}
         self.barrier_wait: Dict[int, List[int]] = {}
@@ -81,7 +79,7 @@ class _CoreState:
 
     def _load_next_wave(self, now: float) -> None:
         """Queue the next resident wave of threadblocks, ready at ``now``."""
-        cursors = self.cursors
+        stacks = self.stacks
         block_active = self.block_active
         while self.wave_index < len(self.waves):
             wave = self.waves[self.wave_index]
@@ -91,25 +89,24 @@ class _CoreState:
             for trace in wave:
                 if trace.transactions:
                     warp = trace.warp_id
-                    if warp in cursors:
+                    if warp in stacks:
                         raise ValueError(f"warp {warp} already queued")
                     heappush(self.pending, (now, warp))
-                    self.transactions[warp] = trace.transactions
-                    cursors[warp] = 0
+                    # A copy: every config of a sweep replays the same trace.
+                    stacks[warp] = trace.transactions[::-1]
                     self.blocks[warp] = trace.block
                     block_active[trace.block] = (
                         block_active.get(trace.block, 0) + 1
                     )
-            if cursors:
+            if stacks:
                 return
 
     def _retire(self, warp: int, now: float) -> None:
-        del self.transactions[warp]
-        del self.cursors[warp]
+        del self.stacks[warp]
         block = self.blocks.pop(warp)
         self.block_active[block] -= 1
         self._maybe_release_barrier(block, now)
-        if not self.cursors:
+        if not self.stacks:
             self._load_next_wave(now)
 
     def _park(self, warp: int, now: float) -> None:
@@ -125,94 +122,107 @@ class _CoreState:
         self.barrier_wait[block] = []
         self.syncs_crossed += 1
         for warp in waiting:
-            cursor = self.cursors[warp] + 1  # step past the SYNC record
-            self.cursors[warp] = cursor
-            if cursor >= len(self.transactions[warp]):
-                self._retire(warp, now)
-            else:
+            # The SYNC record was popped when the warp parked.
+            if self.stacks[warp]:
                 heappush(self.pending, (now + 1.0, warp))
+            else:
+                self._retire(warp, now)
 
     def issue(
         self,
         hierarchy: MemoryHierarchy,
         events: List[Tuple[float, int]],
         index: int,
-        budget: float,
-    ) -> int:
-        """Issue until the core drains, ``budget`` requests have issued, or
-        the earliest entry of ``events`` (the other cores' event heap)
-        comes before ``(now, index)``; returns the requests issued.
+    ) -> Generator[int, float, None]:
+        """The core's issue loop, one turn per ``send(budget)``.
 
-        Only in the last case does the core push itself back onto
-        ``events``.  When no warp is ready, the first ``pending`` warp
-        becomes ready and the clock jumps to its time if that is later.
-        Then every warp due by ``now`` joins ``ready``.  The chosen warp
-        issues one transaction and waits out its latency in ``pending``,
-        or parks at its block's barrier on a ``SYNC_PC`` record.  Either
-        way the clock advances one cycle.
+        :meth:`SimtSimulator.run` creates the generator once per run,
+        primes it with ``next()``, then resumes it with the request budget
+        left.  A turn issues until the core drains, ``budget`` requests
+        have issued, or the earliest entry of ``events`` (the other cores'
+        event heap) comes before ``(now, index)``, and yields the requests
+        it issued.  Only in the last case does the core push itself back
+        onto ``events``.  The clock, the last warp and the same-warp count
+        live in locals; closing the generator writes them back to ``now``,
+        ``last_warp`` and ``same_issues``.
+
+        When no warp is ready, the first ``pending`` warp becomes ready and
+        the clock jumps to its time if that is later.  Then every warp due
+        by ``now`` joins ``ready``.  The chosen warp issues one transaction
+        and waits out its latency in ``pending``, or parks at its block's
+        barrier on a ``SYNC_PC`` record.  Either way the clock advances
+        one cycle.
         """
         pending = self.pending
-        ready = self.ready
-        transactions_of = self.transactions
-        cursors = self.cursors
+        stacks = self.stacks
         select = self.scheduler.select
         access = hierarchy.access
         core_id = self.core_id
+        ready: List[int] = []
         last = self.last_warp
         now = self.now
-        # No other core runs during the call, so the entry to yield to is
-        # fixed: ``(time, other) < (now, index)`` is ``now >= time`` when
-        # ``other < index`` and ``now > time`` otherwise.
-        if events:
-            time, other = events[0]
-            yield_at = time if other < index else nextafter(time, inf)
-        else:
-            yield_at = inf
-        issued = same = 0
-        while True:
-            if not ready:
-                if not pending:
-                    raise RuntimeError(
-                        f"core {core_id}: all warps parked at barriers — "
-                        "barrier bookkeeping is inconsistent"
-                    )
-                due, warp = heappop(pending)
-                ready.append(warp)
-                if due > now:
-                    now = due
-            while pending and pending[0][0] <= now:
-                insort(ready, heappop(pending)[1])
-            warp = select(ready, last)
-            ready.remove(warp)
-            transactions = transactions_of[warp]
-            cursor = cursors[warp]
-            pc, address, size, is_store = transactions[cursor]
-            if pc < 0:  # SYNC_PC: no memory request
-                self._park(warp, now)
-            else:
-                latency = access(core_id, now, pc, address, size,
-                                 bool(is_store))
-                if last == warp:
-                    same += 1
-                issued += 1
-                cursor += 1
-                if cursor < len(transactions):
-                    cursors[warp] = cursor
-                    heappush(pending, (now + latency, warp))
+        same = self.same_issues
+        try:
+            budget = yield 0
+            while True:
+                # No other core runs during a turn, so the entry to yield to
+                # is fixed: ``(time, other) < (now, index)`` is
+                # ``now >= time`` when ``other < index``, else ``now > time``.
+                if events:
+                    time, other = events[0]
+                    yield_at = time if other < index else nextafter(time, inf)
                 else:
-                    self._retire(warp, now)
-            last = warp
-            now += 1.0
-            if not cursors or issued >= budget:
-                break  # drained, or out of budget
-            if now >= yield_at:
-                heappush(events, (now, index))
-                break
-        self.now = now
-        self.last_warp = last
-        self.issued += issued
-        self.same_issues += same
-        return issued
+                    yield_at = inf
+                issued = 0
+                while True:
+                    if not ready:
+                        if not pending:
+                            raise RuntimeError(
+                                f"core {core_id}: all warps parked at "
+                                "barriers — barrier bookkeeping is "
+                                "inconsistent"
+                            )
+                        due, warp = heappop(pending)
+                        ready = [warp]
+                        if due > now:
+                            now = due
+                    while pending and pending[0][0] <= now:
+                        insort(ready, heappop(pending)[1])
+                    warp = select(ready, last)
+                    ready.remove(warp)
+                    stack = stacks[warp]
+                    pc, address, size, is_store = stack.pop()
+                    if pc < 0:  # SYNC_PC: no memory request
+                        self._park(warp, now)
+                        last = warp
+                        now += 1.0
+                        if not stacks:
+                            break  # drained
+                    else:
+                        latency = access(core_id, now, pc, address, size,
+                                         is_store)
+                        if last == warp:
+                            same += 1
+                        last = warp
+                        issued += 1
+                        if stack:
+                            heappush(pending, (now + latency, warp))
+                            now += 1.0
+                        else:
+                            self._retire(warp, now)
+                            now += 1.0
+                            if not stacks:
+                                break  # drained
+                        if issued >= budget:
+                            break
+                    if now >= yield_at:
+                        heappush(events, (now, index))
+                        break
+                budget = yield issued
+        finally:
+            self.now = now
+            self.last_warp = last
+            self.same_issues = same
 
 
 class SimtSimulator:
@@ -243,8 +253,9 @@ class SimtSimulator:
         Cores interleave in global time order so the shared L2/DRAM sees a
         realistic merged request stream.  The interleave is driven by an
         event heap keyed on ``(now, core index)``: the earliest core issues
-        a burst of transactions (one :meth:`_CoreState.issue` call) until
-        the next core's timestamp overtakes it, then re-enters the heap.
+        a burst of transactions (one turn of its :meth:`_CoreState.issue`
+        generator) until the next core's timestamp overtakes it, then
+        re-enters the heap.
         Ties on ``now`` resolve to the lowest core index — the same order
         a ``min()`` scan over the cores produces — so results are
         bit-identical to the linear-scan implementation.
@@ -262,12 +273,17 @@ class SimtSimulator:
         budget = max_requests if max_requests is not None else inf
         hierarchy = self.hierarchy
         events = [(core.now, index) for index, core in enumerate(cores)
-                  if core.cursors]
+                  if core.stacks]
         heapq.heapify(events)
+        turns = [core.issue(hierarchy, events, index)
+                 for index, core in enumerate(cores)]
+        for turn in turns:
+            next(turn)
         while events and issued_total < budget:
             _, index = heappop(events)
-            issued_total += cores[index].issue(hierarchy, events, index,
-                                               budget - issued_total)
+            issued_total += turns[index].send(budget - issued_total)
+        for turn in turns:
+            turn.close()  # every core writes back its clock and counts
 
         # Snapshots: the hierarchy keeps counting on a later run().
         result = SimResult(
@@ -282,9 +298,8 @@ class SimtSimulator:
             barriers_crossed=sum(c.syncs_crossed for c in cores),
             per_core_l1=[l1.stats.copy() for l1 in hierarchy.l1s],
         )
-        total_issues = sum(c.issued for c in cores)
         same = sum(c.same_issues for c in cores)
-        result.measured_p_self = same / total_issues if total_issues else 0.0
+        result.measured_p_self = same / issued_total if issued_total else 0.0
         return result
 
 
@@ -332,7 +347,7 @@ def simulate_flat_trace(
             pc, address, size, is_store = trace[cursor]
             cursor += 1
             if pc >= 0:
-                hierarchy.access(core, clock, pc, address, size, bool(is_store))
+                hierarchy.access(core, clock, pc, address, size, is_store)
                 issued += 1
             clock += 1.0
             if cursor >= length:

@@ -83,11 +83,15 @@ class DramStats:
     read_latency_sum: float = 0.0
     write_latency_sum: float = 0.0
     queue_len_sum: float = 0.0
-    queue_samples: int = 0
 
     @property
     def requests(self) -> int:
         return self.reads + self.writes
+
+    @property
+    def queue_samples(self) -> int:
+        """Queue-length samples: one per request."""
+        return self.requests
 
     @property
     def row_buffer_locality(self) -> float:
@@ -122,7 +126,6 @@ class DramStats:
     _FIELDS = (
         "reads", "writes", "row_hits", "row_empties", "row_conflicts",
         "read_latency_sum", "write_latency_sum", "queue_len_sum",
-        "queue_samples",
     )
 
     def copy(self) -> "DramStats":

@@ -7,6 +7,13 @@ Every test runs with ``GMAP_CACHE_DIR`` and ``GMAP_JOURNAL_DIR`` pointing
 into one temporary directory of the session, so nothing reads or writes
 the user's ``~/.cache/gmap``; subprocesses inherit the same locations.  A
 test of the default locations unsets them with ``monkeypatch.delenv``.
+
+Hypothesis runs under the ``gmap`` settings profile: every phase but
+``explain``.  After a failure that phase re-runs the test many times to
+comment the falsifying example; on the simulator's model tests that can
+take from tens of seconds to minutes, and hundreds of MB, before anything
+is reported.  Each test's own ``@settings`` (``max_examples``,
+``deadline``) still applies.
 """
 
 from __future__ import annotations
@@ -19,6 +26,15 @@ from repro.gpu.hierarchy import LaunchConfig
 from repro.memsim.config import CacheConfig, DramConfig, SimConfig
 from repro.validation.resilience import ENV_JOURNAL_DIR
 from repro.workloads import suite
+
+try:
+    from hypothesis import Phase, settings
+except ImportError:  # CI's service jobs install pytest without hypothesis
+    pass
+else:
+    settings.register_profile(
+        "gmap", phases=[phase for phase in Phase if phase is not Phase.explain])
+    settings.load_profile("gmap")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -200,8 +200,12 @@ class TestBrokenPremise:
 
 #: SHA-256 (first 16 hex digits) of every ``predict()`` over
 #: ``l1_sweep() + l2_sweep()`` for kmeans-tiny on 8 cores, per stream,
-#: recorded from the direct scans every geometry once took.
-PINNED = {"original": "35b2d96709d04b5b", "proxy": "5d223fae2b4dca1c"}
+#: recorded from the direct scans every geometry once took.  Re-recorded
+#: when ``DramStats.queue_samples`` became a property and left
+#: ``asdict()``; with ``"queue_samples": 0`` put back into each ``dram``
+#: dict the predictions still give the first digests, 35b2d96709d04b5b
+#: and 5d223fae2b4dca1c.
+PINNED = {"original": "71ce770263891868", "proxy": "369e23e3268dc413"}
 
 
 @pytest.fixture(scope="module")

@@ -214,6 +214,26 @@ class TestRoundTrip:
         assert restored.per_core_l1 == result.per_core_l1
         assert restored.cycles == result.cycles
 
+    def test_pair_stored_with_queue_samples_loads(self, cache, kernel,
+                                                  small_config):
+        """Entries written while ``DramStats.queue_samples`` was a stored
+        counter carry it in their payload; they still load, and the
+        property gives back the stored count."""
+        pipeline = build_pipeline(kernel, num_cores=4)
+        result = SimtSimulator(small_config).run(
+            pipeline.original_assignments)
+        payload = sim_result_to_payload(result)
+        assert "queue_samples" not in payload["dram"]
+        payload["dram"]["queue_samples"] = result.dram.requests
+        cache.content.save(cache.content.path("pair", "old-entry"),
+                           {"original": payload, "proxy": payload})
+        original, proxy = cache.load_pair("old-entry")
+        assert cache.counters.hits == 1
+        for restored in (original, proxy):
+            assert restored.dram == result.dram
+            assert restored.dram.queue_samples == result.dram.requests > 0
+            assert restored.to_dict() == result.to_dict()
+
     def test_fingerprints_are_hex_digests(self, kernel, small_config):
         for fp in (kernel_fingerprint(kernel),
                    config_fingerprint(small_config)):

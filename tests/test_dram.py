@@ -255,6 +255,7 @@ class ReferenceDramModel:
         self.config = config
         self.mapping = AddressMapping(config, txn_size)
         self.stats = DramStats()
+        self.queue_samples = 0
         # All timing is kept in core cycles; DRAM-clock parameters scale by
         # the clock ratio.
         self._scale = core_clock_mhz / config.clock_mhz
@@ -307,7 +308,7 @@ class ReferenceDramModel:
         while pending and pending[0] <= now:
             del backlog[bisect_left(backlog, pending.popleft())]
         stats.queue_len_sum += len(pending)
-        stats.queue_samples += 1
+        self.queue_samples += 1
 
         open_row = bank.open_row
         if open_row == row:
@@ -424,3 +425,4 @@ class TestRewrittenAccessModel:
             assert fast.access(now, address, is_write) == model.access(
                 now, address, is_write)
             assert asdict(fast.stats) == asdict(model.stats)
+            assert fast.stats.queue_samples == model.queue_samples

@@ -6,8 +6,11 @@ benchmark never runs: every scheduling policy, non-LRU replacement, the
 write policies, an inclusive L2, both prefetchers (the stream prefetcher
 also with a two-entry table, trained on misses only, under a FIFO L2 and
 under an inclusive L2), 64 B L2 lines under a 128 B L1, DRAM without
-tFAW, tWTR and refresh, the texture/constant/shared paths, a
-barrier-heavy kernel, ``max_requests`` and a multi-kernel application.
+tFAW, tWTR and refresh, L1 lines narrower than a transaction (32 B, and
+64 B write-through no-allocate with the stride prefetcher), the
+texture/constant/shared paths, a barrier-heavy kernel, ``max_requests``
+(also stopping one core of a barrier kernel while another is suspended)
+and a multi-kernel application.
 Any change to the loop or the hierarchy behind it must keep every digest.
 
 The hypothesis tests check the fast structures of the loop against their
@@ -134,6 +137,19 @@ CASES = {
     "shared-histogram": ("histogram_shared", {}, None),
     "barrier-heavy": ("reduction", {"scheduler": "gto"}, None),
     "max-requests": ("kmeans", {}, 500),
+    # 32 B L1 lines: every 128 B transaction splits into four sectors.
+    "l1-32B-sectors": ("bfs", {"l1": CacheConfig(
+        size=4 * 1024, assoc=4, line_size=32)}, None),
+    # Two sectors per transaction, stores forwarded without a fill, and
+    # the stride prefetcher trained on every sector.
+    "l1-64B-write-through-no-allocate-stride": ("bfs", {
+        "l1": CacheConfig(size=2 * 1024, assoc=4, line_size=64,
+                          write_policy="write-through",
+                          write_allocate=False),
+        "l1_prefetcher": PrefetcherConfig(kind="stride", degree=2)}, None),
+    # The budget runs out on one core while the other is suspended
+    # mid-kernel, between barriers; ``cycles`` reads both clocks.
+    "max-requests-barrier": ("reduction", {}, 150),
 }
 
 #: Digests recorded before the loop's data structures were rewritten (with
@@ -141,12 +157,15 @@ CASES = {
 #: the two extra stream-prefetcher cases were recorded before the stream
 #: table was indexed; the FIFO and inclusive stream-prefetcher cases and the
 #: quiet-timings DRAM case before the memory side's per-request work was
-#: rewritten.
+#: rewritten; the sectored L1 cases and the barrier-kernel budget stop
+#: before the core side's per-request work was rewritten.
 GOLDEN = {
     "application-srad": "6d88e0143ea4e379",
     "barrier-heavy": "74179dbe1c92b337",
     "dram-chrabaroco-2rank": "794e6d0d8987ef40",
     "dram-quiet-timings": "35e61ed1f29ffa0c",
+    "l1-32B-sectors": "2abe0d99a9ef3317",
+    "l1-64B-write-through-no-allocate-stride": "6e9b8f25602f0743",
     "l1-stride-prefetch": "3cba3d76d263ef73",
     "l1-write-back-no-allocate": "fb336ac773b8f39e",
     "l1-write-through": "964ddd8ca5364e98",
@@ -160,6 +179,7 @@ GOLDEN = {
     "l2-stream-prefetch-table2": "b8016e78c50d892e",
     "l2-write-through": "59bcb5a8e18f8043",
     "max-requests": "adb68abe338f9451",
+    "max-requests-barrier": "b5135215d67b9934",
     "repl-fifo": "f20b07ec2ad39cd9",
     "repl-random": "b68c45e4c8a4a6b0",
     "sched-gto": "97802a34ebccfe5f",
@@ -275,8 +295,10 @@ def _assignments_of(cores):
 class TestWarpQueueModel:
     """The per-core issue loop against the brute-force reference.
 
-    The warp queue lives in locals of ``_CoreState.issue``: an ascending
-    ready list and a heap of ``(ready time, warp)`` for the others.
+    The warp queue lives in locals of the ``_CoreState.issue`` generator,
+    bound once per run and kept across the core's turns: an ascending
+    ready list, a heap of ``(ready time, warp)`` for the others, and a
+    reversed transaction stack per queued warp.
     ``reference_run`` (tests/test_perf_determinism.py) recomputes the
     ready set from the map on every step and scans the cores with
     ``min()``.  Both drive a stub hierarchy with seeded random latencies,
@@ -295,8 +317,10 @@ class TestWarpQueueModel:
                             sched_p_self=0.6, scheduler_seed=seed)
         simulator = SimtSimulator(config)
         simulator.hierarchy = fast = _StubHierarchy(config, seed)
-        result = simulator.run(_assignments_of(cores),
-                               max_requests=max_requests)
+        assignments = _assignments_of(cores)
+        result = simulator.run(assignments, max_requests=max_requests)
+        # The loop pops copies: a sweep replays the same traces per config.
+        assert assignments == _assignments_of(cores)
         slow = _StubHierarchy(config, seed)
         expected = reference_run(config, _assignments_of(cores),
                                  max_requests=max_requests, hierarchy=slow)

@@ -55,3 +55,26 @@ def test_layer_of_maps_sources(opcount):
     assert opcount.layer_of("/x/src/repro/memsim/mshr.py") == "mshr"
     assert opcount.layer_of("/x/src/repro/memsim/address_mapping.py") == "dram"
     assert opcount.layer_of("/usr/lib/python3/heapq.py") == "other"
+
+
+def test_lines_attribute_a_function_per_source_line(opcount, capsys):
+    """``--lines FUNC`` splits FUNC's opcodes over its source lines."""
+    counter, requests = opcount.count_point(
+        "fig6a-l1-16KB-4way", "srad", max_requests=100,
+        lines_of=["MemoryHierarchy.access"])
+    key = ("hierarchy", "MemoryHierarchy.access")
+    per_line = {line: count for (name, _, line), count
+                in counter.lines.items()}
+    assert {name for name, _, _ in counter.lines} == {key[1]}
+    assert sum(per_line.values()) == counter.opcodes[key]
+    table = opcount.line_report(counter, requests, key[1])
+    assert "l1.access(address, is_store)" in table
+    assert opcount.line_report(counter, requests, "no.such").endswith(
+        "no opcodes executed")
+
+    assert opcount.main(["--point", "fig6a-l1-16KB-4way", "--kernel", "srad",
+                         "--max-requests", "50", "--top", "1",
+                         "--lines", "_CoreState.issue"]) == 0
+    out = capsys.readouterr().out
+    assert "-- _CoreState.issue: " in out
+    assert "stack.pop()" in out
