@@ -58,7 +58,7 @@ def _error(pipeline, profile, config, stride_model="iid"):
     return abs(original.l1_miss_rate - clone.l1_miss_rate)
 
 
-def test_ablations(benchmark):
+def test_ablations():
     print_experiment_header(
         "Ablations", "value of each profile component (L1 miss-rate error)",
         paper_error="n/a (extension)", paper_corr="n/a",
@@ -100,9 +100,3 @@ def test_ablations(benchmark):
     worst = max(v for k, v in errors.items() if k.startswith("no "))
     assert worst > full, "ablations should hurt accuracy"
     assert errors["markov strides"] <= full + 0.01
-
-    pipeline = pipelines[ABLATION_APPS[0]]
-    benchmark.pedantic(
-        lambda: _error(pipeline, pipeline.profile, config),
-        rounds=3, iterations=1,
-    )

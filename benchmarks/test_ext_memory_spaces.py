@@ -21,7 +21,7 @@ from benchmarks.conftest import NUM_CORES, SCALE, SEED, print_experiment_header
 EXT_APPS = ("matmul_shared", "convolution_texture", "histogram_shared")
 
 
-def test_ext_memory_spaces(benchmark):
+def test_ext_memory_spaces():
     print_experiment_header(
         "Extension", "memory-space cloning (shared / texture / constant)",
         paper_error="n/a ('methodology is generic enough', section 5)",
@@ -63,12 +63,3 @@ def test_ext_memory_spaces(benchmark):
     assert abs(o.constant.miss_rate - c.constant.miss_rate) < 0.02
     o, c = by_app["histogram_shared"]
     assert abs(c.shared_accesses - o.shared_accesses) / o.shared_accesses < 0.10
-
-    kernel = suite.make("matmul_shared", SCALE)
-    profile = GmapProfiler().profile(kernel)
-    benchmark.pedantic(
-        lambda: simulate(
-            ProxyGenerator(profile, seed=SEED).generate(NUM_CORES), config
-        ),
-        rounds=3, iterations=1,
-    )

@@ -7,26 +7,8 @@ miss-rate error and 0.91 average correlation.
 
 from __future__ import annotations
 
-from repro.validation import sweeps
-from repro.validation.harness import simulate_pair
-
-from benchmarks.conftest import FULL, run_figure
+from benchmarks.conftest import check_figure
 
 
-def test_fig6b_l2_sweep(pipelines, benchmark):
-    configs = sweeps.l2_sweep(reduced=not FULL)
-    run_figure(
-        pipelines,
-        configs,
-        metric="l2_miss_rate",
-        figure="Figure 6b",
-        description="L2 cache sweep (128KB-4MB, assoc 1-16, line 64-128B)",
-        paper_error="7.1%",
-        paper_corr="0.91",
-    )
-
-    pipeline = pipelines.get("srad")
-    benchmark.pedantic(
-        lambda: simulate_pair(pipeline, configs[0]),
-        rounds=3, iterations=1,
-    )
+def test_fig6b_l2_sweep():
+    check_figure("fig6b")

@@ -10,39 +10,24 @@ scalarProd/srad (large footprints, low temporal locality) and hotspot
 
 from __future__ import annotations
 
+from repro.gpu.executor import execute_kernel
 from repro.memsim.config import PAPER_BASELINE, PrefetcherConfig
 from repro.memsim.simulator import simulate
-from repro.validation import sweeps
-from repro.validation.harness import simulate_pair
+from repro.workloads import suite
 
-from benchmarks.conftest import APPS, FULL, run_figure
+from benchmarks.conftest import APPS, NUM_CORES, SCALE, check_figure
 
 
-def test_fig6c_l1_prefetcher_sweep(pipelines, benchmark):
-    configs = sweeps.l1_prefetcher_sweep(reduced=not FULL)
-    run_figure(
-        pipelines,
-        configs,
-        metric="l1_miss_rate",
-        figure="Figure 6c",
-        description="L1 + stride prefetcher sweep (degree 1-8, 9 L1 configs)",
-        paper_error="6.3%",
-        paper_corr="0.90",
-    )
+def test_fig6c_l1_prefetcher_sweep():
+    check_figure("fig6c")
 
     # Paper narrative: nw benefits from L1 prefetching; hotspot does not.
     base = PAPER_BASELINE
     pref = base.with_(l1_prefetcher=PrefetcherConfig(kind="stride", degree=4))
     if "nw" in APPS:
-        pipeline = pipelines.get("nw")
-        without = simulate(pipeline.original_assignments, base)
-        withpf = simulate(pipeline.original_assignments, pref)
+        original = execute_kernel(suite.make("nw", SCALE), NUM_CORES)
+        without = simulate(original, base)
+        withpf = simulate(original, pref)
         assert withpf.l1_miss_rate < without.l1_miss_rate
         print(f"    nw: miss rate {without.l1_miss_rate:.3f} -> "
               f"{withpf.l1_miss_rate:.3f} with prefetching (paper: benefits)")
-
-    pipeline = pipelines.get("nw" if "nw" in APPS else APPS[0])
-    benchmark.pedantic(
-        lambda: simulate_pair(pipeline, configs[0]),
-        rounds=3, iterations=1,
-    )

@@ -7,26 +7,8 @@ and 0.88 average correlation.
 
 from __future__ import annotations
 
-from repro.validation import sweeps
-from repro.validation.harness import simulate_pair
-
-from benchmarks.conftest import FULL, run_figure
+from benchmarks.conftest import check_figure
 
 
-def test_fig6d_l2_prefetcher_sweep(pipelines, benchmark):
-    configs = sweeps.l2_prefetcher_sweep(reduced=not FULL)
-    run_figure(
-        pipelines,
-        configs,
-        metric="l2_miss_rate",
-        figure="Figure 6d",
-        description="L2 + stream prefetcher sweep (window 8/16/32, degree 1-8)",
-        paper_error="8.9%",
-        paper_corr="0.88",
-    )
-
-    pipeline = pipelines.get("blackscholes")
-    benchmark.pedantic(
-        lambda: simulate_pair(pipeline, configs[0]),
-        rounds=3, iterations=1,
-    )
+def test_fig6d_l2_prefetcher_sweep():
+    check_figure("fig6d")

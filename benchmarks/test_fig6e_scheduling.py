@@ -9,46 +9,32 @@ and 10.9% under GTO.
 
 from __future__ import annotations
 
-from repro.validation import sweeps
-from repro.validation.harness import run_sweep, simulate_pair
+from repro.validation.harness import ExperimentReport, SweepResult
 
-from benchmarks.conftest import (
-    APPS,
-    print_experiment_header,
-    summarize,
-)
+from benchmarks.conftest import sweep_figure
+
+PAPER_BY_POLICY = {"lrr": "5.1%", "gto": "10.9%"}
 
 
-def test_fig6e_scheduling_policies(pipelines, benchmark):
-    print_experiment_header(
-        "Figure 6e", "scheduling policy impact (LRR vs GTO via SchedP_self)",
-        paper_error="8% (5.1% LRR / 10.9% GTO)", paper_corr="n/a",
-    )
-    lrr_config, gto_config = sweeps.scheduling_sweep()
+def test_fig6e_scheduling_policies():
+    spec, configs, sweeps = sweep_figure("fig6e")
     per_policy = {}
-    for label, config in (("lrr", lrr_config), ("gto", gto_config)):
-        comparisons = []
+    for index, config in enumerate(configs):
+        label = config.scheduler
         print(f"    --- policy: {label.upper()}")
-        for app in APPS:
-            pipeline = pipelines.get(app)
-            sweep = run_sweep(pipeline, [config])
-            comparison = sweep.comparison("l1_miss_rate")
-            comparisons.append(comparison)
-            pair = sweep.pairs[0]
-            print(f"    {app:<16} orig {pair.original.l1_miss_rate:.4f} "
+        comparisons = []
+        for sweep in sweeps:
+            pair = sweep.pairs[index]
+            comparisons.append(SweepResult(sweep.benchmark, [pair])
+                               .comparison(spec.metric))
+            print(f"    {sweep.benchmark:<16} orig {pair.original.l1_miss_rate:.4f} "
                   f"proxy {pair.proxy.l1_miss_rate:.4f} "
                   f"(orig SchedP_self={pair.original.measured_p_self:.2f})")
-        err, _ = summarize(comparisons)
+        err = ExperimentReport(spec.metric, comparisons).mean_error
         per_policy[label] = err
         print(f"    {label.upper()} avg error: {err * 100:.2f}pp "
-              f"(paper: {'5.1%' if label == 'lrr' else '10.9%'})")
+              f"(paper: {PAPER_BY_POLICY[label]})")
 
     overall = sum(per_policy.values()) / len(per_policy)
     print(f"    MEASURED overall: {overall * 100:.2f}pp (paper: 8%)")
     assert overall < 0.15
-
-    pipeline = pipelines.get(APPS[0])
-    benchmark.pedantic(
-        lambda: simulate_pair(pipeline, gto_config),
-        rounds=3, iterations=1,
-    )

@@ -9,15 +9,9 @@ average read/write latency (12.6%); average correlation 0.85.
 
 from __future__ import annotations
 
-from repro.validation import sweeps
-from repro.validation.harness import run_sweep, simulate_pair
+from repro.validation.harness import ExperimentReport
 
-from benchmarks.conftest import (
-    APPS,
-    FULL,
-    print_experiment_header,
-    summarize,
-)
+from benchmarks.conftest import sweep_figure
 
 METRICS = (
     ("dram_rbl", "RBL", "9.95%"),
@@ -26,38 +20,31 @@ METRICS = (
 )
 
 
-def test_fig7_dram_exploration(pipelines, benchmark):
-    print_experiment_header(
-        "Figure 7", "DRAM sweep (bus width, channels, addressing scheme)",
-        paper_error="RBL 9.95% / queue 8.64% / latency 12.6%",
-        paper_corr="0.85",
-    )
-    configs = sweeps.dram_sweep(reduced=not FULL)
-    sweeps_by_app = {
-        app: run_sweep(pipelines.get(app), configs) for app in APPS
-    }
+def test_fig7_dram_exploration():
+    # One sweep run; the three metrics are folded from its pairs.
+    _, _, sweeps = sweep_figure("fig7")
+    by_app = {sweep.benchmark: sweep for sweep in sweeps}
 
     # Normalisation baseline: AES (as in the paper's Figure 7).  In reduced
     # mode AES may be absent; fall back to the first app.
-    norm_app = "aes" if "aes" in sweeps_by_app else APPS[0]
+    norm_app = "aes" if "aes" in by_app else sweeps[0].benchmark
     print(f"    (values normalised to {norm_app}'s baseline-config original)")
 
     overall = {}
     for metric, label, paper_err in METRICS:
-        norm = sweeps_by_app[norm_app].pairs[0].original.metric(metric) or 1.0
-        comparisons = []
+        norm = by_app[norm_app].pairs[0].original.metric(metric) or 1.0
+        report = ExperimentReport(
+            metric, [sweep.comparison(metric) for sweep in sweeps])
         print(f"    --- {label} (paper avg error {paper_err})")
-        for app in APPS:
-            comparison = sweeps_by_app[app].comparison(metric)
-            comparisons.append(comparison)
-            n = len(comparison.originals)
-            print(f"    {app:<16} orig {sum(comparison.originals) / n / norm:8.3f} "
-                  f"proxy {sum(comparison.proxies) / n / norm:8.3f} "
-                  f"corr {comparison.correlation:6.3f}")
+        for c in report.comparisons:
+            n = len(c.originals)
+            print(f"    {c.benchmark:<16} orig {sum(c.originals) / n / norm:8.3f} "
+                  f"proxy {sum(c.proxies) / n / norm:8.3f} "
+                  f"corr {c.correlation:6.3f}")
         rel_err = sum(
-            c.mean_rel_error for c in comparisons
-        ) / len(comparisons)
-        _, corr = summarize(comparisons)
+            c.mean_rel_error for c in report.comparisons
+        ) / len(report.comparisons)
+        corr = report.mean_correlation
         overall[metric] = (rel_err, corr)
         print(f"    {label}: avg relative error {rel_err * 100:.2f}% "
               f"corr {corr:.3f}")
@@ -66,9 +53,3 @@ def test_fig7_dram_exploration(pipelines, benchmark):
     # band, and the proxy must preserve metric ordering across apps.
     assert overall["dram_rbl"][0] < 0.40
     assert overall["dram_rw_latency"][0] < 0.50
-
-    pipeline = pipelines.get(norm_app)
-    benchmark.pedantic(
-        lambda: simulate_pair(pipeline, configs[0]),
-        rounds=3, iterations=1,
-    )

@@ -31,7 +31,7 @@ MINI_APPS = tuple(a for a in ("kmeans", "srad", "heartwall") if a in APPS) or AP
 MINI_SCALE = "default" if FULL else "small"
 
 
-def test_fig8_miniaturization(pipelines, benchmark):
+def test_fig8_miniaturization():
     print_experiment_header(
         "Figure 8", "trace miniaturization: accuracy and simulation speedup",
         paper_error="~90% accuracy at 8x", paper_corr="~8x speedup at 8x",
@@ -83,9 +83,3 @@ def test_fig8_miniaturization(pipelines, benchmark):
     assert speedup_by_factor[16.0] > speedup_by_factor[2.0]
     assert accuracy_by_factor[8.0] > (0.85 if FULL else 0.72)
     assert accuracy_by_factor[1.0] >= accuracy_by_factor[16.0] - 0.02
-
-    pipeline = make_pipeline(MINI_APPS[0], 8.0)
-    benchmark.pedantic(
-        lambda: simulate(pipeline.proxy_assignments, config),
-        rounds=3, iterations=1,
-    )

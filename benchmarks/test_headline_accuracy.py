@@ -12,26 +12,22 @@ along with the aggregate, asserting the >90% claim on the reproduction.
 from __future__ import annotations
 
 from repro.memsim.config import PAPER_BASELINE
-from repro.validation.harness import build_pipeline, simulate_pair
 from repro.workloads import suite
 
-from benchmarks.conftest import NUM_CORES, SCALE, SEED, print_experiment_header
+from benchmarks.conftest import print_experiment_header, run_sweeps
 
 
-def test_headline_accuracy(benchmark):
+def test_headline_accuracy():
     print_experiment_header(
         "Headline", "18-app cloning accuracy on the Table 2 baseline",
         paper_error="'over 90% accuracy'", paper_corr="n/a",
     )
     rows = []
-    for app in suite.PAPER_SUITE:
-        pipeline = build_pipeline(
-            suite.make(app, SCALE), num_cores=NUM_CORES, seed=SEED
-        )
-        pair = simulate_pair(pipeline, PAPER_BASELINE)
+    for sweep in run_sweeps([PAPER_BASELINE], apps=suite.PAPER_SUITE):
+        pair = sweep.pairs[0]
         l1_acc = 1 - abs(pair.original.l1_miss_rate - pair.proxy.l1_miss_rate)
         l2_acc = 1 - abs(pair.original.l2_miss_rate - pair.proxy.l2_miss_rate)
-        rows.append((app, l1_acc, l2_acc))
+        rows.append((sweep.benchmark, l1_acc, l2_acc))
 
     print(f"    {'benchmark':<18} {'L1 accuracy':>12} {'L2 accuracy':>12}")
     for app, l1_acc, l2_acc in rows:
@@ -45,11 +41,3 @@ def test_headline_accuracy(benchmark):
     assert mean_l1 > 0.90
     assert mean_l2 > 0.90
     assert min(r[1] for r in rows) > 0.70
-
-    pipeline = build_pipeline(
-        suite.make("kmeans", SCALE), num_cores=NUM_CORES, seed=SEED
-    )
-    benchmark.pedantic(
-        lambda: simulate_pair(pipeline, PAPER_BASELINE),
-        rounds=3, iterations=1,
-    )

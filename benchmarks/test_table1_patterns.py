@@ -4,8 +4,7 @@ Regenerates the paper's Table 1: for each of the 10 documented applications,
 the dominant static memory instructions, their share of dynamic memory
 traffic, the dominant PC-localized inter-warp stride (after coalescing) with
 its frequency, the dominant intra-warp stride, and the reuse class
-(low/med/high).  The pytest-benchmark target times one application's
-profiling pass — the "one-time cost" of section 5.
+(low/med/high).
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ def table1_rows(profile):
     return rows
 
 
-def test_table1_patterns(benchmark):
+def test_table1_patterns():
     profiler = GmapProfiler()
     scale = "small" if not FULL else SCALE  # strides need a few warps
     kernels = {name: suite.make(name, scale) for name in suite.TABLE1_SUITE}
@@ -85,6 +84,3 @@ def test_table1_patterns(benchmark):
     assert profiles["srad"].instructions[0x250].inter_stride.dominant()[0] == 16384
     assert profiles["cp"].instructions[0x208].inter_stride.dominant()[0] == 2048
     assert profiles["heartwall"].instructions[0x900].inter_stride.dominant()[0] == 128
-
-    # Benchmark the one-time profiling cost of a representative app.
-    benchmark(lambda: profiler.profile(kernels["kmeans"]))

@@ -24,7 +24,7 @@ TH_APPS = ("reduction", "bfs", "hotspot")
 THRESHOLDS = (0.5, 0.75, 0.9, 1.0)
 
 
-def test_th_sensitivity(benchmark):
+def test_th_sensitivity():
     print_experiment_header(
         "Th sweep", "pi-clustering threshold sensitivity (section 4.4)",
         paper_error="Th empirically chosen as 0.9", paper_corr="n/a",
@@ -51,9 +51,3 @@ def test_th_sensitivity(benchmark):
         assert counts == sorted(counts)
         # ...and Th=0.9 is at least as accurate as the coarse Th=0.5.
         assert results[(app, 0.9)][1] <= results[(app, 0.5)][1] + 0.02
-
-    kernel = suite.make("reduction", SCALE)
-    benchmark.pedantic(
-        lambda: GmapProfiler(similarity_threshold=0.9).profile(kernel),
-        rounds=3, iterations=1,
-    )

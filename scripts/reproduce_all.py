@@ -102,8 +102,7 @@ def main() -> int:
     env = dict(os.environ)
     if args.full:
         env["GMAP_FULL"] = "1"
-    if run([sys.executable, "-m", "pytest", "benchmarks/",
-            "--benchmark-only", "-q", "-s"],
+    if run([sys.executable, "-m", "pytest", "benchmarks/", "-q", "-s"],
            outdir / "benchmarks.log", env=env):
         failures.append("benchmarks")
 

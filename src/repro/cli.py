@@ -128,11 +128,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="render an ASCII error chart of the results")
     p.add_argument("--html", default=None,
                    help="write a self-contained HTML report to this path")
-    p.add_argument("-j", "--jobs", type=int, default=None,
+    p.add_argument("-j", "--jobs", type=int, default=1,
                    help="parallel worker processes for the sweep engine "
                         "(default: 1 = serial)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="deprecated alias for --jobs")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the on-disk artifact cache "
                         "(see GMAP_CACHE_DIR)")
@@ -682,7 +680,6 @@ def _cmd_validate(args) -> int:
     metric = spec.metric
     names = args.benchmarks or list(suite.PAPER_SUITE)
     kernels = [suite.make(name, scale=args.scale) for name in names]
-    jobs = args.jobs if args.jobs is not None else (args.workers or 1)
     resume = args.resume is not None
     run_id = args.resume if resume and args.resume != "auto" else args.run_id
     use_journal = not args.no_journal
@@ -690,7 +687,7 @@ def _cmd_validate(args) -> int:
         raise SystemExit("--resume requires the journal; drop --no-journal")
     report = run_experiment(
         kernels, configs, metric, seed=args.seed, num_cores=args.cores,
-        jobs=jobs, use_cache=not args.no_cache, cache_dir=args.cache_dir,
+        jobs=args.jobs, use_cache=not args.no_cache, cache_dir=args.cache_dir,
         timeout=args.timeout, retries=args.retries,
         journal=use_journal, journal_dir=args.journal_dir,
         run_id=run_id, resume=resume, backend=args.backend,
@@ -698,7 +695,7 @@ def _cmd_validate(args) -> int:
     )
     print(f"{spec.figure} ({spec.description}): metric={metric}, "
           f"{len(configs)} configs x {len(kernels)} benchmarks, "
-          f"jobs={jobs}, sim_mode={args.sim_mode}, "
+          f"jobs={args.jobs}, sim_mode={args.sim_mode}, "
           f"cache={'off' if args.no_cache else 'on'}")
     if report.run_id:
         print(f"run id: {report.run_id} "

@@ -2,14 +2,16 @@
 
 Each :class:`ExperimentSpec` binds a figure id to its configuration sweep,
 the metric it compares, and the paper's reported numbers — the single source
-the CLI (``gmap validate``), the bench harness, and EXPERIMENTS.md tooling
-draw from.
+the CLI (``gmap validate``), the paper-figure benchmarks (``benchmarks/``),
+and ``gmap check``'s bundled-grid scan draw from.  :data:`REDUCED` is the
+one named (apps, scale, cores, seed) preset the benchmarks run the reduced
+figures at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Tuple
 
 from repro.memsim.config import SimConfig
 from repro.validation import sweeps
@@ -29,47 +31,25 @@ class ExperimentSpec:
     def configs(self, reduced: bool = True) -> List[SimConfig]:
         return self.sweep(reduced=reduced)
 
-    def run(
-        self,
-        kernels: Sequence,
-        *,
-        reduced: bool = True,
-        jobs: int = 1,
-        seed: int = 1234,
-        num_cores: int = 15,
-        use_cache: bool = False,
-        cache_dir=None,
-        timeout=None,
-        retries: int = 2,
-        journal=None,
-        journal_dir=None,
-        run_id=None,
-        resume: bool = False,
-    ):
-        """Evaluate this experiment's sweep over ``kernels``.
 
-        ``jobs`` > 1 fans sweep points over the parallel sweep engine
-        (:class:`~repro.validation.parallel.SweepRunner`); ``use_cache``
-        enables the on-disk artifact cache.  The resilience knobs
-        (``timeout``, ``retries``, ``journal``/``run_id``/``journal_dir``,
-        ``resume``) are forwarded to the runner.  Returns an
-        :class:`~repro.validation.harness.ExperimentReport` (possibly
-        partial — check ``report.is_partial``).
-        """
-        from repro.validation.parallel import SweepRunner
+@dataclass(frozen=True)
+class Preset:
+    """The benchmarks, workload scale, core count and seed of one run."""
 
-        runner = SweepRunner(
-            jobs=jobs, use_cache=use_cache, cache_dir=cache_dir,
-            timeout=timeout, retries=retries,
-            journal=journal, journal_dir=journal_dir, run_id=run_id,
-            resume=resume,
-        )
-        report = runner.run_experiment(
-            kernels, self.configs(reduced=reduced), self.metric,
-            seed=seed, num_cores=num_cores,
-        )
-        report.run_id = runner.last_run_id
-        return report
+    apps: Tuple[str, ...]
+    scale: str
+    num_cores: int
+    seed: int
+
+
+#: The reduced preset: one app per locality class plus the irregular worst
+#: case (hotspot) and a prefetch-friendly app (nw), at ``tiny`` scale.
+REDUCED = Preset(
+    apps=("kmeans", "heartwall", "srad", "nw", "hotspot", "blackscholes"),
+    scale="tiny",
+    num_cores=15,
+    seed=1234,
+)
 
 
 EXPERIMENTS: Dict[str, ExperimentSpec] = {
@@ -104,6 +84,15 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
         sweep=sweeps.l2_prefetcher_sweep,
         paper_error="8.9%",
         paper_correlation="0.88",
+    ),
+    "fig6e": ExperimentSpec(
+        figure="Figure 6e",
+        description="scheduling policy impact (LRR vs GTO via SchedP_self)",
+        metric="l1_miss_rate",
+        # Two policies: the full and reduced grids are the same.
+        sweep=lambda reduced: sweeps.scheduling_sweep(),
+        paper_error="8% (5.1% LRR / 10.9% GTO)",
+        paper_correlation="n/a",
     ),
     "fig7": ExperimentSpec(
         figure="Figure 7",

@@ -243,6 +243,21 @@ class TestValidateCommand:
         with pytest.raises(SystemExit):
             main(["validate", "fig99"])
 
+    def test_validate_fig6e_runs_both_policies(self, capsys):
+        assert main(["validate", "fig6e", "--benchmarks", "vectoradd",
+                     "--scale", "tiny", "--cores", "4", "--no-cache",
+                     "--no-journal"]) == 0
+        out = capsys.readouterr().out
+        assert "Figure 6e" in out
+        assert "2 configs x 1 benchmarks" in out
+
+    def test_workers_alias_removed(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["validate", "fig6a", "--benchmarks", "vectoradd",
+                  "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestTypedErrors:
     """Operator mistakes exit code 2 with a one-line typed error — a

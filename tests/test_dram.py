@@ -8,7 +8,7 @@ from dataclasses import asdict
 from typing import Deque, List
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.memsim.address_mapping import AddressMapping
@@ -411,6 +411,14 @@ class TestRewrittenAccessModel:
         st.sampled_from([1, 4, 16]),
         _TIMINGS,
         st.sampled_from([64, 128]),
+    )
+    # tWTR off: a read that hits bank 1's open row while a write to bank 0
+    # of the same rank is still in flight starts at once, not when the
+    # write ends.
+    @example(
+        stream=[(1 << 27, 0.0, False), (0, 5000.0, True), (1 << 27, 0.0, False)],
+        mapping="ChRaBaRoCo", ranks=1, channels=1, banks=2, window=4,
+        timings=DramTimings(t_faw=0, t_wtr=0, t_refi=0, t_rfc=0), txn=128,
     )
     def test_matches_reference(self, stream, mapping, ranks, channels, banks,
                                window, timings, txn):

@@ -37,7 +37,15 @@ class TestDramPresets:
 
 class TestExperimentRegistry:
     def test_all_paper_figures_present(self):
-        assert set(EXPERIMENTS) == {"fig6a", "fig6b", "fig6c", "fig6d", "fig7"}
+        assert set(EXPERIMENTS) == {
+            "fig6a", "fig6b", "fig6c", "fig6d", "fig6e", "fig7"}
+
+    def test_fig6e_grid_is_both_policies_in_either_mode(self):
+        spec = experiment("fig6e")
+        assert spec.metric == "l1_miss_rate"
+        for reduced in (True, False):
+            assert [c.scheduler for c in spec.configs(reduced=reduced)] == [
+                "lrr", "gto"]
 
     def test_lookup(self):
         spec = experiment("fig6a")
