@@ -4,12 +4,12 @@ Built on :mod:`repro.analysis.interproc`, these rules reason across
 function and module boundaries — a lock acquired in one method and a
 blocking call three frames down the call graph still meet:
 
-* ``lock-discipline`` — a lock acquired manually (``.acquire()`` or
-  ``fcntl.flock``) whose function has no structurally guaranteed release
-  (``with`` or ``try/finally``);
+* ``lock-discipline`` — a lock acquired manually (``.acquire()``) whose
+  function has no structurally guaranteed release (``with`` or
+  ``try/finally``);
 * ``blocking-under-lock`` — a blocking call (``sleep_backoff``, HTTP,
-  subprocess waits, blocking ``flock``, ``Event.wait``) executed, directly
-  or transitively, while a lock is held;
+  subprocess waits, ``Event.wait``) executed, directly or transitively,
+  while a lock is held;
 * ``lock-order`` — two locks acquired in opposite orders on different
   paths (the classic ABBA deadlock shape), including orders completed
   through callees;
@@ -153,15 +153,6 @@ def _check_blocking_under_lock(project: Project, out: _Emitter) -> None:
                 f"blocking call {effect.name} while holding "
                 f"{_short(effect.held[-1])}",
             )
-        for ev in summary.lock_events:
-            if ev.action == "acquire" and ev.blocking and ev.held:
-                reported_lines.add(ev.line)
-                out.emit(
-                    "blocking-under-lock", summary, ev.line,
-                    f"flock:{ev.lock}",
-                    f"blocking flock on {_short(ev.lock)} while holding "
-                    f"{_short(ev.held[-1])}",
-                )
         for site in summary.calls:
             if not site.held or site.resolved is None:
                 continue

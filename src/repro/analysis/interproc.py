@@ -9,7 +9,7 @@ Three layers, built in one pass over a project's Python sources:
   attributes hold ``threading`` primitives (``self._lock =
   threading.Lock()`` in ``__init__`` makes ``_lock`` a known lock);
 * **per-function summaries** (:class:`FunctionSummary`): every lock
-  acquire/release (``with``, manual ``.acquire()``, ``fcntl.flock``),
+  acquire/release (``with``, manual ``.acquire()``),
   blocking call, fork/process spawn, thread spawn, signal-handler
   registration, and shared-state access, each annotated with the set of
   locks structurally held at that point;
@@ -86,14 +86,12 @@ class LockEvent:
 
     lock: str
     action: str  #: ``"acquire"`` | ``"release"``
-    style: str  #: ``"with"`` | ``"manual"`` | ``"flock"``
+    style: str  #: ``"with"`` | ``"manual"``
     line: int
     held: Tuple[str, ...]
     #: ``True`` when release is structurally guaranteed (``with`` body or a
     #: ``finally`` block), ``False`` for bare manual calls.
     structured: bool
-    #: ``fcntl.flock`` without ``LOCK_NB`` blocks until granted.
-    blocking: bool = False
 
 
 @dataclass(frozen=True)
@@ -259,8 +257,6 @@ class Project:
             if kind == "blocking":
                 direct |= {e.name for e in summary.effects
                            if e.kind == "blocking"}
-                direct |= {f"flock:{ev.lock}" for ev in summary.lock_events
-                           if ev.blocking}
             elif kind == "fork":
                 direct |= {e.name for e in summary.effects if e.kind == "fork"}
             elif kind == "acquires":
@@ -650,22 +646,6 @@ class _FunctionWalker:
         callee = _canonical(node.func, info)
         raw = _dotted(node.func)
 
-        # fcntl advisory locks -------------------------------------------
-        if callee in ("fcntl.flock", "fcntl.lockf"):
-            flags = _flock_flags(node)
-            owner = summary.cls or summary.name
-            lock = f"fcntl:{info.module}:{owner}"
-            if "LOCK_UN" in flags:
-                summary.lock_events.append(LockEvent(
-                    lock=lock, action="release", style="flock", line=line,
-                    held=held, structured=in_finally))
-            else:
-                summary.lock_events.append(LockEvent(
-                    lock=lock, action="acquire", style="flock", line=line,
-                    held=held, structured=False,
-                    blocking="LOCK_NB" not in flags))
-            return
-
         # manual Lock.acquire()/release() --------------------------------
         if isinstance(node.func, ast.Attribute) and node.func.attr in (
                 "acquire", "release"):
@@ -807,18 +787,6 @@ def _iter_functions(
                     yield stmt.name, item
 
 
-def _flock_flags(node: ast.Call) -> Set[str]:
-    """Names of fcntl flag constants referenced in a flock/lockf call."""
-    flags: Set[str] = set()
-    for arg in node.args[1:]:
-        for sub in ast.walk(arg):
-            if isinstance(sub, ast.Attribute):
-                flags.add(sub.attr)
-            elif isinstance(sub, ast.Name):
-                flags.add(sub.id)
-    return flags
-
-
 def scan_module(rel_path: str, text: str) -> Tuple[ModuleInfo,
                                                    List[FunctionSummary]]:
     """Scan one module's source into its info + function summaries."""
@@ -864,8 +832,6 @@ def build_project(
     # a cross-module acquisition share one identity.
 
     def _canon_lock(lock: str) -> str:
-        if lock.startswith("fcntl:"):
-            return lock
         mod, sep, name = lock.rpartition(":")
         if not sep:
             return lock

@@ -157,13 +157,6 @@ CONCURRENCY_BAD_FIXTURES: Dict[str, Dict[str, str]] = {
             "def step():\n"
             "    pass\n",
     },
-    "lock-discipline:flock": {
-        "app/locking.py":
-            "import fcntl\n"
-            "def grab(fd):\n"
-            "    fcntl.flock(fd, fcntl.LOCK_EX)\n"
-            "    return fd\n",
-    },
     "blocking-under-lock": {
         "app/server.py":
             "import threading\n"

@@ -661,7 +661,6 @@ class AnalyticCacheModel:
             misses = scan.misses(l1_cfg.assoc)
             per_core.append(
                 CacheStats(
-                    accesses=scan.accesses,
                     hits=scan.accesses - misses,
                     misses=misses,
                     evictions=scan.evictions(l1_cfg.assoc),
@@ -760,7 +759,6 @@ class AnalyticCacheModel:
         misses = min(misses, reached)
         accesses = int(round(reached)) + writebacks
         return CacheStats(
-            accesses=accesses,
             misses=int(round(misses)),
             hits=accesses - int(round(misses)),
         )

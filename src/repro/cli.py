@@ -277,24 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "is served next regardless of lane weights "
                         "(default: 30)")
 
-    p = sub.add_parser(
-        "bench-serve",
-        help="closed-loop service benchmark: saturation throughput, tail "
-             "latency, overload shedding, kill-recovery (BENCH_serve.json)",
-    )
-    p.add_argument("--out", default="BENCH_serve.json",
-                   help="report path (default: BENCH_serve.json)")
-    p.add_argument("--smoke", action="store_true",
-                   help="tiny deterministic run for CI gates")
-    p.add_argument("--seed", type=int, default=1234,
-                   help="workload RNG seed (default: 1234)")
-    p.add_argument("--replicas", type=int, default=3,
-                   help="fleet size for the scaling phase (default: 3)")
-    p.add_argument("--require-scaling", type=float, default=None,
-                   metavar="X",
-                   help="fail unless fleet throughput >= X * single-replica "
-                        "(CI multi-core runners only)")
-
     return parser
 
 
@@ -773,14 +755,6 @@ def _cmd_serve(args) -> int:
     return serve_forever(config)
 
 
-def _cmd_bench_serve(args) -> int:
-    from repro.service.bench import run_bench
-
-    return run_bench(out=args.out, smoke=args.smoke, seed=args.seed,
-                     replicas=args.replicas,
-                     require_scaling=args.require_scaling)
-
-
 #: Expected error type -> taxonomy kind for the CLI's exit-2 path.  These
 #: are the *operator mistakes* (bad paths, bad values, corrupt inputs) that
 #: must print one typed line, not a traceback (see docs/robustness.md).
@@ -825,7 +799,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "validate": _cmd_validate,
         "check": _cmd_check,
         "serve": _cmd_serve,
-        "bench-serve": _cmd_bench_serve,
     }
     try:
         return handlers[args.command](args)

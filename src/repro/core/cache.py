@@ -141,6 +141,12 @@ def _cache_stats_to_payload(stats: CacheStats) -> dict:
     return {name: getattr(stats, name) for name in CacheStats._FIELDS}
 
 
+def _cache_stats_from_payload(data: dict) -> CacheStats:
+    # Entries written while ``accesses`` was a stored counter (always
+    # ``hits + misses``, now derived) still carry it; it is ignored.
+    return CacheStats(**{name: data[name] for name in CacheStats._FIELDS})
+
+
 def _dram_stats_to_payload(stats: DramStats) -> dict:
     return {name: getattr(stats, name) for name in DramStats._FIELDS}
 
@@ -171,17 +177,18 @@ def sim_result_to_payload(result: SimResult) -> dict:
 def sim_result_from_payload(data: dict) -> SimResult:
     """Rebuild a full-fidelity ``SimResult`` from its cached JSON form."""
     return SimResult(
-        l1=CacheStats(**data["l1"]),
-        l2=CacheStats(**data["l2"]),
+        l1=_cache_stats_from_payload(data["l1"]),
+        l2=_cache_stats_from_payload(data["l2"]),
         dram=_dram_stats_from_payload(data["dram"]),
-        texture=CacheStats(**data["texture"]),
-        constant=CacheStats(**data["constant"]),
+        texture=_cache_stats_from_payload(data["texture"]),
+        constant=_cache_stats_from_payload(data["constant"]),
         shared_accesses=data["shared_accesses"],
         requests_issued=data["requests_issued"],
         cycles=data["cycles"],
         measured_p_self=data["measured_p_self"],
         barriers_crossed=data["barriers_crossed"],
-        per_core_l1=[CacheStats(**s) for s in data["per_core_l1"]],
+        per_core_l1=[_cache_stats_from_payload(s)
+                     for s in data["per_core_l1"]],
     )
 
 

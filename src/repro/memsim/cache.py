@@ -79,7 +79,6 @@ class SetAssociativeCache:
         tag = address >> self._line_shift
         lines = self._sets[tag & self._set_mask]
         stats = self.stats
-        stats.accesses += 1
         if self._lru:
             entry = lines.pop(tag, None)
             if entry is not None:

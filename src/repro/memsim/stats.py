@@ -16,7 +16,6 @@ from typing import List
 class CacheStats:
     """Demand/prefetch access counters of one cache (or a sum of caches)."""
 
-    accesses: int = 0
     hits: int = 0
     misses: int = 0
     evictions: int = 0
@@ -26,6 +25,11 @@ class CacheStats:
     prefetch_hits: int = 0       # demand hits on prefetched lines
     mshr_merges: int = 0
     mshr_stalls: int = 0
+
+    @property
+    def accesses(self) -> int:
+        """Every access is exactly one hit or one miss."""
+        return self.hits + self.misses
 
     @property
     def miss_rate(self) -> float:
@@ -43,7 +47,7 @@ class CacheStats:
         )
 
     _FIELDS = (
-        "accesses", "hits", "misses", "evictions", "writebacks",
+        "hits", "misses", "evictions", "writebacks",
         "prefetch_issued", "prefetch_fills", "prefetch_hits",
         "mshr_merges", "mshr_stalls",
     )

@@ -589,7 +589,7 @@ def _downstream_nomerge(
 
     hits = int(np.count_nonzero(l2_hit_col))
     l2_stats = CacheStats(
-        accesses=total, hits=hits, misses=total - hits,
+        hits=hits, misses=total - hits,
         evictions=int(np.count_nonzero(l2_victim_line >= 0)),
         writebacks=int(np.count_nonzero(l2_victim_dirty)),
         mshr_merges=l2_merges, mshr_stalls=0,
@@ -656,7 +656,7 @@ def _downstream_window(
     # from the same per-cache monotone clock as the oracle's.
     l2_sets: List[dict] = [dict() for _ in range(l2_cfg.num_sets)]
     l2_clock = 0
-    l2_accesses = l2_hits = 0
+    l2_hits = 0
     l2_misses = l2_evictions = l2_writebacks = 0
     l2_merges = 0
 
@@ -804,7 +804,6 @@ def _downstream_window(
                 bank_busy[bank] = start + l2_hit
                 lines = l2_sets[line & l2_set_mask]
                 l2_clock += 1
-                l2_accesses += 1
                 entry = lines.get(line)
                 if entry is not None:
                     l2_hits += 1
@@ -831,7 +830,6 @@ def _downstream_window(
                 wb_line = victim_addr >> l2_shift
                 lines = l2_sets[wb_line & l2_set_mask]
                 l2_clock += 1
-                l2_accesses += 1
                 entry = lines.get(wb_line)
                 if entry is not None:
                     l2_hits += 1
@@ -870,7 +868,6 @@ def _downstream_window(
                     line = chunk >> l2_shift
                     lines = l2_sets[line & l2_set_mask]
                     l2_clock += 1
-                    l2_accesses += 1
                     entry = lines.get(line)
                     if entry is not None:
                         l2_hits += 1
@@ -903,7 +900,6 @@ def _downstream_window(
                     wb_line = chunk >> l2_shift
                     lines = l2_sets[wb_line & l2_set_mask]
                     l2_clock += 1
-                    l2_accesses += 1
                     entry = lines.get(wb_line)
                     if entry is not None:
                         l2_hits += 1
@@ -914,7 +910,7 @@ def _downstream_window(
                     chunk += l2_line
 
     l2_stats = CacheStats(
-        accesses=l2_accesses, hits=l2_hits, misses=l2_misses,
+        hits=l2_hits, misses=l2_misses,
         evictions=l2_evictions, writebacks=l2_writebacks,
         mshr_merges=l2_merges, mshr_stalls=0,
     )
@@ -952,7 +948,7 @@ def simulate_flat_arrays(
         config, now[miss], core[miss], miss_line_addr, wb_addr
     )
     l1_stats = CacheStats(
-        accesses=accesses, hits=hits, misses=accesses - hits,
+        hits=hits, misses=accesses - hits,
         evictions=evictions, writebacks=writebacks,
         mshr_merges=l1_merges, mshr_stalls=l1_stalls,
     )

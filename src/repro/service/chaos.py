@@ -12,7 +12,12 @@ acceptance invariants:
 * the queue stays bounded (shedding, not accumulation);
 * degraded responses are explicitly labeled;
 * a SIGTERM-style drain checkpoints unfinished jobs and the next boot
-  resumes every one of them under its original id.
+  resumes every one of them under its original id;
+* a fleet loses no request across a replica SIGKILL, the killed replica
+  rejoins within :data:`WAIT_LIMIT`, and past saturation it sheds rather
+  than fails while interactive work keeps a bounded tail (and, with
+  ``--require-scaling X``, 3 replicas give X times 1 replica's
+  throughput).
 
 Run it directly (``python -m repro.service.chaos --smoke``) — the CI
 ``service`` job does exactly that under a hard wall-clock timeout.
@@ -37,13 +42,20 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Un
 
 if TYPE_CHECKING:
     from repro.service.fleet import FleetConfig
+    from repro.service.loadgen import LoadReport
 
 from repro.service.backoff import poll_until
 from repro.service.config import ServiceConfig
 from repro.service.server import GmapService, ServeHTTPServer
 
-#: Upper bound on any single wait inside a scenario, seconds.
+#: Upper bound on any single wait inside a scenario, seconds; also the
+#: bound on a killed replica's kill-to-routable recovery.
 WAIT_LIMIT = 60.0
+
+#: Upper bound on the interactive lane's p99 while bulk traffic saturates
+#: the fleet, ms.  Generous: it catches starvation (p99 at the job
+#: deadline), not jitter.
+INTERACTIVE_P99_BOUND_MS = 30_000.0
 
 
 @dataclass
@@ -409,11 +421,38 @@ def _fleet_config(smoke: bool, **overrides: Any) -> "FleetConfig":
     return FleetConfig(**defaults)
 
 
+def _background(run: Callable[[], "LoadReport"],
+                ) -> Tuple[threading.Thread, Dict[str, "LoadReport"]]:
+    """Run a load on a daemon thread; its report lands under ``"report"``."""
+    holder: Dict[str, "LoadReport"] = {}
+    thread = threading.Thread(target=lambda: holder.update(report=run()),
+                              daemon=True)
+    thread.start()
+    return thread, holder
+
+
+def _check_load(result: ScenarioResult, what: str,
+                report: "LoadReport") -> Dict[str, Any]:
+    """The report as a dict, after recording a violation unless every
+    request completed or was shed (a shed is a correct answer to
+    overload; a failure, a loss or an unsettled request is not)."""
+    stats = report.to_dict()
+    if stats["completed"] + stats["shed"] != stats["submitted"]:
+        errors = stats["errors"]
+        result.violations.append(
+            f"{what}: {stats['failed']} failed, {stats['lost']} lost, "
+            f"{stats['completed']} completed and {stats['shed']} shed of "
+            f"{stats['submitted']} submitted"
+            + (f" (first error: {errors[0]})" if errors else ""))
+    return stats
+
+
 def scenario_replica_kill(tmp: Path, rng: random.Random,
                           smoke: bool) -> ScenarioResult:
-    """SIGKILL one replica under closed-loop load: zero non-shed failures
-    (orphans reassigned by the router) and the fleet returns to full
-    strength via supervised restart."""
+    """SIGKILL one replica under closed-loop load: no request fails or is
+    lost (the router reassigns the orphans), and the supervised restart
+    re-registers with a higher epoch, routable within :data:`WAIT_LIMIT`
+    of the kill and counted as exactly one restart."""
     result = ScenarioResult("replica_kill")
     from repro.service.fleet import Fleet
     from repro.service.loadgen import ReqGenEngine, Workload
@@ -424,35 +463,123 @@ def scenario_replica_kill(tmp: Path, rng: random.Random,
                               key_diversity=total, scale="small")
         workload = Workload(fleet.router_url, engine,
                             job_deadline=WAIT_LIMIT)
-        holder: Dict[str, Any] = {}
-        thread = threading.Thread(
-            target=lambda: holder.update(report=workload.run_closed(
-                clients=3, max_requests=total)),
-            daemon=True)
-        thread.start()
+        thread, holder = _background(
+            lambda: workload.run_closed(clients=3, max_requests=total))
         if not poll_until(lambda: workload.progress() >= total // 4,
                           timeout=WAIT_LIMIT):
             result.violations.append("workload never reached steady state")
+        victim = fleet.core.endpoint("r0")
+        assert victim is not None, "Fleet.start waits for every replica"
+        epoch = victim.epoch
+        killed_at = time.monotonic()
         fleet.kill_replica(0)
+        # Waiting for the epoch keeps the check from reading "routable"
+        # off the dead incarnation before the router has noticed it died.
+        if poll_until(lambda: victim.epoch > epoch and victim.routable,
+                      timeout=WAIT_LIMIT):
+            result.notes.append(f"r0 rejoined "
+                                f"{time.monotonic() - killed_at:.1f}s "
+                                f"after the kill")
+        else:
+            result.violations.append(
+                f"killed replica did not rejoin with a higher epoch within "
+                f"{WAIT_LIMIT:.0f}s")
+        restarts = victim.snapshot()["restarts"]
+        if restarts != 1:
+            result.violations.append(
+                f"expected exactly 1 restart of r0, got {restarts}")
         thread.join(2 * WAIT_LIMIT)
         report = holder.get("report")
         if report is None:
             result.violations.append("workload thread never finished")
             return result
-        stats = report.to_dict()
-        if stats["failed"] or stats["lost"]:
-            result.violations.append(
-                f"non-shed failures across a replica kill: "
-                f"{stats['failed']} failed, {stats['lost']} lost "
-                f"({stats['errors']})")
-        if not fleet.wait_routable(2, timeout=WAIT_LIMIT):
-            result.violations.append(
-                "killed replica never restarted to routable")
+        stats = _check_load(result, "load across a replica kill", report)
         counters = fleet.snapshot()["counters"]
         result.notes.append(
             f"{stats['completed']}/{stats['submitted']} completed, "
             f"{counters['reassigned']} reassigned, "
             f"{counters['spilled']} spilled")
+    return result
+
+
+def scenario_fleet_saturation(tmp: Path, rng: random.Random, smoke: bool,
+                              require_scaling: Optional[float] = None,
+                              ) -> ScenarioResult:
+    """Drive fleets to and past saturation, each phase on a fresh fleet so
+    that none warms another's shared cache: a closed loop on 1 replica and
+    then on 3, an open loop at twice the 3-replica throughput, then bulk
+    traffic at that rate beside a closed interactive loop.  No request
+    fails or is lost (sheds are allowed); the interactive lane completes
+    with p99 <= :data:`INTERACTIVE_P99_BOUND_MS`; and with
+    ``require_scaling``, 3 replicas give at least that multiple of 1
+    replica's throughput.  The sizes are fixed, ``smoke`` or not: 12
+    ``tiny`` requests per closed loop, 1 worker and queue capacity 4 per
+    replica, 3 s open loops."""
+    result = ScenarioResult("fleet_saturation")
+    from repro.service.fleet import Fleet
+    from repro.service.loadgen import ReqGenEngine, Workload
+    from repro.service.protocol import PRIORITY_BULK, PRIORITY_INTERACTIVE
+
+    replicas, requests, duration = 3, 12, 3.0
+
+    def fresh_fleet(size: int) -> Fleet:
+        return Fleet(_fleet_config(smoke, replicas=size, workers=1,
+                                   queue_capacity=4, job_timeout=WAIT_LIMIT))
+
+    def workload(url: str, key_diversity: int,
+                 priority: str = PRIORITY_INTERACTIVE) -> Workload:
+        engine = ReqGenEngine(seed=rng.randrange(1 << 30),
+                              key_diversity=key_diversity, scale="tiny",
+                              priority=priority)
+        return Workload(url, engine, job_deadline=WAIT_LIMIT)
+
+    rps: Dict[int, float] = {}
+    for size in (1, replicas):
+        with fresh_fleet(size) as fleet:
+            report = workload(fleet.router_url, 2 * requests).run_closed(
+                clients=2 * size, max_requests=requests)
+        rps[size] = _check_load(result, f"closed loop on {size} replica(s)",
+                                report)["throughput_rps"]
+    scaling = rps[replicas] / rps[1] if rps[1] > 0 else 0.0
+    rate = max(2.0, 2.0 * rps[replicas])
+
+    with fresh_fleet(replicas) as fleet:
+        overload = _check_load(
+            result, f"open loop at {rate:.1f} rps",
+            workload(fleet.router_url, 64).run_open(rate=rate,
+                                                    duration=duration))
+
+    with fresh_fleet(replicas) as fleet:
+        bulk = workload(fleet.router_url, 64, PRIORITY_BULK)
+        thread, holder = _background(
+            lambda: bulk.run_open(rate=rate, duration=duration))
+        threading.Event().wait(0.3)  # let bulk pressure build first
+        interactive = workload(fleet.router_url, requests).run_closed(
+            clients=2, max_requests=requests // 2)
+        thread.join(duration + 2 * WAIT_LIMIT)
+    if "report" in holder:
+        _check_load(result, "bulk lane", holder["report"])
+    else:
+        result.violations.append("bulk load never finished")
+    inter = _check_load(result, "interactive lane", interactive)
+    p99 = inter["latency_ms"]["p99"]
+    if inter["completed"] == 0:
+        result.violations.append("interactive lane completed nothing "
+                                 "under bulk saturation")
+    if p99 > INTERACTIVE_P99_BOUND_MS:
+        result.violations.append(
+            f"interactive p99 {p99:.0f} ms under bulk saturation exceeds "
+            f"{INTERACTIVE_P99_BOUND_MS:.0f} ms")
+    if require_scaling is not None and scaling < require_scaling:
+        result.violations.append(
+            f"{replicas} replicas gave {scaling:.2f}x the throughput of 1, "
+            f"below the {require_scaling:.2f}x floor")
+    result.notes.append(
+        f"1 replica {rps[1]:.1f} rps, {replicas} replicas "
+        f"{rps[replicas]:.1f} rps ({scaling:.2f}x"
+        f"{'' if require_scaling is not None else ', unarmed'}), open loop "
+        f"at {rate:.1f} rps shed {overload['shed_rate']:.0%}, interactive "
+        f"p99 {p99:.0f} ms under bulk")
     return result
 
 
@@ -871,6 +998,7 @@ SCENARIOS = tuple(_fault_scenario(case) for case in FAULT_CASES) + (
     scenario_queue_flood,
     scenario_drain_resume,
     scenario_replica_kill,
+    scenario_fleet_saturation,
     scenario_router_partition,
     scenario_cache_poison,
     scenario_thundering_herd,
@@ -882,8 +1010,10 @@ SCENARIOS = tuple(_fault_scenario(case) for case in FAULT_CASES) + (
 def run_chaos(smoke: bool = False, seed: int = 1234,
               tmp: Optional[Path] = None,
               only: Optional[Union[str, List[str]]] = None,
+              require_scaling: Optional[float] = None,
               ) -> List[ScenarioResult]:
-    """Execute the scenarios (all, or the ``only``-named ones), in order."""
+    """Execute the scenarios (all, or the ``only``-named ones), in order;
+    ``require_scaling`` arms :func:`scenario_fleet_saturation`'s floor."""
     rng = random.Random(seed)
     wanted = None if only is None else (
         {only} if isinstance(only, str) else set(only))
@@ -900,7 +1030,11 @@ def run_chaos(smoke: bool = False, seed: int = 1234,
     root = Path(tmpdir.name) if tmpdir else Path(tmp)
     try:
         for scenario in selected:
-            results.append(scenario(root, rng, smoke))
+            if scenario is scenario_fleet_saturation:
+                results.append(scenario_fleet_saturation(
+                    root, rng, smoke, require_scaling=require_scaling))
+            else:
+                results.append(scenario(root, rng, smoke))
     finally:
         if tmpdir is not None:
             tmpdir.cleanup()
@@ -921,8 +1055,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                         nargs="+",
                         help="run only the named scenario(s) "
                              "(e.g. queue_flood replica_kill)")
+    parser.add_argument("--require-scaling", type=float, default=None,
+                        metavar="X",
+                        help="fleet_saturation fails unless 3 replicas give "
+                             "X times the throughput of 1 (unarmed by "
+                             "default: on a few CPUs smoke sizes measure "
+                             "scheduling noise)")
     args = parser.parse_args(argv)
-    results = run_chaos(smoke=args.smoke, seed=args.seed, only=args.only)
+    if args.require_scaling is not None and args.only \
+            and "fleet_saturation" not in args.only:
+        parser.error("--require-scaling arms fleet_saturation, which "
+                     "--only leaves out")
+    results = run_chaos(smoke=args.smoke, seed=args.seed, only=args.only,
+                        require_scaling=args.require_scaling)
     failures = 0
     for result in results:
         marker = "ok " if result.ok else "FAIL"

@@ -234,6 +234,31 @@ class TestRoundTrip:
             assert restored.dram.queue_samples == result.dram.requests > 0
             assert restored.to_dict() == result.to_dict()
 
+    def test_pair_stored_with_accesses_loads(self, cache, kernel,
+                                             small_config):
+        """Entries written while ``CacheStats.accesses`` was a stored
+        counter carry it in every cache block; they still load, and the
+        property gives back the stored count."""
+        pipeline = build_pipeline(kernel, num_cores=4)
+        result = SimtSimulator(small_config).run(
+            pipeline.original_assignments)
+        payload = sim_result_to_payload(result)
+        blocks = [payload[name] for name in ("l1", "l2", "texture",
+                                             "constant")]
+        blocks += payload["per_core_l1"]
+        for block in blocks:
+            assert "accesses" not in block
+            block["accesses"] = block["hits"] + block["misses"]
+        cache.content.save(cache.content.path("pair", "old-entry"),
+                           {"original": payload, "proxy": payload})
+        original, proxy = cache.load_pair("old-entry")
+        assert cache.counters.hits == 1
+        for restored in (original, proxy):
+            assert restored.l1 == result.l1
+            assert restored.l1.accesses == result.l1.accesses > 0
+            assert restored.per_core_l1 == result.per_core_l1
+            assert restored.to_dict() == result.to_dict()
+
     def test_fingerprints_are_hex_digests(self, kernel, small_config):
         for fp in (kernel_fingerprint(kernel),
                    config_fingerprint(small_config)):

@@ -312,6 +312,13 @@ class TestTypedErrors:
         assert code == 2
         assert "error [rejected]" in capsys.readouterr().err
 
+    def test_bench_serve_subcommand_removed(self, capsys):
+        """Its gates are chaos scenarios (replica_kill, fleet_saturation)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench-serve", "--smoke"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_serve_subcommand_is_wired(self, capsys):
         with pytest.raises(SystemExit):
             main(["serve", "--help"])

@@ -4,8 +4,9 @@ Thin pytest bindings over :mod:`repro.service.chaos` — each scenario boots
 a real service (HTTP listener, process-isolated workers), injects its
 fault, and reports violations of the acceptance invariants (no crash,
 typed outcomes, bounded queue, labeled degradation, lossless
-drain/resume).  The CI ``service`` job additionally runs the harness as a
-standalone binary under a hard wall-clock timeout.
+drain/resume, and the fleet's kill-recovery and saturation gates).  The
+CI ``service`` job additionally runs the harness as a standalone binary
+under a hard wall-clock timeout.
 """
 
 from __future__ import annotations
@@ -45,3 +46,19 @@ def test_harness_main_smoke_report(tmp_path):
     assert report["smoke"] is True
     assert [s["name"] for s in report["scenarios"]] == ["queue_flood"]
     assert all(s["ok"] for s in report["scenarios"])
+
+
+def test_scaling_floor_can_fail(capsys):
+    """``--require-scaling`` arms fleet_saturation's throughput floor: an
+    unreachable floor turns an otherwise healthy run into exit 1."""
+    code = chaos.main(["--smoke", "--only", "fleet_saturation",
+                       "--require-scaling", "1e9"])
+    assert code == 1
+    assert "below the 1000000000.00x floor" in capsys.readouterr().out
+
+
+def test_scaling_floor_needs_its_scenario():
+    with pytest.raises(SystemExit) as excinfo:
+        chaos.main(["--smoke", "--only", "queue_flood",
+                    "--require-scaling", "2.0"])
+    assert excinfo.value.code == 2

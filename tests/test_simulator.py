@@ -194,7 +194,7 @@ class TestResultMetrics:
     def test_copy_is_deep(self, small_config, tiny_vectoradd):
         assignments = execute_kernel(tiny_vectoradd, small_config.num_cores)
         source = simulate(assignments, small_config)
-        source.texture.accesses = 3
+        source.texture.misses = 3
         source.constant.hits = 2
         source.shared_accesses = 5
         source.barriers_crossed = 7
