@@ -262,9 +262,6 @@ class Project:
             elif kind == "acquires":
                 direct |= {ev.lock for ev in summary.lock_events
                            if ev.action == "acquire"}
-            elif kind == "thread-start":
-                direct |= {e.name for e in summary.effects
-                           if e.kind == "thread-start"}
             facts[qual] = direct
         changed = True
         while changed:
@@ -288,9 +285,6 @@ class Project:
 
     def transitive_acquires(self, qualname: str) -> Set[str]:
         return self._fixpoint("acquires").get(qualname, set())
-
-    def transitive_thread_starts(self, qualname: str) -> Set[str]:
-        return self._fixpoint("thread-start").get(qualname, set())
 
     def thread_entry_points(self) -> Set[str]:
         """Qualnames used as ``Thread(target=...)`` anywhere in the project."""

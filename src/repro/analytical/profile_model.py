@@ -1,11 +1,13 @@
 """Stack-distance profiles as analytical cache-miss predictors.
 
-The shared machinery of the Tang and Nugteren baselines *and* of the
-``sim_mode="analytic"`` sweep backend: scan an access stream once per
-cache-line granularity, record the LRU stack-distance histogram, then
-predict the miss rate of *any* cache capacity in O(histogram) time — the
-defining speed advantage of analytical models over simulation (paper
-section 3), bought with the fully-associative approximation.
+The shared machinery of the Tang and Nugteren baselines: scan an access
+stream once per cache-line granularity, record the LRU stack-distance
+histogram, then predict the miss rate of *any* cache capacity in
+O(histogram) time — the defining speed advantage of analytical models over
+simulation (paper section 3), bought with the fully-associative
+approximation.  The ``sim_mode="analytic"`` sweep backend does not use
+these profiles: :class:`repro.analytical.analytic.AnalyticCacheModel` runs
+its own scans.
 
 For a fully-associative LRU cache of ``C`` lines, an access hits iff its
 stack distance is < C (Mattson et al.); set-associative conflict misses are
@@ -32,14 +34,9 @@ DEFAULT_LINE_SIZES: Tuple[int, ...] = (32, 64, 128)
 class StackDistanceProfile:
     """Per-line-size stack-distance histograms of one access stream.
 
-    Two collection paths share the type: :meth:`extend` scans plain
-    addresses (one access per granularity per element — the Tang/Nugteren
-    baselines), while :meth:`extend_records` scans ``(pc, address, size,
-    is_store)`` trace records with the memory hierarchy's sector split, so
-    an access wider than a line contributes one access per line-sized
-    sector, exactly as :meth:`repro.memsim.hierarchy.MemoryHierarchy.access`
-    issues them.  Sector expansion makes per-granularity access counts
-    differ, so counts are tracked per line size.
+    :meth:`extend` scans plain addresses, one access per granularity per
+    element.  Counts are stored per line size, the layout the cached
+    form (:meth:`to_dict`) keeps.
     """
 
     def __init__(self, line_sizes: Sequence[int] = DEFAULT_LINE_SIZES) -> None:
@@ -67,16 +64,6 @@ class StackDistanceProfile:
         profile.extend(addresses)
         return profile
 
-    @classmethod
-    def from_records(
-        cls,
-        records: Iterable[Tuple[int, int, int, int]],
-        line_sizes: Sequence[int] = DEFAULT_LINE_SIZES,
-    ) -> "StackDistanceProfile":
-        profile = cls(line_sizes)
-        profile.extend_records(records)
-        return profile
-
     def extend(self, addresses: Iterable[int]) -> None:
         """Scan addresses once, updating every granularity's histogram."""
         addresses = list(addresses)
@@ -95,38 +82,13 @@ class StackDistanceProfile:
             self._colds[size] += colds
             self._counts[size] += len(addresses)
 
-    def extend_records(
-        self, records: Iterable[Tuple[int, int, int, int]]
-    ) -> None:
-        """Scan ``(pc, address, size, is_store)`` records with sector split."""
-        records = list(records)
-        self._records += len(records)
-        for line_size in self.line_sizes:
-            shift = line_size.bit_length() - 1
-            tracker = self._trackers[line_size]
-            histogram = self._histograms[line_size]
-            colds = 0
-            count = 0
-            for _pc, address, size, _is_store in records:
-                first = address >> shift
-                last = (address + max(size, 1) - 1) >> shift
-                for line in range(first, last + 1):
-                    distance = tracker.access(line)
-                    count += 1
-                    if distance == COLD_MISS:
-                        colds += 1
-                    else:
-                        histogram.add(distance)
-            self._colds[line_size] += colds
-            self._counts[line_size] += count
-
     @property
     def accesses(self) -> int:
-        """Stream elements scanned (records, before sector expansion)."""
+        """Stream elements scanned."""
         return self._records
 
     def access_count(self, line_size: int) -> int:
-        """Cache accesses at ``line_size`` granularity (after sector split)."""
+        """Cache accesses at ``line_size`` granularity."""
         self.histogram(line_size)  # validate the granularity
         return self._counts[line_size]
 

@@ -27,7 +27,7 @@ from repro.io.trace_io import load_warp_traces, save_warp_traces
 from repro.memsim.config import PAPER_BASELINE
 from repro.memsim.simulator import SimtSimulator
 from repro.validation.experiments import EXPERIMENTS
-from repro.validation.harness import load_target, run_experiment
+from repro.validation.harness import load_target
 from repro.workloads import suite
 
 
@@ -654,6 +654,7 @@ def _cmd_validate(args) -> int:
     configs = spec.configs(reduced=not args.full)
     # Fail a malformed sweep in milliseconds, before any simulation starts.
     from repro.analysis import format_findings, verify_sweep_configs
+    from repro.validation.parallel import SweepRunner
 
     config_findings = verify_sweep_configs(configs, origin=args.experiment)
     if config_findings:
@@ -667,13 +668,14 @@ def _cmd_validate(args) -> int:
     use_journal = not args.no_journal
     if args.no_journal and resume:
         raise SystemExit("--resume requires the journal; drop --no-journal")
-    report = run_experiment(
-        kernels, configs, metric, seed=args.seed, num_cores=args.cores,
+    report = SweepRunner(
         jobs=args.jobs, use_cache=not args.no_cache, cache_dir=args.cache_dir,
         timeout=args.timeout, retries=args.retries,
         journal=use_journal, journal_dir=args.journal_dir,
-        run_id=run_id, resume=resume, backend=args.backend,
-        sim_mode=args.sim_mode,
+        run_id=run_id, resume=resume,
+    ).run_experiment(
+        kernels, configs, metric, seed=args.seed, num_cores=args.cores,
+        backend=args.backend, sim_mode=args.sim_mode,
     )
     print(f"{spec.figure} ({spec.description}): metric={metric}, "
           f"{len(configs)} configs x {len(kernels)} benchmarks, "

@@ -338,12 +338,11 @@ class ArtifactCache:
 
     # -- stack-distance profiles --------------------------------------------
     #
-    # The reuse-distance baselines (Tang, Nugteren) and the analytic sweep
-    # backend all start from a :class:`StackDistanceProfile` over the same
-    # kernel's interleaved access stream.  Building one replays every
-    # address per tracked line size; memoizing it by (kernel, model, unit,
-    # line sizes) means repeated baseline comparisons and analytic sweeps
-    # skip straight to the histogram.
+    # The reuse-distance baselines (Tang, Nugteren) start from a
+    # :class:`StackDistanceProfile` over the kernel's interleaved access
+    # stream.  Building one replays every address per tracked line size;
+    # memoizing it by (kernel, model, unit, line sizes) means repeated
+    # baseline comparisons skip straight to the histogram.
 
     def sd_profile_key(
         self,

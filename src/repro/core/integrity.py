@@ -27,23 +27,25 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Iterable, Optional, Union
 
 PathLike = Union[str, Path]
 
 
-class IntegrityEvents:
-    """Thread-safe process-wide counters of integrity incidents.
+class Counters:
+    """Thread-safe named counters; the one counter type of the package.
 
-    Keys are free-form event kinds (``quarantine``, ``checksum_mismatch``,
-    ...).  ``snapshot()`` returns a plain dict copy; ``delta(before)``
-    subtracts an earlier snapshot, which is how a worker reports only the
-    incidents *its* job caused.
+    ``record`` increments under the object's own lock, so callers need no
+    lock discipline of their own.  ``keys`` seeds counters at zero, so a
+    snapshot lists them before their first increment; other keys appear
+    when first recorded.  ``snapshot()`` returns a plain dict copy;
+    ``delta(before)`` subtracts an earlier snapshot, which is how a worker
+    reports only the incidents *its* job caused.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, keys: Iterable[str] = ()) -> None:
         self._lock = threading.Lock()
-        self._counts: Dict[str, int] = {}
+        self._counts: Dict[str, int] = dict.fromkeys(keys, 0)
 
     def record(self, kind: str, count: int = 1) -> None:
         with self._lock:
@@ -62,14 +64,11 @@ class IntegrityEvents:
             if now[kind] - before.get(kind, 0) > 0
         }
 
-    def reset(self) -> None:
-        with self._lock:
-            self._counts.clear()
 
-
-#: The process-wide ledger (one per worker process; deltas are shipped back
-#: to the supervisor alongside job results).
-integrity_events = IntegrityEvents()
+#: The process-wide ledger of integrity incidents (``quarantine``,
+#: ``checksum_mismatch``, ...; one per worker process, deltas are shipped
+#: back to the supervisor alongside job results).
+integrity_events = Counters()
 
 
 class CorruptArtifactError(ValueError):

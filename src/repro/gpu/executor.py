@@ -59,16 +59,6 @@ class WarpTrace:
     def __len__(self) -> int:
         return len(self.transactions)
 
-    @property
-    def avg_occupancy(self) -> float:
-        """Mean active lanes per instruction, as a fraction of the warp."""
-        memory_instructions = sum(
-            1 for pc, _ in self.instructions if pc >= 0
-        )
-        if not memory_instructions:
-            return 0.0
-        return self.active_lanes / (memory_instructions * 32)
-
 
 @dataclass
 class CoreAssignment:

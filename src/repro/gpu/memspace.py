@@ -59,16 +59,6 @@ def space_of(address: int) -> MemorySpace:
     return MemorySpace.GLOBAL
 
 
-def region_base(space: MemorySpace) -> int:
-    """Base address of a space's window (GLOBAL returns its default base)."""
-    return {
-        MemorySpace.GLOBAL: GLOBAL_BASE,
-        MemorySpace.SHARED: SHARED_BASE,
-        MemorySpace.TEXTURE: TEXTURE_BASE,
-        MemorySpace.CONSTANT: CONSTANT_BASE,
-    }[space]
-
-
 def region_bounds(space: MemorySpace):
     """Half-open ``[lo, hi)`` window of a space.
 

@@ -36,10 +36,6 @@ class CacheStats:
         return self.misses / self.accesses if self.accesses else 0.0
 
     @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
-    @property
     def prefetch_accuracy(self) -> float:
         """Fraction of prefetched lines that served a demand hit."""
         return (
@@ -120,12 +116,6 @@ class DramStats:
         if not total:
             return 0.0
         return (self.read_latency_sum + self.write_latency_sum) / total
-
-    def achieved_bandwidth(self, txn_bytes: int, elapsed_cycles: float) -> float:
-        """Mean delivered bytes per core cycle over ``elapsed_cycles``."""
-        if elapsed_cycles <= 0:
-            return 0.0
-        return self.requests * txn_bytes / elapsed_cycles
 
     _FIELDS = (
         "reads", "writes", "row_hits", "row_empties", "row_conflicts",

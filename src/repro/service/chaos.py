@@ -33,8 +33,6 @@ import sys
 import tempfile
 import threading
 import time
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,11 +44,15 @@ if TYPE_CHECKING:
 
 from repro.service.backoff import poll_until
 from repro.service.config import ServiceConfig
+from repro.service.router import http_json
 from repro.service.server import GmapService, ServeHTTPServer
 
 #: Upper bound on any single wait inside a scenario, seconds; also the
 #: bound on a killed replica's kill-to-routable recovery.
 WAIT_LIMIT = 60.0
+
+#: Per-request HTTP timeout of the harness's own client calls, seconds.
+REQUEST_TIMEOUT = 30.0
 
 #: Upper bound on the interactive lane's p99 while bulk traffic saturates
 #: the fleet, ms.  Generous: it catches starvation (p99 at the job
@@ -94,7 +96,8 @@ class _LiveServer:
         self.service.stop()
 
     def drain(self) -> Dict[str, Any]:
-        status, payload = _request(self.base + "/drain", method="POST")
+        status, payload = http_json("POST", self.base + "/drain",
+                                    timeout=REQUEST_TIMEOUT)
         # /drain schedules its own HTTP shutdown; join and release.
         self._thread.join(10.0)
         self.httpd.server_close()
@@ -104,30 +107,8 @@ class _LiveServer:
         return payload
 
 
-def _request(url: str, body: Optional[Dict[str, Any]] = None,
-             method: str = "GET") -> Tuple[int, Dict[str, Any]]:
-    data = None
-    headers = {}
-    if body is not None:
-        data = json.dumps(body).encode("utf-8")
-        headers["Content-Type"] = "application/json"
-    req = urllib.request.Request(url, data=data, headers=headers,
-                                 method=method)
-    try:
-        with urllib.request.urlopen(req, timeout=30) as resp:
-            return resp.status, json.loads(resp.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
-        raw = exc.read().decode("utf-8", "replace")
-        try:
-            payload = json.loads(raw)
-        except ValueError:
-            payload = {"error": raw}
-        payload.setdefault("_retry_after", exc.headers.get("Retry-After"))
-        return exc.code, payload
-
-
 def _submit(base: str, payload: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
-    return _request(base + "/jobs", body=payload, method="POST")
+    return http_json("POST", base + "/jobs", payload, timeout=REQUEST_TIMEOUT)
 
 
 def _sim_job(fault: Optional[Dict[str, str]] = None) -> Dict[str, Any]:
@@ -159,7 +140,8 @@ def _await(result: ScenarioResult, base: str, job_id: str, what: str,
     terminal: List[Dict[str, Any]] = []
 
     def _settled() -> bool:
-        status, payload = _request(f"{base}/jobs/{job_id}")
+        status, payload = http_json("GET", f"{base}/jobs/{job_id}",
+                                    timeout=REQUEST_TIMEOUT)
         if status == 200 and payload.get("status") in (
                 "completed", "failed", "rejected"):
             terminal.append(payload)
@@ -306,8 +288,8 @@ def _fault_scenario(case: FaultCase) -> Callable[..., ScenarioResult]:
 
 def scenario_queue_flood(tmp: Path, rng: random.Random,
                          smoke: bool) -> ScenarioResult:
-    """Flood a tiny queue: shedding with Retry-After, bounded depth, and
-    a terminal outcome for every accepted job."""
+    """Flood a tiny queue: shedding with a ``retry_after`` hint, bounded
+    depth, and a terminal outcome for every accepted job."""
     result = ScenarioResult("queue_flood")
     capacity = 3
     server = _LiveServer(_config(
@@ -325,10 +307,9 @@ def scenario_queue_flood(tmp: Path, rng: random.Random,
                 accepted_ids.append(payload["job_id"])
             elif status == 429:
                 shed += 1
-                if not payload.get("retry_after") and not payload.get(
-                        "_retry_after"):
+                if not payload.get("retry_after"):
                     result.violations.append(
-                        "429 response carried no Retry-After hint")
+                        "429 response carried no retry_after hint")
             else:
                 result.violations.append(
                     f"unexpected submit response HTTP {status}: {payload}")
@@ -759,7 +740,8 @@ class _ChildProc:
 
 def _router_fleet_snapshot(url: str) -> Dict[str, Any]:
     try:
-        status, body = _request(url + "/fleet")
+        status, body = http_json("GET", url + "/fleet",
+                                 timeout=REQUEST_TIMEOUT)
     except OSError:
         return {}
     return body if status == 200 else {}
@@ -865,7 +847,8 @@ def scenario_router_kill(tmp: Path, rng: random.Random,
 
         # Every pre-kill terminal outcome must be served unchanged.
         for job_id, before in settled.items():
-            status, after = _request(f"{url}/jobs/{job_id}")
+            status, after = http_json("GET", f"{url}/jobs/{job_id}",
+                                      timeout=REQUEST_TIMEOUT)
             if status != 200 or after.get("status") != "completed":
                 result.violations.append(
                     f"terminal outcome lost across router kill: "

@@ -381,7 +381,7 @@ class Fleet:
 
 
 def serve_fleet(config: FleetConfig, host: str = "127.0.0.1",
-                port: int = 0, ready_line: bool = True) -> int:
+                port: int = 0) -> int:
     """Boot a fleet (a bare router when ``config.replicas`` is 0) and block
     until SIGTERM/SIGINT stops it (CLI entry)."""
     fleet = Fleet(config, host, port)
@@ -394,9 +394,8 @@ def serve_fleet(config: FleetConfig, host: str = "127.0.0.1",
     signal.signal(signal.SIGINT, _on_signal)
     fleet.start()
     try:
-        if ready_line:
-            print(f"router listening on {fleet.router_url} "
-                  f"({config.replicas} replicas)", flush=True)
+        print(f"router listening on {fleet.router_url} "
+              f"({config.replicas} replicas)", flush=True)
         stop.wait()
     finally:
         fleet.stop()

@@ -209,7 +209,7 @@ def _handle_simulate(params: Dict[str, Any], backend: str) -> Dict[str, Any]:
 
 def _handle_validate(params: Dict[str, Any], backend: str) -> Dict[str, Any]:
     from repro.validation.experiments import experiment
-    from repro.validation.harness import run_experiment
+    from repro.validation.parallel import SweepRunner
     from repro.workloads import suite
 
     spec = experiment(params["experiment"])
@@ -221,12 +221,13 @@ def _handle_validate(params: Dict[str, Any], backend: str) -> Dict[str, Any]:
     # The worker process IS the isolation unit: run the sweep serially and
     # unjournaled inside it.  Chunk failures still surface as a partial
     # report, which execute_job turns into partial_sweep degradation.
-    report = run_experiment(
+    report = SweepRunner(
+        jobs=1, use_cache=bool(params.get("use_cache", False)), journal=False,
+    ).run_experiment(
         kernels, configs, spec.metric,
         seed=int(params.get("seed", 1234)),
         num_cores=int(params.get("cores", 15)),
-        jobs=1, use_cache=bool(params.get("use_cache", False)),
-        journal=False, backend=backend,
+        backend=backend,
     )
     return {
         "experiment": params["experiment"],

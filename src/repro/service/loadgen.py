@@ -1,14 +1,12 @@
 """Closed- and open-loop load generation against a serve/router endpoint.
 
-Three pieces, kept separable so chaos scenarios and the benchmark harness
-can reuse them:
+The library the chaos harness (:mod:`repro.service.chaos`) drives fleets
+with; it has no command line of its own.  Three pieces:
 
 * :class:`Req` — one request: payload in, timing and terminal status out;
-* :class:`ReqGenEngine` — seeded request source.  Synthetic mode draws
-  from a bounded pool of pipeline-key variants (``key_diversity``), so
-  coalescing pressure on the shared single-flight tier is a dial, not an
-  accident; replay mode re-issues a recorded JSONL stream; every run can
-  record what it issued for later replay;
+* :class:`ReqGenEngine` — seeded request source drawing from a pool of
+  ``key_diversity`` distinct pipeline keys, so coalescing pressure on the
+  shared single-flight tier is a dial, not an accident;
 * :class:`Workload` — the driving loop.  **Closed-loop** (``clients`` in
   lockstep: submit, poll to terminal, repeat) measures capacity;
   **open-loop** (fixed arrival rate, latency clocked from the *intended*
@@ -23,14 +21,13 @@ behaviour, and the chaos gates assert ``failed == 0`` while allowing
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import threading
 import time
 from dataclasses import dataclass, field
 from queue import Empty, Queue
-from typing import Any, Dict, Iterable, List, Optional, TextIO
+from typing import Any, Dict, List, Optional
 
 from repro.service.backoff import poll_until, sleep_backoff
 from repro.service.router import http_json
@@ -40,8 +37,8 @@ from repro.service.protocol import (
     TERMINAL_STATUSES,
 )
 
-#: Synthetic mix: (kind, params template) weighted choices.  Tiny scales —
-#: the workload exercises the *service*, not the simulator's throughput.
+#: Targets of the synthetic mix.  Tiny scales — the workload exercises the
+#: *service*, not the simulator's throughput.
 _SYNTH_TARGETS = ("vectoradd", "transpose", "reduction")
 
 #: Default per-job completion deadline, seconds.
@@ -72,15 +69,14 @@ class Req:
 
 
 class ReqGenEngine:
-    """Seeded request source: synthetic mix or recorded-trace replay."""
+    """Seeded request source over a pool of ``key_diversity`` payloads,
+    each a distinct pipeline key (target x ``cores``)."""
 
     def __init__(
         self,
         seed: int = 1234,
         key_diversity: int = 4,
         scale: str = "tiny",
-        replay: Optional[Iterable[Dict[str, Any]]] = None,
-        record_to: Optional[TextIO] = None,
         priority: Optional[str] = None,
     ) -> None:
         if key_diversity < 1:
@@ -91,46 +87,26 @@ class ReqGenEngine:
                 f"priority must be one of {PRIORITIES}, got {priority!r}")
         self._priority = priority
         self._rng = random.Random(seed)
-        self._record_to = record_to
-        self._replay = list(replay) if replay is not None else None
-        self._replay_pos = 0
         self._lock = threading.Lock()
-        # Pre-draw the key pool: key_diversity distinct payloads the
-        # synthetic stream cycles through with random weights.
-        self._pool: List[Dict[str, Any]] = []
-        for i in range(key_diversity):
-            target = _SYNTH_TARGETS[i % len(_SYNTH_TARGETS)]
-            self._pool.append({
-                "kind": "simulate",
-                "params": {
-                    "target": target,
-                    "scale": scale,
-                    "cores": 1 + (i % 2),
-                },
-            })
+        # Entry i runs target i mod 3 on 1 + i // 3 cores: no two entries
+        # share a pipeline key.
+        self._pool: List[Dict[str, Any]] = [
+            {"kind": "simulate",
+             "params": {
+                 "target": _SYNTH_TARGETS[i % len(_SYNTH_TARGETS)],
+                 "scale": scale,
+                 "cores": 1 + i // len(_SYNTH_TARGETS),
+             }}
+            for i in range(key_diversity)
+        ]
 
-    @classmethod
-    def from_trace(cls, path: str, **kwargs: Any) -> "ReqGenEngine":
-        with open(path, "r", encoding="utf-8") as fh:
-            replay = [json.loads(line) for line in fh if line.strip()]
-        return cls(replay=replay, **kwargs)
-
-    def next(self) -> Optional[Dict[str, Any]]:
-        """Next payload, or None when a replay stream is exhausted."""
+    def next(self) -> Dict[str, Any]:
+        """A fresh copy of a randomly drawn pool payload."""
         with self._lock:
-            if self._replay is not None:
-                if self._replay_pos >= len(self._replay):
-                    return None
-                payload = dict(self._replay[self._replay_pos])
-                self._replay_pos += 1
-            else:
-                payload = json.loads(json.dumps(
-                    self._rng.choice(self._pool)))
-            if self._priority is not None:
-                payload["priority"] = self._priority
-            if self._record_to is not None:
-                self._record_to.write(json.dumps(payload) + "\n")
-            return payload
+            payload = json.loads(json.dumps(self._rng.choice(self._pool)))
+        if self._priority is not None:
+            payload["priority"] = self._priority
+        return payload
 
 
 @dataclass
@@ -314,10 +290,8 @@ class Workload:
                     return
                 if budget is not None and not budget.acquire(blocking=False):
                     return
-                payload = self._engine.next()
-                if payload is None:
-                    return
-                req = Req(payload=payload, intended_at=time.monotonic())
+                req = Req(payload=self._engine.next(),
+                          intended_at=time.monotonic())
                 self._track(req)
                 self._drive(req)
 
@@ -382,10 +356,7 @@ class Workload:
                 # Paced wait until the next scheduled arrival (interruptible).
                 self._stop.wait(min(next_at - now, 0.5))
                 continue
-            payload = self._engine.next()
-            if payload is None:
-                break
-            req = Req(payload=payload, intended_at=next_at)
+            req = Req(payload=self._engine.next(), intended_at=next_at)
             self._track(req)
             work.put(req)
             n += 1
@@ -425,85 +396,3 @@ class Workload:
                 if req.error:
                     report.errors.append(req.error)
         return report
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; exits 0 iff the run had no failed or lost requests
-    (sheds are expected under deliberate overload and do not fail it)."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service.loadgen",
-        description="drive a gmap serve endpoint (single server or router) "
-                    "with a seeded synthetic or replayed workload")
-    parser.add_argument("--base-url", required=True,
-                        help="endpoint, e.g. http://127.0.0.1:8080")
-    parser.add_argument("--mode", choices=("closed", "open"),
-                        default="closed")
-    parser.add_argument("--clients", type=int, default=4,
-                        help="closed-loop concurrency (default: 4)")
-    parser.add_argument("--rate", type=float, default=4.0,
-                        help="open-loop arrivals/second (default: 4)")
-    parser.add_argument("--duration", type=float, default=None,
-                        help="seconds to run (default: open 10, closed "
-                             "until --requests)")
-    parser.add_argument("--requests", type=int, default=None,
-                        help="closed-loop total request budget")
-    parser.add_argument("--seed", type=int, default=1234)
-    parser.add_argument("--key-diversity", type=int, default=4,
-                        help="distinct pipeline keys in the synthetic mix "
-                             "(default: 4)")
-    parser.add_argument("--scale", default="tiny",
-                        help="workload kernel scale (default: tiny)")
-    parser.add_argument("--priority", choices=PRIORITIES, default=None,
-                        help="stamp every synthetic request with this "
-                             "admission lane (default: unset = interactive)")
-    parser.add_argument("--job-deadline", type=float,
-                        default=DEFAULT_JOB_DEADLINE)
-    parser.add_argument("--replay", default=None, metavar="JSONL",
-                        help="re-issue a recorded request stream")
-    parser.add_argument("--record", default=None, metavar="JSONL",
-                        help="record the issued request stream")
-    parser.add_argument("--out", default=None,
-                        help="write the JSON report here (default: stdout)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny deterministic run (closed, 3 clients, "
-                             "12 requests)")
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        args.mode = "closed"
-        args.clients = 3
-        args.requests = args.requests or 12
-    record_fh = open(args.record, "w", encoding="utf-8") \
-        if args.record else None
-    try:
-        if args.replay:
-            engine = ReqGenEngine.from_trace(
-                args.replay, seed=args.seed, record_to=record_fh)
-        else:
-            engine = ReqGenEngine(
-                seed=args.seed, key_diversity=args.key_diversity,
-                scale=args.scale, record_to=record_fh,
-                priority=args.priority)
-        workload = Workload(args.base_url, engine,
-                            job_deadline=args.job_deadline)
-        if args.mode == "closed":
-            report = workload.run_closed(
-                clients=args.clients, max_requests=args.requests,
-                duration=args.duration)
-        else:
-            report = workload.run_open(
-                rate=args.rate, duration=args.duration or 10.0)
-    finally:
-        if record_fh is not None:
-            record_fh.close()
-    payload = report.to_dict()
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
-    return 0 if (payload["failed"] == 0 and payload["lost"] == 0) else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

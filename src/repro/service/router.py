@@ -58,6 +58,7 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.core.integrity import Counters
 from repro.core.shared_cache import job_key
 from repro.service.outcome_store import OutcomeStore
 from repro.service.protocol import (
@@ -281,12 +282,12 @@ class RouterCore:
         self._jobs: Dict[str, _JobRecord] = {}
         self._jobs_lock = threading.Lock()
         self._seq = itertools.count()
-        self._counters = {
-            "routed": 0, "shed": 0, "spilled": 0, "reassigned": 0,
-            "routed_interactive": 0, "routed_bulk": 0,
-            "recovered_terminal": 0, "recovered_pending": 0,
-            "evicted_terminal": 0, "registered": 0,
-        }
+        self._counters = Counters((
+            "routed", "shed", "spilled", "reassigned",
+            "routed_interactive", "routed_bulk",
+            "recovered_terminal", "recovered_pending",
+            "evicted_terminal", "registered",
+        ))
         if store is not None:
             self._recover_from_store(store)
 
@@ -307,9 +308,9 @@ class RouterCore:
                 if stored.terminal is not None:
                     record.terminal = dict(stored.terminal)
                     record.settled_at = now
-                    self._counters["recovered_terminal"] += 1
+                    self._counters.record("recovered_terminal")
                 else:
-                    self._counters["recovered_pending"] += 1
+                    self._counters.record("recovered_pending")
                 self._jobs[job_id] = record
 
     # -- candidate ranking ---------------------------------------------------
@@ -394,8 +395,7 @@ class RouterCore:
                 status, body = http_json("POST", f"{base}/jobs", payload)
             except OSError:
                 endpoint.mark_probe_failed(threshold=1)
-                with self._jobs_lock:
-                    self._counters["spilled"] += 1
+                self._counters.record("spilled")
                 continue
             if status == 202:
                 lane = (PRIORITY_BULK
@@ -408,8 +408,8 @@ class RouterCore:
                             payload, endpoint.replica_id)
                     else:  # reassignment path keeps the original payload
                         record.replica_id = endpoint.replica_id
-                    self._counters["routed"] += 1
-                    self._counters[f"routed_{lane}"] += 1
+                self._counters.record("routed")
+                self._counters.record(f"routed_{lane}")
                 if self._store is not None:
                     self._store.record_assignment(
                         job_id, payload, endpoint.replica_id)
@@ -420,8 +420,7 @@ class RouterCore:
                 # At capacity — a *healthy* refusal; spill sideways and
                 # keep the largest Retry-After if everyone sheds.
                 shed_response = (status, body)
-                with self._jobs_lock:
-                    self._counters["spilled"] += 1
+                self._counters.record("spilled")
                 continue
             # Typed refusal (400 invalid, 503 draining...): authoritative.
             if status == 503:
@@ -430,8 +429,7 @@ class RouterCore:
             body.setdefault("job_id", job_id)
             return status, body
         if shed_response is not None:
-            with self._jobs_lock:
-                self._counters["shed"] += 1
+            self._counters.record("shed")
             status, body = shed_response
             body.setdefault("job_id", job_id)
             return status, body
@@ -533,7 +531,7 @@ class RouterCore:
         for job_id in expired:
             del self._jobs[job_id]
         if expired:
-            self._counters["evicted_terminal"] += len(expired)
+            self._counters.record("evicted_terminal", len(expired))
 
     # -- reassignment --------------------------------------------------------
 
@@ -549,7 +547,7 @@ class RouterCore:
         if status == 202:
             with self._jobs_lock:
                 record.reassignments += 1
-                self._counters["reassigned"] += 1
+            self._counters.record("reassigned")
             return True
         return False
 
@@ -598,12 +596,11 @@ class RouterCore:
     ) -> Tuple[int, Dict[str, Any]]:
         """The ``--join`` handshake: admit or refresh a replica.
 
-        Idempotent for heartbeat re-registrations (same epoch).  A higher
-        epoch means the replica restarted — its previous assignments are
-        requeued (the restarted process kept no queue).  A *lower* epoch
-        is a stale straggler (an old process's delayed heartbeat after a
-        newer one registered) and is refused so it cannot roll the URL
-        back.
+        Idempotent for a same-epoch heartbeat.  A higher epoch means the
+        replica restarted — its previous assignments are requeued (the
+        restarted process kept no queue).  A *lower* epoch is a stale
+        straggler (an old process's delayed heartbeat after a newer one
+        registered) and is refused so it cannot roll the URL back.
         """
         if not replica_id or not base_url:
             return 400, {"error": "replica_id and base_url required",
@@ -620,8 +617,7 @@ class RouterCore:
                                       f"{endpoint.epoch})",
                              "error_kind": FAILURE_REJECTED}
         rejoined = endpoint.register(base_url, epoch)
-        with self._jobs_lock:
-            self._counters["registered"] += 1
+        self._counters.record("registered")
         if rejoined:
             self.reassign_replica(replica_id)
         return 200, {"registered": True, "replica_id": replica_id,
@@ -634,7 +630,6 @@ class RouterCore:
             tracked = len(self._jobs)
             settled = sum(
                 1 for r in self._jobs.values() if r.terminal is not None)
-            counters = dict(self._counters)
         with self._endpoints_lock:
             endpoints = list(self._endpoints)
         snap: Dict[str, Any] = {
@@ -642,7 +637,7 @@ class RouterCore:
             "routable": sum(1 for ep in endpoints if ep.routable),
             "jobs_tracked": tracked,
             "jobs_settled": settled,
-            "counters": counters,
+            "counters": self._counters.snapshot(),
         }
         if self._store is not None:
             snap["store"] = {

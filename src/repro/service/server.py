@@ -32,6 +32,7 @@ import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.integrity import Counters
 from repro.service.backoff import backoff_delay
 
 from repro.service.config import ServiceConfig
@@ -86,10 +87,10 @@ class GmapService:
         self._journal: Optional[RunJournal] = None
         #: job_id -> (kernel_index, config_offset) of its checkpoint entry.
         self._checkpointed: Dict[str, Tuple[int, int]] = {}
-        self._counters = {
-            "submitted": 0, "rejected": 0, "shed": 0,
-            "completed": 0, "failed": 0, "degraded": 0, "resumed": 0,
-        }
+        self._counters = Counters((
+            "submitted", "rejected", "shed",
+            "completed", "failed", "degraded", "resumed",
+        ))
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -148,8 +149,7 @@ class GmapService:
                             status=STATUS_CHECKPOINTED)
                     continue
                 resumed += 1
-                with self._jobs_lock:
-                    self._counters["resumed"] += 1
+                self._counters.record("resumed")
         return resumed
 
     def submit(self, payload: Any) -> Dict[str, Any]:
@@ -179,10 +179,9 @@ class GmapService:
             with self._jobs_lock:
                 self._jobs.pop(job_id, None)
                 self._requests.pop(job_id, None)
-                self._counters["shed"] += 1
+            self._counters.record("shed")
             raise
-        with self._jobs_lock:
-            self._counters["submitted"] += 1
+        self._counters.record("submitted")
         return {"job_id": job_id, "status": STATUS_QUEUED, "seq": seq}
 
     def job_status(self, job_id: str) -> Optional[Dict[str, Any]]:
@@ -240,8 +239,6 @@ class GmapService:
     # -- introspection ------------------------------------------------------
 
     def healthz(self) -> Dict[str, Any]:
-        with self._jobs_lock:
-            counters = dict(self._counters)
         return {
             "status": "draining" if self._draining.is_set() else "ok",
             "replica_id": self.config.replica_id,
@@ -251,7 +248,7 @@ class GmapService:
             "running": len(self.supervisor.running_jobs()),
             "worker_restarts": self.supervisor.worker_restarts,
             "breakers": self.policy.snapshot(),
-            "counters": counters,
+            "counters": self._counters.snapshot(),
         }
 
     def ready(self) -> bool:
@@ -279,22 +276,21 @@ class GmapService:
         return payload
 
     def note_rejected(self) -> None:
-        with self._jobs_lock:
-            self._counters["rejected"] += 1
+        self._counters.record("rejected")
 
     # -- outcome sink -------------------------------------------------------
 
     def _record_outcome(self, request: JobRequest,
                         outcome: JobOutcome) -> None:
+        # Counted before the outcome is published, so whoever sees the job
+        # terminal also sees it counted.
+        self._counters.record(
+            "completed" if outcome.status == STATUS_COMPLETED else "failed")
+        if outcome.degraded:
+            self._counters.record("degraded")
         with self._jobs_lock:
             self._jobs[request.job_id] = outcome
             checkpoint = self._checkpointed.pop(request.job_id, None)
-            if outcome.status == STATUS_COMPLETED:
-                self._counters["completed"] += 1
-            else:
-                self._counters["failed"] += 1
-            if outcome.degraded:
-                self._counters["degraded"] += 1
         # A resumed job that reached a terminal outcome no longer needs its
         # checkpoint entry; drop it so the next boot doesn't re-run it.
         if checkpoint is not None and self._journal is not None:
@@ -427,8 +423,6 @@ class JoinHeartbeat:
         self.base_url = base_url
         self.interval = interval
         self.epoch = epoch if epoch is not None else int(time.time() * 1000)
-        self.registrations = 0
-        self._count_lock = threading.Lock()
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._run, name=f"gmap-join-{replica_id}", daemon=True)
@@ -453,11 +447,7 @@ class JoinHeartbeat:
                 timeout=5.0)
         except OSError:
             return False
-        if status == 200:
-            with self._count_lock:
-                self.registrations += 1
-            return True
-        return False
+        return status == 200
 
     def _run(self) -> None:
         failures = 0
@@ -485,8 +475,7 @@ class ServeHTTPServer(ThreadingHTTPServer):
             (service.config.host, service.config.port), _ServeHandler)
 
 
-def serve_forever(config: ServiceConfig,
-                  ready_line: bool = True) -> int:
+def serve_forever(config: ServiceConfig) -> int:
     """Boot the daemon and block until SIGTERM/SIGINT drains it.
 
     Prints ``listening on http://host:port`` once ready (the CI job and
@@ -515,10 +504,9 @@ def serve_forever(config: ServiceConfig,
         heartbeat = JoinHeartbeat(
             config.join, config.replica_id, f"http://{host}:{port}",
             interval=config.join_interval).start()
-    if ready_line:
-        if resumed:
-            print(f"resumed {resumed} checkpointed job(s)", flush=True)
-        print(f"listening on http://{host}:{port}", flush=True)
+    if resumed:
+        print(f"resumed {resumed} checkpointed job(s)", flush=True)
+    print(f"listening on http://{host}:{port}", flush=True)
     try:
         httpd.serve_forever(poll_interval=0.2)
     finally:

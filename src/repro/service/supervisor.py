@@ -30,6 +30,7 @@ from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.core.integrity import Counters
 from repro.service.backoff import sleep_backoff
 from repro.service.config import ServiceConfig
 from repro.service.degradation import (
@@ -98,7 +99,7 @@ class Supervisor:
         self._running_lock = threading.Lock()
         self._running: Dict[str, JobRequest] = {}
         self._ctx = multiprocessing.get_context("fork")
-        self._restarts = 0
+        self._counters = Counters(("restarts",))
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -127,14 +128,7 @@ class Supervisor:
     @property
     def worker_restarts(self) -> int:
         """Total worker processes restarted after a crash/timeout."""
-        with self._running_lock:
-            return self._restarts
-
-    def _note_restart(self) -> None:
-        # Read-modify-write shared across every slot thread; under load two
-        # slots retrying together would otherwise lose increments.
-        with self._running_lock:
-            self._restarts += 1
+        return self._counters.snapshot()["restarts"]
 
     # -- slot loop ----------------------------------------------------------
 
@@ -187,7 +181,7 @@ class Supervisor:
             self._policy.observe_job_failure(backend, stage=stage)
             last = outcome
             if attempt < attempts_allowed:
-                self._note_restart()
+                self._counters.record("restarts")
                 sleep_backoff(attempt, base=self._config.restart_backoff,
                               cap=5.0, wake=self._stop)
         assert last is not None

@@ -583,58 +583,3 @@ class ExperimentReport:
             f"{self.mean_correlation:7.3f}"
         )
         return "\n".join(lines)
-
-
-def run_experiment(
-    kernels: Sequence[KernelModel],
-    configs: Sequence[SimConfig],
-    metric: str,
-    seed: int = 1234,
-    num_cores: int = 15,
-    jobs: int = 1,
-    use_cache: bool = False,
-    cache_dir=None,
-    timeout: Optional[float] = None,
-    retries: int = 2,
-    journal=None,
-    journal_dir=None,
-    run_id: Optional[str] = None,
-    resume: bool = False,
-    backend: Optional[str] = None,
-    sim_mode: str = "simt",
-) -> ExperimentReport:
-    """The full per-figure evaluation loop: all benchmarks x all configs.
-
-    ``jobs`` > 1 fans (benchmark, config-chunk) sweep points over a process
-    pool via :class:`~repro.validation.parallel.SweepRunner` — results are
-    bit-identical to the serial run (each sweep point is self-contained and
-    seeded).  ``use_cache`` enables the on-disk artifact
-    cache (``cache_dir`` overrides its location).
-
-    The resilience knobs (``timeout``, ``retries``, ``journal``/``run_id``/
-    ``journal_dir``, ``resume``) are forwarded to the sweep engine — see
-    :class:`~repro.validation.parallel.SweepRunner`.  The resolved run id is
-    available afterwards on the returned report as ``report.run_id`` when
-    journaling was active.
-
-    ``backend`` picks the profiling/generation implementation (python
-    reference or vectorized numpy array core) and is forwarded to every
-    worker's ``build_pipeline`` so a parallel run uses one backend
-    throughout; ``None`` defers to ``GMAP_BACKEND``/default.  With
-    ``sim_mode="flat"`` the backend also drives the memsim replay, and each
-    worker chunk runs as a one-pass multi-config sweep.
-    """
-    from repro.validation.parallel import SweepRunner
-
-    runner = SweepRunner(
-        jobs=jobs, use_cache=use_cache, cache_dir=cache_dir,
-        timeout=timeout, retries=retries,
-        journal=journal, journal_dir=journal_dir, run_id=run_id,
-        resume=resume,
-    )
-    report = runner.run_experiment(
-        kernels, configs, metric, seed=seed, num_cores=num_cores,
-        backend=backend, sim_mode=sim_mode,
-    )
-    report.run_id = runner.last_run_id
-    return report

@@ -56,7 +56,6 @@ from repro.core.cache import (
     ArtifactCache,
     config_fingerprint,
     kernel_fingerprint,
-    resolve_cache,
     sim_result_from_payload,
     sim_result_to_payload,
 )
@@ -794,7 +793,11 @@ class SweepRunner:
         backend: Optional[str] = None,
         sim_mode: str = "simt",
     ) -> ExperimentReport:
-        """Sweep every benchmark and aggregate one metric into a report."""
+        """Sweep every benchmark and aggregate one metric into a report.
+
+        The report's ``run_id`` is the journal's run id (None when the
+        run was not journaled), the id ``gmap validate --resume`` takes.
+        """
         sweeps = self.run(
             kernels, configs,
             seed=seed, num_cores=num_cores,
@@ -806,8 +809,5 @@ class SweepRunner:
             metric=metric,
             comparisons=[sweep.comparison(metric) for sweep in sweeps],
             failures=[f for sweep in sweeps for f in sweep.failures],
+            run_id=self.last_run_id,
         )
-
-    def cache(self) -> Optional[ArtifactCache]:
-        """The runner's cache handle (None when caching is disabled)."""
-        return resolve_cache(self.use_cache, self.cache_dir)

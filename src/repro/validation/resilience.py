@@ -247,12 +247,6 @@ def parse_fault_specs(text: Optional[str]) -> List[FaultSpec]:
     return specs
 
 
-def active_fault() -> Optional[FaultSpec]:
-    """The first fault directive currently in the environment, if any."""
-    specs = active_faults()
-    return specs[0] if specs else None
-
-
 def active_faults() -> List[FaultSpec]:
     """Every fault directive currently in the environment."""
     return parse_fault_specs(os.environ.get(ENV_FAULT_INJECT))

@@ -6,12 +6,10 @@ reassignment semantics are exercised without sockets.  One compact live
 test at the end boots a real two-replica fleet end to end.
 """
 
-import io
-import json
-
 import pytest
 
 import repro.service.router as router_mod
+from repro.core.shared_cache import job_key
 from repro.service.loadgen import LoadReport, ReqGenEngine
 from repro.service.router import ReplicaEndpoint, RouterCore, RouterMonitor
 
@@ -182,6 +180,20 @@ class TestFailover:
         assert status == 429
         assert body["retry_after"] == 1
         assert fleet3.core.fleet_snapshot()["counters"]["shed"] == 1
+
+    def test_failover_counters(self, fleet3):
+        """Every refusal and every transport error on the way is one
+        spill; a submission that no replica takes is routed nowhere, and
+        is one shed only if some replica answered 429."""
+        for replica in fleet3.replicas:
+            replica.shed = True
+        assert fleet3.core.submit(_payload())[0] == 429
+        for replica in fleet3.replicas:
+            replica.shed, replica.down = False, True
+        assert fleet3.core.submit(_payload())[0] == 503
+        counters = fleet3.core.fleet_snapshot()["counters"]
+        assert (counters["spilled"], counters["shed"],
+                counters["routed"]) == (6, 1, 0)
 
     def test_partial_shed_spills_sideways(self, fleet3):
         payload = _payload()
@@ -413,10 +425,14 @@ class TestReqGenEngine:
         assert [a.next() for _ in range(20)] == [b.next() for _ in range(20)]
 
     def test_key_diversity_bounds_pool(self):
-        engine = ReqGenEngine(seed=1, key_diversity=3)
-        seen = {json.dumps(engine.next(), sort_keys=True)
-                for _ in range(60)}
-        assert 1 <= len(seen) <= 3
+        """The pool holds exactly ``key_diversity`` pipeline keys."""
+        for diversity in (3, 24):
+            engine = ReqGenEngine(seed=1, key_diversity=diversity)
+            keys = set()
+            for _ in range(40 * diversity):
+                payload = engine.next()
+                keys.add(job_key(payload["kind"], payload["params"], None))
+            assert len(keys) == diversity
 
     def test_key_diversity_validated(self):
         with pytest.raises(ValueError):
@@ -427,16 +443,6 @@ class TestReqGenEngine:
         first = engine.next()
         first["params"]["cores"] = 999  # caller mutates its copy
         assert engine.next()["params"]["cores"] != 999
-
-    def test_record_then_replay_roundtrip(self, tmp_path):
-        sink = io.StringIO()
-        recorder = ReqGenEngine(seed=7, key_diversity=4, record_to=sink)
-        issued = [recorder.next() for _ in range(10)]
-        trace = tmp_path / "trace.jsonl"
-        trace.write_text(sink.getvalue())
-        replayer = ReqGenEngine.from_trace(str(trace))
-        assert [replayer.next() for _ in range(10)] == issued
-        assert replayer.next() is None  # replay streams exhaust
 
 
 # -- report math -------------------------------------------------------------
@@ -508,89 +514,3 @@ class TestLiveFleet:
             assert snap["routable"] == 2
             assert snap["jobs_tracked"] >= 6
             assert snap["counters"]["routed"] >= 6
-
-
-# -- counter lock discipline (regression: interprocedural analyzer) ---------
-
-class _TrackingLock:
-    """Context-managed lock that records which thread currently holds it."""
-
-    def __init__(self):
-        import threading
-
-        self._threading = threading
-        self._inner = threading.Lock()
-        self.holder = None
-
-    def __enter__(self):
-        self._inner.acquire()
-        self.holder = self._threading.get_ident()
-        return self
-
-    def __exit__(self, *exc):
-        self.holder = None
-        self._inner.release()
-        return False
-
-
-class _GuardedCounters(dict):
-    """Counter dict that records writes made without the jobs lock held."""
-
-    def __init__(self, lock, seed):
-        super().__init__(seed)
-        self._lock = lock
-        self.unlocked_writes = []
-
-    def __setitem__(self, key, value):
-        import threading
-
-        if self._lock.holder != threading.get_ident():
-            self.unlocked_writes.append(key)
-        super().__setitem__(key, value)
-
-
-class TestRouterCounterLockDiscipline:
-    """The analyzer flagged router counter increments racing ``_jobs_lock``;
-    every placement-path counter mutation must now hold the lock."""
-
-    def _instrument(self, core):
-        lock = _TrackingLock()
-        core._jobs_lock = lock
-        core._counters = _GuardedCounters(lock, core._counters)
-        return core._counters
-
-    def test_routed_counter_under_lock(self, fleet3):
-        counters = self._instrument(fleet3.core)
-        status, _body = fleet3.core.submit(_payload())
-        assert status == 202
-        assert counters["routed"] == 1
-        assert counters.unlocked_writes == []
-
-    def test_spill_and_shed_counters_under_lock(self, monkeypatch):
-        core = RouterCore([])
-        for index in range(2):
-            core.register_replica(f"r{index}", f"http://fake-{index}", 1)
-        counters = self._instrument(core)
-        monkeypatch.setattr(
-            router_mod, "http_json",
-            lambda method, url, body=None, timeout=None:
-                (429, {"error": "at capacity", "retry_after": 1.0}))
-        status, _body = core.submit(_payload())
-        assert status == 429
-        assert counters["spilled"] == 2  # both replicas shed sideways
-        assert counters["shed"] == 1
-        assert counters.unlocked_writes == []
-
-    def test_unreachable_replica_spill_under_lock(self, monkeypatch):
-        core = RouterCore([])
-        core.register_replica("r0", "http://fake-0", 1)
-        counters = self._instrument(core)
-
-        def unreachable(method, url, body=None, timeout=None):
-            raise OSError("connection refused")
-
-        monkeypatch.setattr(router_mod, "http_json", unreachable)
-        status, _body = core.submit(_payload())
-        assert status == 503
-        assert counters["spilled"] == 1
-        assert counters.unlocked_writes == []

@@ -7,10 +7,10 @@ import pytest
 from repro.memsim.config import CacheConfig, DramConfig, SimConfig
 from repro.validation.harness import (
     build_pipeline,
-    run_experiment,
     run_sweep,
     simulate_pair,
 )
+from repro.validation.parallel import SweepRunner
 from repro.workloads import suite
 
 
@@ -91,33 +91,34 @@ class TestRunSweep:
 class TestRunExperiment:
     def test_report_aggregates(self):
         kernels = [suite.make("vectoradd", "tiny"), suite.make("kmeans", "tiny")]
-        report = run_experiment(kernels, [fast_config()], "l1_miss_rate",
-                                num_cores=4)
+        report = SweepRunner().run_experiment(
+            kernels, [fast_config()], "l1_miss_rate", num_cores=4)
         assert len(report.comparisons) == 2
         assert 0.0 <= report.mean_error <= 1.0
         assert -1.0 <= report.mean_correlation <= 1.0
 
     def test_format_table(self):
         kernels = [suite.make("vectoradd", "tiny")]
-        report = run_experiment(kernels, [fast_config()], "l1_miss_rate",
-                                num_cores=4)
+        report = SweepRunner().run_experiment(
+            kernels, [fast_config()], "l1_miss_rate", num_cores=4)
         table = report.format_table()
         assert "vectoradd" in table
         assert "AVERAGE" in table
 
     def test_empty_report(self):
-        report = run_experiment([], [fast_config()], "l1_miss_rate")
+        report = SweepRunner().run_experiment(
+            [], [fast_config()], "l1_miss_rate")
         assert report.mean_error == 0.0
         assert report.mean_correlation == 1.0
 
     def test_parallel_matches_serial(self):
         kernels = [suite.make("vectoradd", "tiny"), suite.make("kmeans", "tiny")]
         configs = [fast_config()]
-        serial = run_experiment(kernels, configs, "l1_miss_rate",
-                                num_cores=4, jobs=1)
+        serial = SweepRunner(jobs=1).run_experiment(
+            kernels, configs, "l1_miss_rate", num_cores=4)
         kernels = [suite.make("vectoradd", "tiny"), suite.make("kmeans", "tiny")]
-        parallel = run_experiment(kernels, configs, "l1_miss_rate",
-                                  num_cores=4, jobs=2)
+        parallel = SweepRunner(jobs=2).run_experiment(
+            kernels, configs, "l1_miss_rate", num_cores=4)
         for a, b in zip(serial.comparisons, parallel.comparisons):
             assert a.benchmark == b.benchmark
             assert a.originals == pytest.approx(b.originals)

@@ -307,17 +307,3 @@ class TestSweepRunnerDeterminism:
         runner = SweepRunner(jobs=2, chunk_size=1)
         result = runner.run(kernels, configs, num_cores=4)[0]
         assert [p.config for p in result.pairs] == list(configs)
-
-    def test_run_experiment_matches_harness_entry_point(self):
-        from repro.validation.harness import run_experiment
-
-        kernels = [suite.make("vectoradd", "tiny")]
-        configs = sweeps.l1_sweep(reduced=True, keep=2)
-        via_harness = run_experiment(kernels, configs, "l1_miss_rate",
-                                     num_cores=4, jobs=2)
-        via_runner = SweepRunner(jobs=1).run_experiment(
-            kernels, configs, "l1_miss_rate", num_cores=4)
-        for a, b in zip(via_harness.comparisons, via_runner.comparisons):
-            assert a.benchmark == b.benchmark
-            assert a.originals == b.originals
-            assert a.proxies == b.proxies

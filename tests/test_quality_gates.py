@@ -59,11 +59,11 @@ def test_all_exports_resolve():
 
 def test_no_print_in_library_code():
     """The library proper is silent; printing belongs to the CLI, the
-    validation report helpers, the service front ends (serve/fleet,
-    the chaos harness and the load generator are command-line entry
-    points), and the bench/example layers."""
+    validation report helpers, the service front ends (serve/fleet and
+    the chaos harness are command-line entry points), and the
+    bench/example layers."""
     allowed = {"cli.py", "report.py", "server.py", "chaos.py",
-               "fleet.py", "loadgen.py", "router.py"}
+               "fleet.py", "router.py"}
     offenders = []
     for module_path in SRC.rglob("*.py"):
         if module_path.name in allowed:

@@ -446,12 +446,21 @@ class TestGmapService:
         assert state["status"] == "failed"
         assert state["error_kind"] in ("invalid_request", "simulation_error")
 
-    def test_healthz_counters(self, service):
+    def test_healthz_counters(self, service, monkeypatch):
         accepted = service.submit(_sim_payload())
         _wait_terminal(service, accepted["job_id"])
+
+        def full(request):
+            raise QueueFullError(8, 1.0)
+
+        monkeypatch.setattr(service.queue, "submit", full)
+        with pytest.raises(QueueFullError):
+            service.submit(_sim_payload())
         health = service.healthz()
         assert health["status"] == "ok"
-        assert health["counters"]["completed"] >= 1
+        counters = health["counters"]
+        assert (counters["submitted"], counters["completed"],
+                counters["shed"]) == (1, 1, 1)
         assert health["queue_capacity"] == 8
 
     def test_draining_service_rejects_503(self, service):
@@ -579,86 +588,40 @@ class TestThreadIsolationFallback:
             service.stop()
 
 
-# -- counter lock discipline (regression: interprocedural analyzer) ---------
+# -- counters -----------------------------------------------------------------
 
-class _TrackingLock:
-    """Context-managed lock that records which thread currently holds it."""
+class TestCounters:
+    def test_concurrent_records_lose_no_increment(self):
+        import sys
 
-    def __init__(self):
-        self._inner = threading.Lock()
-        self.holder = None
+        from repro.core.integrity import Counters
 
-    def __enter__(self):
-        self._inner.acquire()
-        self.holder = threading.get_ident()
-        return self
-
-    def __exit__(self, *exc):
-        self.holder = None
-        self._inner.release()
-        return False
-
-
-class _GuardedCounters(dict):
-    """Counter dict that records writes made without the jobs lock held."""
-
-    def __init__(self, lock, seed):
-        super().__init__(seed)
-        self._lock = lock
-        self.unlocked_writes = []
-
-    def __setitem__(self, key, value):
-        if self._lock.holder != threading.get_ident():
-            self.unlocked_writes.append(key)
-        super().__setitem__(key, value)
-
-
-class TestCounterLockDiscipline:
-    """``shared-state-race`` findings the analyzer surfaced were real:
-    counter read-modify-writes raced the jobs lock.  These pin the fix —
-    every counter mutation must happen while ``_jobs_lock`` is held."""
-
-    def _instrument(self, service):
-        lock = _TrackingLock()
-        service._jobs_lock = lock
-        service._counters = _GuardedCounters(lock, service._counters)
-        return service._counters
-
-    def test_submit_and_outcome_counters_under_lock(self, service):
-        counters = self._instrument(service)
-        accepted = service.submit(_sim_payload())
-        state = _wait_terminal(service, accepted["job_id"])
-        assert state["status"] == "completed"
-        assert counters["submitted"] == 1
-        assert counters["completed"] == 1
-        assert counters.unlocked_writes == []
-
-    def test_shed_counter_under_lock(self, service, monkeypatch):
-        counters = self._instrument(service)
-
-        def full(request):
-            raise QueueFullError(8, 1.0)
-
-        monkeypatch.setattr(service.queue, "submit", full)
-        with pytest.raises(QueueFullError):
-            service.submit(_sim_payload())
-        assert counters["shed"] == 1
-        assert counters.unlocked_writes == []
-
-    def test_restart_counter_mutates_under_running_lock(self):
-        from repro.service.supervisor import Supervisor
-
-        config = ServiceConfig(workers=1, queue_capacity=1)
-        sup = Supervisor(config, None, None, lambda request, outcome: None)
-        sup._running_lock = _TrackingLock()
-        sup._note_restart()
-        assert sup.worker_restarts == 1
-
-        threads = [threading.Thread(target=lambda: [sup._note_restart()
-                                                    for _ in range(200)])
+        counters = Counters(("hits",))
+        threads = [threading.Thread(target=lambda: [counters.record("hits")
+                                                    for _ in range(100_000)])
                    for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert sup.worker_restarts == 1 + 8 * 200
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid read-modify-write
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert counters.snapshot() == {"hits": 8 * 100_000}
+
+    def test_healthz_and_fleet_counter_keys(self):
+        """``bench/serve.py`` and the chaos harness read these keys; each
+        is present, at zero, before anything happened."""
+        from repro.service.router import RouterCore
+
+        service = GmapService(ServiceConfig(workers=1, queue_capacity=1))
+        assert service.healthz()["counters"] == dict.fromkeys(
+            ("submitted", "rejected", "shed", "completed", "failed",
+             "degraded", "resumed"), 0)
+        assert RouterCore([]).fleet_snapshot()["counters"] == dict.fromkeys(
+            ("routed", "shed", "spilled", "reassigned", "routed_interactive",
+             "routed_bulk", "recovered_terminal", "recovered_pending",
+             "evicted_terminal", "registered"), 0)

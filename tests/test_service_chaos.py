@@ -5,8 +5,8 @@ a real service (HTTP listener, process-isolated workers), injects its
 fault, and reports violations of the acceptance invariants (no crash,
 typed outcomes, bounded queue, labeled degradation, lossless
 drain/resume, and the fleet's kill-recovery and saturation gates).  The
-CI ``service`` job additionally runs the harness as a standalone binary
-under a hard wall-clock timeout.
+CI ``service`` and ``fleet`` jobs additionally run the harness as a
+standalone binary under hard wall-clock timeouts, each scenario once.
 """
 
 from __future__ import annotations

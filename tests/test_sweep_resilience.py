@@ -157,6 +157,16 @@ class TestCheckpointResume:
         return SweepRunner(jobs=1, chunk_size=1, journal=True,
                            journal_dir=tmp_path, **kwargs)
 
+    def test_report_carries_run_id(self, tmp_path):
+        runner = self._journaled(tmp_path)
+        report = runner.run_experiment(_kernels(), CONFIGS, "l1_miss_rate",
+                                       num_cores=4)
+        assert report.run_id is not None
+        assert report.run_id == runner.last_run_id
+        unjournaled = SweepRunner(jobs=1).run_experiment(
+            _kernels(), CONFIGS, "l1_miss_rate", num_cores=4)
+        assert unjournaled.run_id is None
+
     def test_resume_skips_completed_chunks(self, tmp_path, reference):
         first = self._journaled(tmp_path)
         results = first.run(_kernels(), CONFIGS, num_cores=4)
